@@ -13,6 +13,7 @@ from typing import Optional
 
 from .errors import LatticeProjError, NotALattice, OddCycle, SizeMismatch
 from .evaluate import (
+    COLUMN_ROW_CAP,
     EvalReport,
     column_evaluate,
     cross_chain_recursion,
@@ -49,8 +50,6 @@ def _sweep_structure(g: ClusterGraph, ordering: str):
     except OddCycle:
         assignment = assign_slots(g, "greedy-cover")
     poly = build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0), assignment)
-    if ordering == "auto":
-        ordering = "row-major" if detect_lattice(g) else "as-built"
     return order_factors(poly, ordering)
 
 
@@ -60,8 +59,9 @@ def sweep_polynomial(
     """Build the ordered polynomial the sweep engine actually runs.
 
     The slot assignment is bipartite when the graph allows it, greedy cover
-    otherwise.  Ordering ``auto`` picks row-major for canonical lattices
-    (small boundary) and the as-built order elsewhere.
+    otherwise.  ``ordering`` is any order_factors strategy; ``auto`` (the
+    min-frontier search) is decided there, once per graph, and cached with
+    the structure.
     """
     return _sweep_structure(g, ordering).bind_spec(spec)
 
@@ -105,7 +105,7 @@ def compute_amplitude(
 
 
 def applicable_engines(g: ClusterGraph, cap: Optional[int] = None) -> list[str]:
-    """Engines that can run on this graph, respecting the statevector cap."""
+    """Engines that can run on this graph, within the statevector and column caps."""
     cap = statevector_cap() if cap is None else cap
     engines = []
     if g.n <= cap:
@@ -121,6 +121,7 @@ def applicable_engines(g: ClusterGraph, cap: Optional[int] = None) -> list[str]:
         engines.append("line-recursion")
     if detect_cross_chain(g) is not None:
         engines.append("cross-recursion")
-    if detect_lattice(g) is not None:
+    shape = detect_lattice(g)
+    if shape is not None and shape[0] <= COLUMN_ROW_CAP:
         engines.append("column")
     return engines

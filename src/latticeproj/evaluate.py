@@ -331,8 +331,12 @@ def _corner_column_expansion(
     return weights, words
 
 
+# Most center slots per column that column_evaluate takes (2^cap boundary).
+COLUMN_ROW_CAP = 16
+
+
 def column_evaluate(
-    g: ClusterGraph, spec: ProjectionSpec, row_cap: int = 16
+    g: ClusterGraph, spec: ProjectionSpec, row_cap: int = COLUMN_ROW_CAP
 ) -> EvalReport:
     """Evaluate an m x n lattice of crosses column by column.
 

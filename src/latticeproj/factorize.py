@@ -16,6 +16,7 @@ order changes is how many slots are simultaneously active during a sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -101,7 +102,7 @@ class Factor:
         return (self.c_coeff, self.c_word), (self.s_coeff, self.s_word)
 
     def touched_slots(self) -> frozenset[int]:
-        return frozenset(self.c_word.slots()) | frozenset(self.s_word.slots())
+        return frozenset([s for s, _ in self.c_word.entries + self.s_word.entries])
 
 
 def _factor_from_adjacency(
@@ -295,6 +296,106 @@ def _lattice_row_major_order(g: ClusterGraph, shape: tuple[int, int]) -> list[in
     return order
 
 
+# Passes of the min-frontier search; each starts from one minimum-degree qubit.
+AUTO_STARTS = 8
+
+
+def _peak_overlap(intervals, length: int) -> int:
+    """Most closed intervals [lo, hi] covering one point of range(length)."""
+    delta = [0] * (length + 1)
+    for lo, hi in intervals:
+        delta[lo] += 1
+        delta[hi + 1] -= 1
+    return max(accumulate(delta))
+
+
+def _min_frontier_pass(
+    touched: Sequence[tuple[int, ...]],
+    users: Sequence[list[int]],
+    start: int,
+    restarts: Sequence[int],
+    bound: int,
+) -> Optional[tuple[int, list[int]]]:
+    """(width, qubit order) of a greedy pass from ``start``.
+
+    Each step places the unplaced factor that touches a live slot and
+    minimises (slots it opens - slots it closes, slots it opens, qubit).
+    With no such factor (a component is done) the pass resumes at the first
+    unplaced qubit of ``restarts``.  The pass gives up (None) as soon as
+    its width reaches ``bound``.
+    """
+    remaining = [len(u) for u in users]
+    opened = [False] * len(users)
+    placed = [False] * len(touched)
+    frontier: set[int] = set()
+    pending = iter(restarts)
+    order: list[int] = []
+    live = width = 0
+
+    def cost(q: int) -> tuple[int, int, int]:
+        opens = closes = 0
+        for s in touched[q]:
+            opens += not opened[s]
+            closes += remaining[s] == 1
+        return opens - closes, opens, q
+
+    q = start
+    while True:
+        placed[q] = True
+        order.append(q)
+        for s in touched[q]:
+            if not opened[s]:
+                opened[s] = True
+                live += 1
+                frontier.update(users[s])
+            remaining[s] -= 1
+        if live >= bound:
+            return None
+        width = max(width, live)
+        live -= sum(remaining[s] == 0 for s in touched[q])
+        frontier.discard(q)
+        if len(order) == len(touched):
+            return width, order
+        if frontier:
+            q = min(frontier, key=cost)
+        else:
+            q = next(p for p in pending if not placed[p])
+
+
+def _min_frontier_order(poly: FactorizedPolynomial) -> list[int]:
+    """Narrowest qubit order among as-built and the min-frontier passes.
+
+    A pass's width is the peak number of active slots, the cost that
+    max_active_slots reports; the as-built order is kept unless a pass is
+    strictly narrower.
+    """
+    n = poly.graph.n
+    touched: list[tuple[int, ...]] = [()] * n
+    for f in poly.factors:
+        touched[f.qubit] = tuple(f.touched_slots())
+    users: list[list[int]] = [[] for _ in range(poly.slot_count)]
+    for q in range(n):
+        for s in touched[q]:
+            users[s].append(q)
+    # users[s] is in qubit order, so its ends are s's as-built interval
+    best = list(range(n))
+    bound = _peak_overlap(((u[0], u[-1]) for u in users), n)
+
+    degree = [0] * n
+    for a, b in poly.graph.edges:
+        degree[a] += 1
+        degree[b] += 1
+    # stable sort: equal degrees stay in qubit order
+    by_degree = sorted(range(n), key=degree.__getitem__)
+    connected = [q for q in by_degree if degree[q]] or by_degree
+    starts = [q for q in connected if degree[q] == degree[connected[0]]]
+    for start in starts[:AUTO_STARTS]:
+        found = _min_frontier_pass(touched, users, start, by_degree, bound)
+        if found is not None:
+            bound, best = found
+    return best
+
+
 def order_factors(
     poly: FactorizedPolynomial,
     strategy: str = "as-built",
@@ -302,13 +403,18 @@ def order_factors(
 ) -> FactorizedPolynomial:
     """Reorder the factors; the amplitude is invariant, the boundary is not.
 
-    Strategies: ``as-built`` (qubit-index order), ``row-major`` (lattices:
-    interleave corner and center rows; other graphs: index order),
-    ``anti-diagonal`` (lattices only), ``custom`` (explicit permutation of
-    qubit indices).
+    Strategies: ``auto`` (the narrowest of the as-built order and up to
+    AUTO_STARTS greedy min-frontier passes over the factor/slot incidence,
+    one per minimum-degree start qubit; any graph), ``as-built``
+    (qubit-index order), ``row-major`` (lattices: interleave corner and
+    center rows; other graphs: index order), ``anti-diagonal`` (lattices
+    only), ``custom`` (explicit permutation of qubit indices).  Width means
+    max_active_slots, which bounds the sweep's live terms by 2^width.
     """
     pos_of_qubit = {f.qubit: i for i, f in enumerate(poly.factors)}
-    if strategy == "as-built":
+    if strategy == "auto":
+        order = [pos_of_qubit[q] for q in _min_frontier_order(poly)]
+    elif strategy == "as-built":
         order = [pos_of_qubit[q] for q in range(poly.graph.n)]
     elif strategy == "row-major":
         shape = detect_lattice(poly.graph)
@@ -336,13 +442,7 @@ def order_factors(
 
 def max_active_slots(poly: FactorizedPolynomial) -> int:
     """Peak number of slots whose activity interval covers one factor position."""
-    if not poly.activity:
-        return 0
-    peak = 0
-    for pos in range(len(poly.factors)):
-        live = sum(1 for lo, hi in poly.activity.values() if lo <= pos <= hi)
-        peak = max(peak, live)
-    return peak
+    return _peak_overlap(poly.activity.values(), len(poly.factors))
 
 
 # ---------------------------------------------------------------------------

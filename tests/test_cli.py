@@ -62,14 +62,39 @@ def test_config_errors_exit_2(capsys, argv, needle):
     assert needle in err
 
 
-def test_engine_error_exits_3(capsys):
-    # a 17x1 lattice passes applicability but overflows the column boundary cap
+@pytest.mark.parametrize("builder", ["lattice:17x1", "cross:64"])
+def test_column_over_cap_exits_2(capsys, builder):
+    # lattices taller than the column cap (cross:K reads as a K x 1 lattice)
+    # are not offered the column engine, so asking for it is a config error
     code, _, err = run_cli(
-        capsys, "project", "--builder", "lattice:17x1",
+        capsys, "project", "--builder", builder,
         "--angles", "all:0,0", "--engine", "column",
     )
+    assert code == 2
+    assert "does not fit" in err
+
+
+def test_verify_tall_lattice_leaves_out_column(capsys):
+    code, out, err = run_cli(capsys, "verify", "--builder", "cross:64", "--trials", "1")
+    assert code == 0, err
+    header = out.splitlines()[0]
+    assert "sweep_re" in header and "cross_recursion_re" in header
+    assert "column_re" not in header
+
+
+def test_engine_invariant_breach_exits_3(capsys, monkeypatch):
+    from latticeproj import cli
+    from latticeproj.errors import NonScalarResidue
+
+    def breach(*args, **kwargs):
+        raise NonScalarResidue("sweep left unretired word")
+
+    monkeypatch.setattr(cli, "compute_amplitude", breach)
+    code, _, err = run_cli(
+        capsys, "project", "--builder", "line:3", "--angles", "all:0,0",
+    )
     assert code == 3
-    assert "cap" in err
+    assert "engine error" in err and "unretired" in err
 
 
 def test_verify_csv_and_determinism(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from latticeproj.engines import sweep_polynomial
 from latticeproj.errors import (
     ColumnTooWide,
     NonScalarResidue,
@@ -302,6 +303,27 @@ def test_permutation_invariance_tight():
             perm = list(rng.permutation(g.n))
             poly = order_factors(build_polynomial(g, spec), "custom", perm)
             assert abs(sweep_evaluate(poly).amplitude - base) < 1e-12
+
+
+@pytest.mark.parametrize("g", [build_lattice(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+                         + [load_graph(fixture_path(f"{name}.graph")) for name in
+                            ("fivecross_17", "lattice_3x4", "cross_3", "fig10_c12")])
+def test_auto_order_matches_as_built_sweep(g):
+    for seed in range(3):
+        spec = random_spec(g.n, 40 + seed)
+        ref = sweep_amp(g, spec)
+        assert abs(sweep_amp(g, spec, "auto") - ref) <= 1e-12 * abs(ref)
+
+
+def test_auto_sweep_on_long_lattice_matches_column():
+    g = build_lattice(3, 10)
+    spec = random_spec(g.n, 44)
+    poly = sweep_polynomial(g, spec)
+    report = sweep_evaluate(poly)
+    assert max_active_slots(poly) <= 5
+    assert report.max_live_terms <= 2 ** 5
+    ref = column_evaluate(g, spec).amplitude
+    assert abs(report.amplitude - ref) <= 1e-12 * abs(ref)
 
 
 def test_profile_reports_orderings():

@@ -201,6 +201,63 @@ def test_max_active_slots_examples():
     poly5 = build_polynomial(five, random_spec(17, 11))
     assert max_active_slots(poly5) <= 5
 
+    # the endpoint sweep equals a count of the intervals over every position
+    rng = np.random.default_rng(15)
+    for g in (build_lattice(2, 3), five, build_line(9), build_from_edges(4, [])):
+        poly = build_polynomial(g, random_spec(g.n, 16), "greedy-cover")
+        for _ in range(5):
+            perm = [int(q) for q in rng.permutation(g.n)]
+            ordered = order_factors(poly, "custom", perm)
+            per_position = max(
+                sum(lo <= pos <= hi for lo, hi in ordered.activity.values())
+                for pos in range(g.n)
+            )
+            assert max_active_slots(ordered) == per_position
+
+
+def _named_widths(poly):
+    widths = {}
+    for strategy in ("as-built", "row-major", "anti-diagonal"):
+        try:
+            widths[strategy] = max_active_slots(order_factors(poly, strategy))
+        except NotALattice:
+            pass
+    return widths
+
+
+FIXTURES = sorted(p.name for p in fixture_path("line_4.graph").parent.glob("*.graph"))
+
+
+@pytest.mark.parametrize("g", [
+    *(pytest.param(build_lattice(m, n), id=f"lattice:{m}x{n}")
+      for m in range(1, 7) for n in range(1, 7)),
+    *(pytest.param(load_graph(fixture_path(name)), id=name) for name in FIXTURES),
+])
+def test_auto_order_is_no_wider_than_named_strategies(g):
+    poly = build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0))
+    auto = max_active_slots(order_factors(poly, "auto"))
+    widths = _named_widths(poly)
+    assert all(auto <= w for w in widths.values()), (auto, widths)
+
+
+def test_auto_order_width_does_not_grow_with_lattice_length():
+    widths = {}
+    for shape in ((3, 10), (3, 30)):
+        g = build_lattice(*shape)
+        poly = build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0))
+        widths[shape] = max_active_slots(order_factors(poly, "auto"))
+    assert widths[(3, 10)] <= 5
+    assert widths[(3, 30)] <= 6
+
+
+def test_auto_order_ignores_the_input_order():
+    g = load_graph(fixture_path("fivecross_17.graph"))
+    poly = build_polynomial(g, random_spec(g.n, 18))
+    shuffled = order_factors(poly, "custom", list(range(g.n))[::-1])
+    a = [f.qubit for f in order_factors(poly, "auto").factors]
+    b = [f.qubit for f in order_factors(shuffled, "auto").factors]
+    assert a == b
+
 
 def test_bind_spec_rebinds_coefficients_only():
     g = build_cross_chain(2)

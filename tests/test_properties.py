@@ -50,6 +50,9 @@ def test_sweep_is_permutation_invariant(case, data):
     perm = data.draw(st.permutations(range(g.n)))
     amp = sweep_evaluate(order_factors(poly, "custom", list(perm))).amplitude
     assert abs(amp - base) <= 1e-12
+    auto = sweep_evaluate(order_factors(poly, "auto")).amplitude
+    assert abs(auto - base) <= 1e-12
+    assert auto == pytest.approx(brute_amplitude(g, spec), abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
