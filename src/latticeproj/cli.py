@@ -18,7 +18,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .engines import ENGINE_NAMES, applicable_engines, compute_amplitude
-from .errors import CircuitParseError, LatticeProjError
+from .errors import CircuitParseError, LatticeProjError, NotALattice
 from .evaluate import lattice_width_profile
 from .factorize import ProjectionSpec, load_angles
 from .graph import (
@@ -383,7 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NotALattice) as exc:
+        # a lattice-only ordering or engine asked of another graph is usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeProjError as exc:

@@ -3,7 +3,12 @@
 A measurement pattern is a cluster graph plus a set of measured qubits, each
 projected on <theta|_R = <0| H exp(-i theta Z), plus designated input and
 output qubits.  Simulation is post-selected: the fixed-outcome branch is
-taken as-is, no feed-forward corrections.  Every compiled pattern carries
+taken as-is, no feed-forward corrections.  It is a direct state simulation
+that measures as soon as possible: qubits enter in index order, each bra is
+applied right after the qubit's last CZ, and all input basis states ride
+along as one batch axis, so memory is 2^(inputs + live frontier), not 2^n
+(standardization in Danos, Kashefi & Panangaden, "The measurement
+calculus", J. ACM 2007).  Every compiled pattern carries
 its declared gate semantics as an explicit matrix (logical wires ordered as
 the pattern's inputs, first wire = most significant bit); equivalence checks
 are up to one nonzero scalar, since post-selection makes norms non-physical.
@@ -34,7 +39,7 @@ from .errors import (
     ZeroBranch,
 )
 from .factorize import ProjectionSpec
-from .graph import ClusterGraph, build_from_edges
+from .graph import ClusterGraph, adjacency, build_from_edges
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -320,47 +325,84 @@ def compose(
 # simulation
 
 
+def _action_core(pattern: MeasurementPattern) -> np.ndarray:
+    """The pattern's action on all 2^k input basis columns, in one pass.
+
+    Qubits enter in index order, which is compose's build order.  A
+    non-input qubit enters as |+> on its own tensor axis.  An input qubit
+    gets no axis: its value is read off the leading batch index, which runs
+    over the input basis states, so it stays diagonal in the batch.  Each CZ
+    flips signs once both of its ends are in, and a measured qubit's bra is
+    applied as soon as its last neighbour has entered - contracted away on
+    its axis, or scaled along the batch for an input (measure as soon as
+    possible).  The live array thus holds 2^(inputs + frontier) entries,
+    never 2^n.  Returns the (2^outputs, 2^inputs) matrix, outputs in the
+    pattern's declared order.
+    """
+    k = len(pattern.inputs)
+    batch = np.arange(1 << k)
+    bit = {q: (batch >> (k - 1 - i)) & 1 for i, q in enumerate(pattern.inputs)}
+    nbrs = adjacency(pattern.graph)
+    retire_at: dict[int, list[int]] = {}
+    for q in sorted(pattern.measurements):
+        retire_at.setdefault(max((q, *nbrs[q])), []).append(q)
+
+    def batch_column(values: np.ndarray, ndim: int) -> np.ndarray:
+        """Per-batch values shaped to broadcast against an ndim array."""
+        return np.reshape(values, (-1,) + (1,) * (ndim - 1))
+
+    arr = np.ones(1 << k, dtype=complex)
+    axes: list[int] = []  # axes[i] is the qubit owning tensor axis 1 + i
+    for q in range(pattern.graph.n):
+        if q not in bit:
+            arr = arr[..., None] * PLUS
+            axes.append(q)
+        for p in nbrs[q]:
+            if p >= q:
+                break
+            # CZ(p, q): -1 where both ends are 1; input ends test the batch
+            idx: list = [slice(None)] * arr.ndim
+            both = 1
+            for end in (p, q):
+                if end in bit:
+                    both = both & bit[end]
+                else:
+                    idx[1 + axes.index(end)] = 1
+            view = arr[tuple(idx)]
+            view *= batch_column(1.0 - 2.0 * both, view.ndim)
+        for r in retire_at.get(q, ()):
+            bra = rotation_bra(pattern.measurements[r])
+            if r in bit:
+                arr = arr * batch_column(bra[bit[r]], arr.ndim)
+            else:
+                arr = np.tensordot(arr, bra, axes=([1 + axes.index(r)], [0]))
+                axes.remove(r)
+
+    for q in pattern.outputs:
+        if q in bit:
+            onehot = np.eye(2)[bit[q]].reshape((-1,) + (1,) * (arr.ndim - 1) + (2,))
+            arr = arr[..., None] * onehot
+            axes.append(q)
+    arr = np.transpose(arr, [0] + [1 + axes.index(q) for q in pattern.outputs])
+    return arr.reshape(1 << k, -1).T
+
+
 def simulate_pattern(
     pattern: MeasurementPattern, input_state: np.ndarray
 ) -> np.ndarray:
-    """Post-selected run: embed the input, apply all CZs, apply all bras.
+    """Post-selected run of the pattern on one input state.
 
-    Returns the unnormalized residual vector on the outputs, in the
-    pattern's declared output order.  Raises ZeroBranch when the
-    post-selected branch vanishes identically.
+    The pattern's action matrix comes from one measure-as-soon-as-possible
+    contraction batched over the input basis (see ``_action_core``); the
+    input is then applied to it.  Returns the unnormalized residual vector
+    on the outputs, in the pattern's declared output order.  Raises
+    ZeroBranch when the post-selected branch vanishes identically.
     """
-    n = pattern.graph.n
     k = len(pattern.inputs)
     vec = np.asarray(input_state, dtype=complex).reshape(-1)
     if vec.shape[0] != 1 << k:
         raise SizeMismatch(f"input needs dimension {1 << k}, got {vec.shape[0]}")
-    ancillas = sorted(set(range(n)) - set(pattern.inputs))
-
-    arr = vec.reshape([2] * k) if k else np.array(1.0 + 0.0j)
-    for _ in ancillas:
-        arr = np.multiply.outer(arr, PLUS)
-    axis_owner = list(pattern.inputs) + ancillas
-    # transpose so that axis q belongs to physical qubit q
-    arr = np.ascontiguousarray(np.transpose(arr, [axis_owner.index(q) for q in range(n)]))
-
-    for a, b in pattern.graph.sorted_edges():
-        idx: list = [slice(None)] * n
-        idx[a] = 1
-        idx[b] = 1
-        arr[tuple(idx)] *= -1.0
-
-    axis_of = {q: q for q in range(n)}
-    for q in sorted(pattern.measurements):
-        bra = rotation_bra(pattern.measurements[q])
-        arr = np.tensordot(bra, arr, axes=([0], [axis_of[q]]))
-        gone = axis_of.pop(q)
-        for other, ax in axis_of.items():
-            if ax > gone:
-                axis_of[other] = ax - 1
-
-    out_axes = [axis_of[q] for q in pattern.outputs]
-    arr = np.moveaxis(arr, out_axes, range(len(out_axes)))
-    out = arr.reshape(-1)
+    out = _action_core(pattern) @ vec
     scale = float(np.linalg.norm(vec))
     if float(np.linalg.norm(out)) <= 1e-13 * max(scale, 1.0):
         raise ZeroBranch("post-selected branch of the pattern is identically zero")
@@ -368,14 +410,17 @@ def simulate_pattern(
 
 
 def pattern_action_matrix(pattern: MeasurementPattern) -> np.ndarray:
-    """The pattern's actual linear action, one simulated basis column at a time."""
-    dim_in = 1 << len(pattern.inputs)
-    dim_out = 1 << len(pattern.outputs)
-    mat = np.zeros((dim_out, dim_in), dtype=complex)
-    for x in range(dim_in):
-        basis = np.zeros(dim_in, dtype=complex)
-        basis[x] = 1.0
-        mat[:, x] = simulate_pattern(pattern, basis)
+    """The pattern's actual linear action, all input basis columns at once.
+
+    Raises ZeroBranch when the post-selected branch vanishes on any input
+    basis state.
+    """
+    mat = _action_core(pattern)
+    dead = np.flatnonzero(np.linalg.norm(mat, axis=0) <= 1e-13)
+    if dead.size:
+        raise ZeroBranch(
+            f"post-selected branch of the pattern vanishes on input basis state {dead[0]}"
+        )
     return mat
 
 

@@ -61,3 +61,40 @@ def random_spec(n, seed):
     from latticeproj import ProjectionSpec
 
     return ProjectionSpec.random(n, np.random.default_rng(seed))
+
+
+def dense_pattern_action(pattern):
+    """Reference action matrix of a measurement pattern, built densely.
+
+    Per input basis column: embed the column and |+> on every other qubit
+    into the full 2^n tensor (axis q = qubit q), flip the sign of every CZ,
+    contract each measured qubit's bra <0| H exp(-i theta Z), and read the
+    outputs in declared order.  Exponential in n by design; tests keep
+    n small.  Zero columns are returned as they are.
+    """
+    n = pattern.graph.n
+    k = len(pattern.inputs)
+    ancillas = sorted(set(range(n)) - set(pattern.inputs))
+    axis_owner = list(pattern.inputs) + ancillas
+    plus = np.full(2, 2 ** -0.5, dtype=complex)
+    columns = []
+    for x in range(1 << k):
+        arr = np.zeros(1 << k, dtype=complex)
+        arr[x] = 1.0
+        arr = arr.reshape([2] * k) if k else np.array(1.0 + 0.0j)
+        for _ in ancillas:
+            arr = np.multiply.outer(arr, plus)
+        arr = np.ascontiguousarray(np.transpose(arr, [axis_owner.index(q) for q in range(n)]))
+        for a, b in pattern.graph.sorted_edges():
+            idx = [slice(None)] * n
+            idx[a] = idx[b] = 1
+            arr[tuple(idx)] *= -1.0
+        live = list(range(n))
+        for q in sorted(pattern.measurements):
+            theta = pattern.measurements[q]
+            bra = np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / np.sqrt(2.0)
+            arr = np.tensordot(bra, arr, axes=([0], [live.index(q)]))
+            live.remove(q)
+        arr = np.transpose(arr, [live.index(q) for q in pattern.outputs])
+        columns.append(arr.reshape(-1))
+    return np.stack(columns, axis=1)

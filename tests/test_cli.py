@@ -74,6 +74,19 @@ def test_column_over_cap_exits_2(capsys, builder):
     assert "does not fit" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("project", "--angles", "all:0,0"),
+    ("verify", "--trials", "1"),
+])
+def test_anti_diagonal_on_non_lattice_exits_2(capsys, command):
+    code, out, err = run_cli(
+        capsys, *command, "--builder", "line:3", "--ordering", "anti-diagonal",
+    )
+    assert code == 2
+    assert "anti-diagonal" in err and "engine error" not in err
+    assert out == ""
+
+
 def test_verify_tall_lattice_leaves_out_column(capsys):
     code, out, err = run_cli(capsys, "verify", "--builder", "cross:64", "--trials", "1")
     assert code == 0, err

@@ -37,7 +37,7 @@ from latticeproj.mbqc import (
     simulate_pattern,
 )
 
-from helpers import align_residual
+from helpers import align_residual, dense_pattern_action
 
 
 def assert_realizes(pattern, target=None, tol=1e-9):
@@ -214,6 +214,117 @@ def test_zero_branch_is_reported():
         simulate_pattern(pattern, np.ones(1, dtype=complex))
 
 
+def test_zero_column_is_reported():
+    # ancilla 1 measured at pi/2 annihilates |+> (input 0 in |0>) but maps
+    # |-> (input 0 in |1>) to -i, so only the first column vanishes
+    pattern = MeasurementPattern(
+        graph=build_from_edges(2, [(0, 1)]),
+        inputs=(0,),
+        outputs=(0,),
+        measurements={1: np.pi / 2},
+        semantics=np.eye(2, dtype=complex),
+    )
+    with pytest.raises(ZeroBranch):
+        pattern_action_matrix(pattern)
+    with pytest.raises(ZeroBranch):
+        simulate_pattern(pattern, np.array([1.0, 0.0]))
+    out = simulate_pattern(pattern, np.array([0.0, 1.0]))
+    np.testing.assert_allclose(out, [0.0, -1j], atol=1e-15)
+
+
+def _pass_through():
+    return MeasurementPattern(
+        graph=build_from_edges(1, []),
+        inputs=(0,),
+        outputs=(0,),
+        measurements={},
+        semantics=np.eye(2, dtype=complex),
+    )
+
+
+def _random_chain(seed):
+    """Seeded compose chain of 2-3 random stages on wires 0-2, <= 16 qubits."""
+    rng = np.random.default_rng(seed)
+
+    def angle():
+        return float(rng.uniform(0, 2 * np.pi))
+
+    one_wire = (
+        lambda: compile_z_rotation(angle()),
+        lambda: compile_rotation(angle(), angle(), angle()),
+        _pass_through,
+    )
+    two_wire = (
+        compile_cnot,
+        lambda: compile_cphase(angle()),
+        lambda: compile_cphase_exact(angle()),
+    )
+    while True:
+        stages, wiring = [], []
+        for _ in range(rng.integers(2, 4)):
+            if rng.random() < 0.5:
+                stages.append(one_wire[rng.integers(3)]())
+                wiring.append((int(rng.integers(3)),))
+            else:
+                stages.append(two_wire[rng.integers(3)]())
+                wiring.append(tuple(int(w) for w in rng.choice(3, 2, replace=False)))
+        pattern = compose(stages, wiring)
+        if pattern.graph.n <= 16:
+            return pattern
+
+
+def _cz_network():
+    return MeasurementPattern(
+        graph=build_from_edges(3, [(0, 1), (1, 2)]),
+        inputs=(0, 1, 2),
+        outputs=(0, 1, 2),
+        measurements={},
+        semantics=np.eye(8, dtype=complex),
+    )
+
+
+REFERENCE_PATTERNS = {
+    "z-rotation": compile_z_rotation(0.77),
+    "rotation": compile_rotation(0.3, 1.1, 2.0),
+    "cnot": compile_cnot(),
+    "cphase": compile_cphase(1.3),
+    "cphase-exact": compile_cphase_exact(0.9),
+    "circuit": compile_circuit(parse_circuit("CNOT 0 1\nRZ 1 0.5\nH 0\n")),
+    "cz-network": _cz_network(),
+    # the untouched CPhase control is an input that is also an output
+    "pass-through-control": compose(
+        [compile_cphase(0.7), compile_z_rotation(0.4)], [(0, 1), (1,)]
+    ),
+    **{f"chain-seed{seed}": _random_chain(seed) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize(
+    "pattern", REFERENCE_PATTERNS.values(), ids=REFERENCE_PATTERNS.keys()
+)
+def test_action_matrix_matches_dense_reference(pattern):
+    action = pattern_action_matrix(pattern)
+    reference = dense_pattern_action(pattern)
+    assert action.shape == reference.shape
+    assert np.linalg.norm(action - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def _cphase_chain(wires, seed):
+    rng = np.random.default_rng(seed)
+    text = "".join(
+        f"CPHASE {w} {w + 1} {float(t)!r}\n"
+        for w, t in enumerate(rng.uniform(0, 2 * np.pi, wires - 1))
+    )
+    return compile_circuit(parse_circuit(text))
+
+
+def test_eight_wire_cphase_chain_beyond_the_dense_limit():
+    # 36 qubits: a dense 2^36 tensor would take 1 TB
+    pattern = _cphase_chain(8, seed=8)
+    assert pattern.graph.n == 36 and len(pattern.inputs) == 8
+    assert_realizes(pattern)
+
+
 # ---------------------------------------------------------------------------
 # bridge to the main engine
 
@@ -238,6 +349,7 @@ def test_rotation_projector_to_spec_values():
     compile_cnot(),
     compile_cphase(1.3),
     compile_cphase_exact(0.9),
+    _cphase_chain(8, seed=8),
 ])
 def test_fully_projected_pattern_matches_engine_sweep(pattern):
     rng = np.random.default_rng(17)
