@@ -25,7 +25,6 @@ from .evaluate import (
     ColumnVector,
     EvalReport,
     RecursionState,
-    TermSum,
     column_evaluate,
     cross_chain_recursion,
     lattice_width_profile,

@@ -11,8 +11,8 @@ no floating point enters until complex coefficients do.
 
 A tensor word is a Kronecker product of letters over integer "slots", stored
 sparsely: slots absent from the word hold I.  Words are immutable, hashable
-and normalized (no explicit I entries), so they serve as dict keys in the
-term sums maintained by the sweep evaluator.  Signs produced by letter
+and normalized (no explicit I entries), so they serve as dict keys in
+word -> coefficient term sums such as the test suite's word-dict sweep.  Signs produced by letter
 products are returned separately so the words themselves stay canonical.
 """
 

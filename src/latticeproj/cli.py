@@ -12,13 +12,14 @@ import csv
 import statistics
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .engines import ENGINE_NAMES, applicable_engines, compute_amplitude
-from .errors import CircuitParseError, LatticeProjError, NotALattice
+from .errors import BadSetting, CircuitParseError, LatticeProjError, NotALattice
 from .evaluate import lattice_width_profile
 from .factorize import ProjectionSpec, load_angles
 from .graph import (
@@ -81,8 +82,20 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
     raise ConfigError("a graph is required (--builder or --graph)")
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators take non-negative seeds only
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigError("--trials must be at least 1")
+
+
 def _resolve_angles(args: argparse.Namespace, n: int) -> ProjectionSpec:
     if args.random:
+        _check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
         return ProjectionSpec.random(n, rng)
     if not args.angles:
@@ -168,11 +181,13 @@ def run_verify(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     name, g = _resolve_graph(args)
-    if args.trials < 1:
-        raise ConfigError("--trials must be at least 1")
+    _check_trials(args.trials)
+    _check_seed(args.seed)
     available = applicable_engines(g)
     if args.engines:
         engines = [e.strip() for e in args.engines.split(",")]
+        if len(set(engines)) < len(engines):
+            raise ConfigError(f"--engines lists an engine twice: {args.engines!r}")
         for e in engines:
             if e not in ENGINE_NAMES:
                 raise ConfigError(f"unknown engine {e!r}")
@@ -274,6 +289,8 @@ def bench_lattice_width(seed: int = 0, height: int = 2) -> list[dict]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
+    _check_seed(args.seed)
     if args.suite == "fig10":
         rows = bench_fig10(args.trials, args.seed)
     elif args.suite == "line-scaling":
@@ -378,13 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, then shared: every parse returns a fresh
+    # namespace, so one command's flags never leak into the next
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotALattice) as exc:
-        # a lattice-only ordering or engine asked of another graph is usage
+    except (ConfigError, NotALattice, BadSetting) as exc:
+        # a lattice-only ordering or engine asked of another graph, or a bad
+        # environment setting, is usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeProjError as exc:

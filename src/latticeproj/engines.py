@@ -17,6 +17,7 @@ from .evaluate import (
     EvalReport,
     column_evaluate,
     cross_chain_recursion,
+    frontier_plan,
     line_amplitude,
     sweep_evaluate,
 )
@@ -43,14 +44,16 @@ ENGINE_NAMES = (
 
 @lru_cache(maxsize=64)
 def _sweep_structure(g: ClusterGraph, ordering: str):
-    # Words, slots and activity depend on the graph alone; cache them and
-    # rebind coefficients per projection.
+    # Words, slots, activity and the frontier plan depend on the graph alone;
+    # cache them and rebind coefficients per projection.
     try:
         assignment = assign_slots(g, "bipartite")
     except OddCycle:
         assignment = assign_slots(g, "greedy-cover")
     poly = build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0), assignment)
-    return order_factors(poly, ordering)
+    poly = order_factors(poly, ordering)
+    frontier_plan(poly)
+    return poly
 
 
 def sweep_polynomial(

@@ -73,6 +73,10 @@ class TooLarge(LatticeProjError):
     pass
 
 
+class BadSetting(LatticeProjError):
+    """An environment variable holds a value the package cannot use."""
+
+
 class NotBipartite(LatticeProjError):
     pass
 

@@ -2,11 +2,15 @@
 
 Four routes share one contract (the physical amplitude, 2^(-N/2) included):
 
-  * sweep_evaluate       generic ordered contraction.  A term sum (word ->
-                         coefficient) absorbs one factor at a time; a slot is
-                         retired right after the last factor touching it,
-                         which is what keeps live words bounded by the number
-                         of simultaneously active slots.
+  * sweep_evaluate       generic ordered contraction on a dense frontier.
+                         All four letters are diagonal, so the live tensor is
+                         a numpy array with one length-2 axis per active slot
+                         (its diagonal index).  Each factor is one broadcast
+                         multiply; a slot is retired right after the last
+                         factor touching it by summing its axis, which frees
+                         the axis for the next slot.  The live tensor thus
+                         holds 2^(active slots) entries.  The axis plan is
+                         built once per factor order (FrontierPlan).
   * line_recursion       the two-scalar recursion for line graphs,
                          O(n) adds and multiplies, counted exactly.
   * cross_chain_recursion  leaf pairs merged, then a two-scalar recursion
@@ -15,17 +19,23 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
                          coefficients over one center column, carried
                          column-to-column by word matching.
 
-Every route is pure; distinct evaluations can run in parallel freely.
+The paper's literal word-dict contraction (a map from tensor word to
+coefficient, multiplied term by term) is kept as the test suite's reference,
+tests/helpers.py::word_sweep.
+
+Every route is pure apart from the sweep storing its plan on the polynomial
+on first use (the same plan whichever call builds it); distinct evaluations
+can run in parallel freely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, Letter, TensorWord, ZERO, word_mul
+from .algebra import Letter, letter_matrix
 from .errors import (
     ColumnTooWide,
     NonScalarResidue,
@@ -35,7 +45,6 @@ from .errors import (
     TooSmall,
 )
 from .factorize import (
-    Factor,
     FactorizedPolynomial,
     ProjectionSpec,
     build_polynomial,
@@ -50,10 +59,15 @@ class EvalReport:
     """Amplitude plus profiling counters.
 
     mul_count / add_count tally complex multiplications and additions applied
-    to term or boundary coefficients (branch products, merges, recursion
-    steps, the final normalization).  max_live_terms is the peak size of the
-    live coefficient container: distinct words for the sweep, 2 scalars for
-    the recursions, the boundary vector length for the column evaluator.
+    to the live coefficients, plus the final normalization multiply.  For the
+    sweep, every factor costs one multiply per entry of the frontier it
+    yields, and every retirement one add per entry it folds away (the
+    factor's own c*diag + s*diag entries are not counted); for the
+    recursions and the column evaluator they are the recursion steps and
+    boundary updates.  max_live_terms is the peak size of the live
+    coefficient container: frontier entries for the sweep (2^max_active_slots),
+    2 scalars for the recursions, the boundary vector length for the column
+    evaluator.
     """
 
     amplitude: complex
@@ -71,92 +85,48 @@ class RecursionState:
     stage: int
 
 
-class TermSum:
-    """Map from tensor word to complex coefficient; the sweep's live boundary.
+@dataclass(frozen=True, eq=False)
+class FrontierPlan:
+    """The sweep's axis layout for one factor order; fixed by the words alone.
 
-    Invariants: no ZERO words are ever stored, and coefficients that merge to
-    exactly 0 are removed.
+    The frontier has ``width`` axes; frontier axis a is numpy axis -1-a, so a
+    factor's array needs only as many dimensions as its highest axis.  An
+    axis of length 2 carries one active slot's diagonal index; an axis of
+    length 1 is free (the slot there is I).  ``c_diag`` and ``s_diag`` hold
+    each factor's c-word and s-word diagonals over the axes it touches,
+    flattened in factor order, and ``position`` maps every entry to its
+    factor's position.  ``steps[pos]`` is (start, stop, shape, retired
+    axes): the factor's entries, the broadcast shape they take, and the
+    numpy axes summed right after it.  The counters are those of
+    EvalReport, fixed by the layout; the peak frontier size is 2^width.
     """
 
-    __slots__ = ("terms", "mul_count", "add_count")
-
-    def __init__(self) -> None:
-        self.terms: dict[TensorWord, complex] = {EMPTY_WORD: 1.0 + 0.0j}
-        self.mul_count = 0
-        self.add_count = 0
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def multiply_factor(self, factor: Factor) -> None:
-        """Replace every term by its two branch products, merging equal words."""
-        new: dict[TensorWord, complex] = {}
-        branches = factor.branches()
-        mul = add = 0
-        _word_mul = word_mul
-        _zero = ZERO
-        for word, coef in self.terms.items():
-            for bcoef, bword in branches:
-                prod = _word_mul(word, bword)
-                if prod is _zero:
-                    continue
-                sign, w = prod
-                mul += 1
-                c = coef * bcoef
-                if c == 0:
-                    continue
-                if sign < 0:
-                    c = -c
-                if w in new:
-                    add += 1
-                    c = new[w] + c
-                    if c == 0:
-                        del new[w]
-                        continue
-                new[w] = c
-        self.terms = new
-        self.mul_count += mul
-        self.add_count += add
-
-    def retire_slot(self, slot: int) -> None:
-        """Trace out one slot: U/D keep the term (trace 1), Z annihilates it.
-
-        An implicit I at retirement means the owner factor has not been
-        applied yet, i.e. the factor order violates the slot's activity
-        interval.
-        """
-        new: dict[TensorWord, complex] = {}
-        for word, coef in self.terms.items():
-            letter, rest = word.split_slot(slot)
-            if letter is Letter.Z:
-                continue
-            if letter is Letter.I:
-                raise RetirementBeforeOwner(
-                    f"slot {slot} retired while a live term still holds I there"
-                )
-            if rest in new:
-                self.add_count += 1
-                c = new[rest] + coef
-                if c == 0:
-                    del new[rest]
-                    continue
-                new[rest] = c
-            else:
-                new[rest] = coef
-        self.terms = new
-
-    def prune(self, epsilon: float) -> None:
-        self.terms = {w: c for w, c in self.terms.items() if abs(c) >= epsilon}
+    width: int
+    position: np.ndarray
+    c_diag: np.ndarray
+    s_diag: np.ndarray
+    steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
+    add_count: int
+    mul_count: int
 
 
-def sweep_evaluate(
-    poly: FactorizedPolynomial, prune_epsilon: Optional[float] = None
-) -> EvalReport:
-    """Contract the polynomial in its stored factor order.
+def _factor_layout(
+    entries: tuple[tuple[int, Letter, Letter], ...]
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """c/s diagonals and broadcast shape of (axis, c letter, s letter) entries.
 
-    prune_epsilon, when set, drops terms with |coefficient| below it after
-    each factor.  That makes the result lossy; it exists for profiling only.
+    ``entries`` run from the highest axis down, the numpy axis order.
     """
+    c = s = np.ones(1)
+    shape = [1] * (entries[0][0] + 1 if entries else 0)
+    for axis, c_letter, s_letter in entries:
+        c = np.kron(c, letter_matrix(c_letter).diagonal())
+        s = np.kron(s, letter_matrix(s_letter).diagonal())
+        shape[-1 - axis] = 2
+    return c, s, tuple(shape)
+
+
+def _build_plan(poly: FactorizedPolynomial) -> FrontierPlan:
     retire_at: list[list[int]] = [[] for _ in poly.factors]
     for slot, (_, last) in poly.activity.items():
         if poly.owner_position[slot] > last:
@@ -165,27 +135,109 @@ def sweep_evaluate(
             )
         retire_at[last].append(slot)
 
-    state = TermSum()
-    max_live = len(state)
+    I, U = Letter.I, Letter.U
+    axis_of: dict[int, int] = {}
+    free: list[int] = []
+    owned: set[int] = set()
+    layouts: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = {}
+    width = add = mul = stop = 0
+    c_parts: list[np.ndarray] = []
+    s_parts: list[np.ndarray] = []
+    steps = []
     for pos, factor in enumerate(poly.factors):
-        state.multiply_factor(factor)
-        max_live = max(max_live, len(state))
-        for slot in sorted(retire_at[pos]):
-            state.retire_slot(slot)
-        if prune_epsilon is not None:
-            state.prune(prune_epsilon)
+        c_of = dict(factor.c_word.entries)
+        # slots of the s word, then those of the c word alone (s holds I)
+        touched = [(slot, c_of.pop(slot, I), s) for slot, s in factor.s_word.entries]
+        touched += [(slot, c, I) for slot, c in c_of.items()]
+        entries = []
+        for slot, c_letter, s_letter in touched:
+            axis = axis_of.get(slot)
+            if axis is None:
+                # a slot touched after its retirement opens again and is
+                # left open at the end
+                if free:
+                    axis = free.pop()
+                else:
+                    axis = width
+                    width += 1
+                axis_of[slot] = axis
+            if c_letter is U:
+                owned.add(slot)
+            entries.append((axis, c_letter, s_letter))
+        entries.sort(reverse=True)
+        key = tuple(entries)
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = _factor_layout(key)
+        c, s, shape = layout
+        c_parts.append(c)
+        s_parts.append(s)
 
-    for word in state.terms:
-        if not word.is_identity:
-            raise NonScalarResidue(f"sweep left unretired word {word}")
-    scalar = state.terms.get(EMPTY_WORD, 0.0 + 0.0j)
-    state.mul_count += 1
-    amplitude = (2.0 ** (-poly.norm_exponent / 2.0)) * scalar
+        live = 1 << len(axis_of)
+        mul += live
+        retire = []
+        for slot in retire_at[pos]:
+            if slot not in owned:
+                raise RetirementBeforeOwner(
+                    f"slot {slot} retired while a live term still holds I there"
+                )
+            axis = axis_of.pop(slot)
+            free.append(axis)
+            retire.append(-1 - axis)
+        add += live - (live >> len(retire))
+        steps.append((stop, stop + c.size, shape, tuple(retire)))
+        stop += c.size
+    if axis_of:
+        raise NonScalarResidue(f"sweep left slots {sorted(axis_of)} unretired")
+
+    return FrontierPlan(
+        width=width,
+        position=np.repeat(np.arange(len(c_parts)), [c.size for c in c_parts]),
+        c_diag=np.concatenate(c_parts),
+        s_diag=np.concatenate(s_parts),
+        steps=tuple(steps),
+        add_count=add,
+        mul_count=mul + 1,
+    )
+
+
+def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
+    """The polynomial's FrontierPlan, built on first use and kept on it.
+
+    bind_spec clones share the plan, as they share the activity intervals.
+    The build checks the retirement invariants: a slot retires only after
+    its owner factor (else RetirementBeforeOwner), and no slot is open at
+    the end, as one touched after its retirement would be (else
+    NonScalarResidue).
+    """
+    if poly.plan is None:
+        poly.plan = _build_plan(poly)
+    return poly.plan
+
+
+def sweep_evaluate(poly: FactorizedPolynomial) -> EvalReport:
+    """Contract the polynomial in its stored factor order on a dense frontier.
+
+    Each factor is multiplied in as the broadcast array
+    c*diag(c_word) + s*diag(s_word) over the axes of the slots it touches;
+    right after a slot's last factor its axis is summed (the trace of U and
+    D is 1, of Z 0) and left free for the next slot to open.
+    """
+    plan = frontier_plan(poly)
+    c = np.array([f.c_coeff for f in poly.factors], dtype=complex)
+    s = np.array([f.s_coeff for f in poly.factors], dtype=complex)
+    values = c[plan.position] * plan.c_diag + s[plan.position] * plan.s_diag
+    frontier = np.ones((1,) * plan.width, dtype=complex)
+    for start, stop, shape, retire in plan.steps:
+        frontier = frontier * values[start:stop].reshape(shape)
+        if retire:
+            frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
+    amplitude = (2.0 ** (-poly.norm_exponent / 2.0)) * frontier.item()
     return EvalReport(
         amplitude=complex(amplitude),
-        max_live_terms=max_live,
-        add_count=state.add_count,
-        mul_count=state.mul_count,
+        max_live_terms=1 << plan.width,
+        add_count=plan.add_count,
+        mul_count=plan.mul_count,
     )
 
 

@@ -147,7 +147,9 @@ class FactorizedPolynomial:
     norm_exponent is the qubit count N; the physical amplitude carries the
     2^(-N/2) prefactor.  For every slot, activity is the index interval
     [first touch, last touch] over the current factor order; the owner's
-    factor (the U/D contribution) always lies inside it.
+    factor (the U/D contribution) always lies inside it.  ``plan`` holds the
+    sweep's evaluate.FrontierPlan once evaluate.frontier_plan has built it;
+    like activity, it depends on the words and their order only.
     """
 
     def __init__(
@@ -182,6 +184,7 @@ class FactorizedPolynomial:
             raise ValueError("every slot needs exactly one owner factor")
         self.activity = {s: (first[s], last[s]) for s in first}
         self.owner_position = owner_pos
+        self.plan = None
 
     def with_factor_order(self, order: Sequence[int]) -> "FactorizedPolynomial":
         """New polynomial with factors permuted; activity is recomputed."""
@@ -218,6 +221,7 @@ class FactorizedPolynomial:
         clone.slot_count = self.slot_count
         clone.activity = self.activity
         clone.owner_position = self.owner_position
+        clone.plan = self.plan
         return clone
 
     def __repr__(self) -> str:

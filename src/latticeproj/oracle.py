@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotBipartite, SizeMismatch, TooLarge, TooManyControls
+from .errors import BadSetting, NotBipartite, SizeMismatch, TooLarge, TooManyControls
 from .factorize import ProjectionSpec
 from .graph import Bipartition, ClusterGraph, adjacency
 
@@ -32,7 +32,7 @@ def statevector_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise TooLarge(f"{STATEVEC_CAP_ENV} must be an integer, got {raw!r}")
+        raise BadSetting(f"{STATEVEC_CAP_ENV} must be an integer, got {raw!r}")
 
 
 @dataclass

@@ -1,11 +1,18 @@
 """Shared brute-force oracles and comparison helpers for the test suite.
 
-Everything here is computed independently of the package's own algebra:
-letters are explicit numpy matrices, words are explicit Kronecker products,
-so agreement checks are against a second route, not a mirror.
+Everything here except the word-dict sweep is computed independently of the
+package's own algebra: letters are explicit numpy matrices, words are
+explicit Kronecker products, so agreement checks are against a second route,
+not a mirror.  The word-dict sweep (TermSum, word_sweep) is the paper's
+literal term-by-term contraction on the package's letter algebra; it is the
+reference for the package's dense frontier, which shares none of its code.
 """
 
 import numpy as np
+
+from latticeproj.algebra import EMPTY_WORD, Letter, ZERO, word_mul
+from latticeproj.errors import NonScalarResidue, RetirementBeforeOwner
+from latticeproj.evaluate import EvalReport
 
 # the four diagonal letters as explicit matrices, keyed by tag name
 LETTER_MATS = {
@@ -98,3 +105,108 @@ def dense_pattern_action(pattern):
         arr = np.transpose(arr, [live.index(q) for q in pattern.outputs])
         columns.append(arr.reshape(-1))
     return np.stack(columns, axis=1)
+
+
+class TermSum:
+    """Map from tensor word to complex coefficient; word_sweep's live boundary.
+
+    Invariants: no ZERO words are ever stored, and coefficients that merge to
+    exactly 0 are removed.
+    """
+
+    __slots__ = ("terms", "mul_count", "add_count")
+
+    def __init__(self):
+        self.terms = {EMPTY_WORD: 1.0 + 0.0j}
+        self.mul_count = 0
+        self.add_count = 0
+
+    def __len__(self):
+        return len(self.terms)
+
+    def multiply_factor(self, factor):
+        """Replace every term by its two branch products, merging equal words."""
+        new = {}
+        for word, coef in self.terms.items():
+            for bcoef, bword in factor.branches():
+                prod = word_mul(word, bword)
+                if prod is ZERO:
+                    continue
+                sign, w = prod
+                self.mul_count += 1
+                c = coef * bcoef
+                if c == 0:
+                    continue
+                if sign < 0:
+                    c = -c
+                if w in new:
+                    self.add_count += 1
+                    c = new[w] + c
+                    if c == 0:
+                        del new[w]
+                        continue
+                new[w] = c
+        self.terms = new
+
+    def retire_slot(self, slot):
+        """Trace out one slot: U/D keep the term (trace 1), Z annihilates it.
+
+        An implicit I at retirement means the owner factor has not been
+        applied yet, i.e. the factor order violates the slot's activity
+        interval.
+        """
+        new = {}
+        for word, coef in self.terms.items():
+            letter, rest = word.split_slot(slot)
+            if letter is Letter.Z:
+                continue
+            if letter is Letter.I:
+                raise RetirementBeforeOwner(
+                    f"slot {slot} retired while a live term still holds I there"
+                )
+            if rest in new:
+                self.add_count += 1
+                c = new[rest] + coef
+                if c == 0:
+                    del new[rest]
+                    continue
+                new[rest] = c
+            else:
+                new[rest] = coef
+        self.terms = new
+
+
+def word_sweep(poly):
+    """The word-dict sweep: contract the factors in order on a TermSum.
+
+    Each slot is retired right after the last factor touching it, so the
+    live words stay within the simultaneously active slots.  Returns an
+    EvalReport whose max_live_terms is the peak count of distinct words.
+    """
+    retire_at = [[] for _ in poly.factors]
+    for slot, (_, last) in poly.activity.items():
+        if poly.owner_position[slot] > last:
+            raise RetirementBeforeOwner(
+                f"slot {slot} owner sits after the slot's last touch"
+            )
+        retire_at[last].append(slot)
+
+    state = TermSum()
+    max_live = len(state)
+    for pos, factor in enumerate(poly.factors):
+        state.multiply_factor(factor)
+        max_live = max(max_live, len(state))
+        for slot in sorted(retire_at[pos]):
+            state.retire_slot(slot)
+
+    for word in state.terms:
+        if not word.is_identity:
+            raise NonScalarResidue(f"sweep left unretired word {word}")
+    scalar = state.terms.get(EMPTY_WORD, 0.0 + 0.0j)
+    state.mul_count += 1
+    return EvalReport(
+        amplitude=complex(2.0 ** (-poly.norm_exponent / 2.0) * scalar),
+        max_live_terms=max_live,
+        add_count=state.add_count,
+        mul_count=state.mul_count,
+    )

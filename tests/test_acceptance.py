@@ -20,7 +20,6 @@ from latticeproj.evaluate import (
     cross_chain_recursion,
     lattice_width_profile,
     line_recursion,
-    sweep_evaluate,
 )
 from latticeproj.factorize import ProjectionSpec, build_polynomial, max_active_slots
 from latticeproj.graph import (
@@ -47,7 +46,7 @@ from latticeproj.mbqc import (
 )
 from latticeproj.oracle import build_statevector, project_statevector
 
-from helpers import LETTER_MATS, align_residual, kron_diag, random_spec
+from helpers import LETTER_MATS, align_residual, kron_diag, random_spec, word_sweep
 
 STATEVEC_LIMIT = 20
 TRIALS = 31
@@ -219,7 +218,7 @@ def test_criterion_7_five_cross_boundary():
         spec = random_spec(17, 5000 + trial)
         poly = build_polynomial(g, spec)  # shipped (as-built) ordering
         assert max_active_slots(poly) <= 5
-        report = sweep_evaluate(poly)
+        report = word_sweep(poly)
         peak_live = max(peak_live, report.max_live_terms)
         assert report.max_live_terms <= 4 ** 5
     _pass(7, f"five-cross boundary <= 5 slots; live terms peaked at {peak_live} <= 4^5")

@@ -55,11 +55,49 @@ def test_project_fixture_engines_agree(capsys):
     (("project", "--builder", "line:3"), "angles are required"),
     (("project", "--builder", "line:3", "--graph", "x", "--angles", "all:0,0"),
      "not both"),
+    (("bench", "--suite", "fig10", "--trials", "0"), "--trials must be at least 1"),
+    (("project", "--builder", "line:5", "--random", "--seed", "-1"), "--seed must be non-negative"),
+    (("verify", "--builder", "line:5", "--seed", "-3"), "--seed must be non-negative"),
+    (("verify", "--builder", "line:5", "--engines", "sweep,sweep"), "engine twice"),
 ])
 def test_config_errors_exit_2(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert needle in err
+
+
+def test_bad_statevector_cap_setting_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "abc")
+    code, out, err = run_cli(capsys, "verify", "--builder", "line:5", "--trials", "1")
+    assert code == 2
+    assert "LATTICEPROJ_STATEVEC_CAP" in err and "engine error" not in err
+    assert out == ""
+
+
+def test_parser_built_once_and_defaults_stay_independent(capsys, monkeypatch):
+    from latticeproj import cli
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    code, first, _ = run_cli(
+        capsys, "project", "--builder", "line:4", "--random", "--seed", "5",
+        "--engine", "statevector", "--ordering", "as-built",
+    )
+    assert code == 0
+    # verify keeps its own --seed default, not project's 5
+    code, out, _ = run_cli(capsys, "verify", "--builder", "line:4", "--trials", "1")
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out)))[0]["seed"] == "0"
+    # and project is back on its defaults: seed 0, engine sweep
+    code, again, _ = run_cli(capsys, "project", "--builder", "line:4", "--random")
+    code, explicit, _ = run_cli(
+        capsys, "project", "--builder", "line:4", "--random", "--seed", "0",
+        "--engine", "sweep",
+    )
+    assert again == explicit != first
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("builder", ["lattice:17x1", "cross:64"])

@@ -32,12 +32,13 @@ from latticeproj.graph import (
     build_from_edges,
     build_lattice,
     build_line,
+    detect_lattice,
     fixture_path,
     load_graph,
 )
 from latticeproj.oracle import build_statevector, project_statevector
 
-from helpers import random_spec
+from helpers import random_spec, word_sweep
 
 
 def sweep_amp(g, spec, ordering="as-built", strategy=None):
@@ -109,14 +110,6 @@ def test_sweep_reports_counters_and_live_terms():
     assert report.mul_count > 0 and report.add_count > 0
 
 
-def test_sweep_prune_epsilon_is_lossy_but_small_eps_is_exact():
-    g = build_cross_chain(2)
-    spec = random_spec(g.n, 3)
-    poly = build_polynomial(g, spec)
-    exact = sweep_evaluate(poly).amplitude
-    assert sweep_evaluate(poly, prune_epsilon=1e-300).amplitude == pytest.approx(exact)
-
-
 def test_sweep_retirement_guards():
     g = build_line(2)
     spec = random_spec(2, 4)
@@ -137,6 +130,37 @@ def test_sweep_retirement_guards():
     poly.activity[0] = (0, 0)
     with pytest.raises(NonScalarResidue):
         sweep_evaluate(poly)
+
+
+# every packaged fixture and every builder shape of the acceptance tests
+FRONTIER_GRAPHS = (
+    [(path.name, load_graph(path))
+     for path in sorted(fixture_path("line_4.graph").parent.glob("*.graph"))]
+    + [(f"line:{n}", build_line(n)) for n in range(2, 13)]
+    + [(f"cross:{k}", build_cross_chain(k)) for k in range(1, 5)]
+    + [(f"lattice:{m}x{n}", build_lattice(m, n)) for m in range(1, 5) for n in range(1, 5)]
+)
+
+# The word dict holds up to 2^width Python terms; past this width it runs in
+# the auto order instead, which leaves the amplitude unchanged.
+WORD_SWEEP_WIDTH = 12
+
+
+@pytest.mark.parametrize("g", [g for _, g in FRONTIER_GRAPHS],
+                         ids=[name for name, _ in FRONTIER_GRAPHS])
+def test_frontier_matches_word_sweep(g):
+    orderings = ["auto", "as-built", "row-major"]
+    if detect_lattice(g) is not None:
+        orderings.append("anti-diagonal")
+    spec = random_spec(g.n, 70)
+    for ordering in orderings:
+        poly = sweep_polynomial(g, spec, ordering)
+        width = max_active_slots(poly)
+        reference = poly if width <= WORD_SWEEP_WIDTH else sweep_polynomial(g, spec)
+        ref = word_sweep(reference).amplitude
+        report = sweep_evaluate(poly)
+        assert abs(report.amplitude - ref) <= 1e-12 * abs(ref), ordering
+        assert report.max_live_terms == 2 ** width, ordering
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from latticeproj.errors import OddCycle
 from latticeproj.evaluate import sweep_evaluate
-from latticeproj.factorize import ProjectionSpec, build_polynomial, order_factors
+from latticeproj.factorize import (
+    ProjectionSpec,
+    build_polynomial,
+    max_active_slots,
+    order_factors,
+)
 from latticeproj.graph import bipartition, build_from_edges
 from latticeproj.oracle import build_statevector, direct_sum, project_statevector
 
-from helpers import brute_amplitude
+from helpers import TermSum, brute_amplitude, word_sweep
 
 
 @st.composite
@@ -55,6 +60,20 @@ def test_sweep_is_permutation_invariant(case, data):
     assert auto == pytest.approx(brute_amplitude(g, spec), abs=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=graph_and_spec(), data=st.data())
+def test_frontier_matches_word_sweep_on_random_graphs(case, data):
+    # greedy-cover takes odd cycles too
+    g, spec = case
+    poly = build_polynomial(g, spec, "greedy-cover")
+    perm = data.draw(st.permutations(range(g.n)))
+    for ordered in (poly, order_factors(poly, "custom", list(perm)), order_factors(poly, "auto")):
+        ref = word_sweep(ordered).amplitude
+        report = sweep_evaluate(ordered)
+        assert abs(report.amplitude - ref) <= 1e-12 * abs(ref)
+        assert report.max_live_terms == 2 ** max_active_slots(ordered)
+
+
 @settings(max_examples=25, deadline=None)
 @given(case=graph_and_spec(max_qubits=8))
 def test_oracles_agree_on_random_bipartite_graphs(case):
@@ -71,8 +90,6 @@ def test_oracles_agree_on_random_bipartite_graphs(case):
 @given(case=graph_and_spec(max_qubits=6))
 def test_sweep_term_sums_never_keep_zero_coefficients(case):
     g, spec = case
-    from latticeproj.evaluate import TermSum
-
     state = TermSum()
     poly = build_polynomial(g, spec, "greedy-cover")
     for factor in poly.factors:
