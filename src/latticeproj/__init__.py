@@ -22,24 +22,19 @@ from .algebra import (
 )
 from .engines import ENGINE_NAMES, applicable_engines, compute_amplitude, sweep_polynomial
 from .evaluate import (
-    ColumnVector,
     EvalReport,
-    RecursionState,
     column_evaluate,
     cross_chain_recursion,
     lattice_width_profile,
     line_amplitude,
     line_recursion,
-    profile,
     sweep_evaluate,
 )
 from .factorize import (
     Factor,
     FactorizedPolynomial,
     ProjectionSpec,
-    build_factor,
     build_polynomial,
-    coeffs,
     load_angles,
     max_active_slots,
     order_factors,

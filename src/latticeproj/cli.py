@@ -77,7 +77,7 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
                 raise ConfigError(f"graph file {args.graph!r} not found")
         try:
             return path.name, load_graph(path)
-        except LatticeProjError as exc:
+        except (ValueError, LatticeProjError) as exc:
             raise ConfigError(f"bad graph file {path}: {exc}")
     raise ConfigError("a graph is required (--builder or --graph)")
 
@@ -103,15 +103,15 @@ def _resolve_angles(args: argparse.Namespace, n: int) -> ProjectionSpec:
     if args.angles.startswith("all:"):
         try:
             theta, phi = (float(x) for x in args.angles[4:].split(","))
-        except ValueError:
-            raise ConfigError(f"bad --angles {args.angles!r} (use all:THETA,PHI)")
-        return ProjectionSpec.constant(n, theta, phi)
+            return ProjectionSpec.constant(n, theta, phi)
+        except ValueError as exc:
+            raise ConfigError(f"bad --angles {args.angles!r} (use all:THETA,PHI): {exc}")
     path = Path(args.angles)
     if not path.exists():
         raise ConfigError(f"angle file {args.angles!r} not found")
     try:
         spec = load_angles(path)
-    except LatticeProjError as exc:
+    except (ValueError, LatticeProjError) as exc:
         raise ConfigError(f"bad angle file {path}: {exc}")
     if spec.n != n:
         raise ConfigError(f"angle file holds {spec.n} qubits, graph has {n}")
@@ -183,6 +183,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     name, g = _resolve_graph(args)
     _check_trials(args.trials)
     _check_seed(args.seed)
+    if not args.tolerance >= 0:
+        # a NaN tolerance would pass every delta
+        raise ConfigError(f"--tolerance must be non-negative, got {args.tolerance}")
     available = applicable_engines(g)
     if args.engines:
         engines = [e.strip() for e in args.engines.split(",")]
@@ -321,7 +324,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     try:
         gates = parse_circuit(path.read_text())
         pattern = compile_circuit(gates)
-    except CircuitParseError as exc:
+    except (UnicodeDecodeError, CircuitParseError) as exc:
         raise ConfigError(f"cannot compile {args.circuit}: {exc}")
     graph_path = Path(args.out + ".graph")
     angles_path = Path(args.out + ".angles")
@@ -406,9 +409,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotALattice, BadSetting) as exc:
-        # a lattice-only ordering or engine asked of another graph, or a bad
-        # environment setting, is usage
+    except (ConfigError, NotALattice, BadSetting, OSError) as exc:
+        # a lattice-only ordering or engine asked of another graph, a bad
+        # environment setting, or a path that cannot be read or written is
+        # usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeProjError as exc:

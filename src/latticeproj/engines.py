@@ -9,7 +9,6 @@ fits a given graph.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 from .errors import LatticeProjError, NotALattice, OddCycle, SizeMismatch
 from .evaluate import (
@@ -30,7 +29,13 @@ from .graph import (
     detect_lattice,
     detect_line,
 )
-from .oracle import build_statevector, direct_sum, project_statevector, statevector_cap
+from .oracle import (
+    DIRECT_SUM_CONTROL_CAP,
+    build_statevector,
+    direct_sum,
+    project_statevector,
+    statevector_cap,
+)
 
 ENGINE_NAMES = (
     "statevector",
@@ -45,7 +50,8 @@ ENGINE_NAMES = (
 @lru_cache(maxsize=64)
 def _sweep_structure(g: ClusterGraph, ordering: str):
     # Words, slots, activity and the frontier plan depend on the graph alone;
-    # cache them and rebind coefficients per projection.
+    # cache them and bind each projection's spec to a clone.  The all-zero
+    # spec here is never evaluated.
     try:
         assignment = assign_slots(g, "bipartite")
     except OddCycle:
@@ -64,7 +70,7 @@ def sweep_polynomial(
     The slot assignment is bipartite when the graph allows it, greedy cover
     otherwise.  ``ordering`` is any order_factors strategy; ``auto`` (the
     min-frontier search) is decided there, once per graph, and cached with
-    the structure.
+    the structure; the result is a bind_spec clone of that shared structure.
     """
     return _sweep_structure(g, ordering).bind_spec(spec)
 
@@ -74,12 +80,11 @@ def compute_amplitude(
     spec: ProjectionSpec,
     engine: str,
     ordering: str = "auto",
-    statevec_cap_override: Optional[int] = None,
 ) -> EvalReport:
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
     if engine == "statevector":
-        sv = build_statevector(g, cap=statevec_cap_override)
+        sv = build_statevector(g)
         amplitude = project_statevector(sv, spec)
         # fold multiplies: 2*(2^n - 1); merges: 2^n - 1
         dim = 1 << g.n
@@ -107,15 +112,14 @@ def compute_amplitude(
     raise LatticeProjError(f"unknown engine {engine!r}")
 
 
-def applicable_engines(g: ClusterGraph, cap: Optional[int] = None) -> list[str]:
-    """Engines that can run on this graph, within the statevector and column caps."""
-    cap = statevector_cap() if cap is None else cap
+def applicable_engines(g: ClusterGraph) -> list[str]:
+    """Engines that fit this graph, within the statevector, direct-sum and column caps."""
     engines = []
-    if g.n <= cap:
+    if g.n <= statevector_cap():
         engines.append("statevector")
     try:
         b = bipartition(g)
-        if len(b.controls) <= 24:
+        if len(b.controls) <= DIRECT_SUM_CONTROL_CAP:
             engines.append("direct-sum")
     except OddCycle:
         pass

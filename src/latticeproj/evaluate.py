@@ -76,15 +76,6 @@ class EvalReport:
     mul_count: int
 
 
-@dataclass
-class RecursionState:
-    """Live pair of traces inside the line (or chain) recursion."""
-
-    trP: complex
-    trQ: complex
-    stage: int
-
-
 @dataclass(frozen=True, eq=False)
 class FrontierPlan:
     """The sweep's axis layout for one factor order; fixed by the words alone.
@@ -94,15 +85,16 @@ class FrontierPlan:
     axis of length 2 carries one active slot's diagonal index; an axis of
     length 1 is free (the slot there is I).  ``c_diag`` and ``s_diag`` hold
     each factor's c-word and s-word diagonals over the axes it touches,
-    flattened in factor order, and ``position`` maps every entry to its
-    factor's position.  ``steps[pos]`` is (start, stop, shape, retired
+    flattened in factor order, and ``qubit`` maps every entry to its
+    factor's qubit, so the spec's C/S arrays expand onto the entries with
+    one fancy index.  ``steps[pos]`` is (start, stop, shape, retired
     axes): the factor's entries, the broadcast shape they take, and the
     numpy axes summed right after it.  The counters are those of
     EvalReport, fixed by the layout; the peak frontier size is 2^width.
     """
 
     width: int
-    position: np.ndarray
+    qubit: np.ndarray
     c_diag: np.ndarray
     s_diag: np.ndarray
     steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
@@ -192,7 +184,7 @@ def _build_plan(poly: FactorizedPolynomial) -> FrontierPlan:
 
     return FrontierPlan(
         width=width,
-        position=np.repeat(np.arange(len(c_parts)), [c.size for c in c_parts]),
+        qubit=np.repeat([f.qubit for f in poly.factors], [c.size for c in c_parts]),
         c_diag=np.concatenate(c_parts),
         s_diag=np.concatenate(s_parts),
         steps=tuple(steps),
@@ -219,14 +211,14 @@ def sweep_evaluate(poly: FactorizedPolynomial) -> EvalReport:
     """Contract the polynomial in its stored factor order on a dense frontier.
 
     Each factor is multiplied in as the broadcast array
-    c*diag(c_word) + s*diag(s_word) over the axes of the slots it touches;
+    C_p*diag(c_word) + S_p*diag(s_word) over the axes of the slots it
+    touches, with C_p/S_p read from poly.spec;
     right after a slot's last factor its axis is summed (the trace of U and
     D is 1, of Z 0) and left free for the next slot to open.
     """
     plan = frontier_plan(poly)
-    c = np.array([f.c_coeff for f in poly.factors], dtype=complex)
-    s = np.array([f.s_coeff for f in poly.factors], dtype=complex)
-    values = c[plan.position] * plan.c_diag + s[plan.position] * plan.s_diag
+    spec = poly.spec
+    values = spec.c[plan.qubit] * plan.c_diag + spec.s[plan.qubit] * plan.s_diag
     frontier = np.ones((1,) * plan.width, dtype=complex)
     for start, stop, shape, retire in plan.steps:
         frontier = frontier * values[start:stop].reshape(shape)
@@ -259,17 +251,15 @@ def line_recursion(spec: ProjectionSpec) -> EvalReport:
     c, s = spec.c, spec.s
     mul = add = 0
 
-    state = RecursionState(trP=c[1] * (c[0] + s[0]), trQ=s[1] * (c[0] - s[0]), stage=1)
+    trp, trq = c[1] * (c[0] + s[0]), s[1] * (c[0] - s[0])
     mul += 2
     add += 2
     for k in range(2, n - 1):
-        trp = c[k] * (state.trP + state.trQ)
-        trq = s[k] * (state.trP - state.trQ)
+        trp, trq = c[k] * (trp + trq), s[k] * (trp - trq)
         mul += 2
         add += 2
-        state = RecursionState(trP=trp, trQ=trq, stage=k)
 
-    raw = (c[n - 1] + s[n - 1]) * state.trP + (c[n - 1] - s[n - 1]) * state.trQ
+    raw = (c[n - 1] + s[n - 1]) * trp + (c[n - 1] - s[n - 1]) * trq
     mul += 2
     add += 3
     amplitude = (2.0 ** (-n / 2.0)) * raw
@@ -350,19 +340,6 @@ def cross_chain_recursion(spec: ProjectionSpec) -> EvalReport:
 # column/block evaluator for lattices of crosses
 
 
-@dataclass
-class ColumnVector:
-    """Coefficients over {I,Z}-words on one center column's slots.
-
-    Bit i of a word index is the Z/I letter at the column's i-th center
-    (top to bottom); ``slots`` lists those center qubit ids.
-    """
-
-    column: int
-    slots: tuple[int, ...]
-    coefficients: np.ndarray
-
-
 def _corner_column_expansion(
     m: int, n: int, c_col: int, spec: ProjectionSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -387,16 +364,16 @@ def _corner_column_expansion(
 COLUMN_ROW_CAP = 16
 
 
-def column_evaluate(
-    g: ClusterGraph, spec: ProjectionSpec, row_cap: int = COLUMN_ROW_CAP
-) -> EvalReport:
+def column_evaluate(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     """Evaluate an m x n lattice of crosses column by column.
 
-    The boundary is a ColumnVector over the current center column (2^m
-    coefficients).  A corner column's expansion places the same Z pattern on
-    both neighboring center columns, so retiring the left column and seeding
-    the right one is a word-matched elementwise product; center factors act
-    as the per-slot 2x2 map induced by U = (I+Z)/2, D = (I-Z)/2.
+    The boundary holds 2^m coefficients over {I,Z}-words on the current
+    center column's slots; bit i of a word index is the Z/I letter at the
+    column's i-th center, top to bottom.  A corner column's expansion places
+    the same Z pattern on both neighboring center columns, so retiring the
+    left column and seeding the right one is a word-matched elementwise
+    product; center factors act as the per-slot 2x2 map induced by
+    U = (I+Z)/2, D = (I-Z)/2.
     """
     shape = detect_lattice(g)
     if shape is None:
@@ -404,22 +381,17 @@ def column_evaluate(
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
     m, n = shape
-    if m > row_cap:
+    if m > COLUMN_ROW_CAP:
         raise ColumnTooWide(
-            f"center column holds {m} slots, above the cap of {row_cap}"
+            f"center column holds {m} slots, above the cap of {COLUMN_ROW_CAP}"
         )
     mul = add = 0
     dim = 1 << m
 
     weights, words = _corner_column_expansion(m, n, 0, spec)
-    coeffs = np.zeros(dim, dtype=complex)
-    np.add.at(coeffs, words, weights)
+    boundary = np.zeros(dim, dtype=complex)
+    np.add.at(boundary, words, weights)
     add += weights.size
-    boundary = ColumnVector(
-        column=0,
-        slots=tuple(lattice_center(m, n, i, 0) for i in range(m)),
-        coefficients=coeffs,
-    )
 
     result = 0.0 + 0.0j
     for j in range(n):
@@ -428,7 +400,7 @@ def column_evaluate(
             qubit = lattice_center(m, n, i, j)
             alpha = 0.5 * (spec.c[qubit] + spec.s[qubit])
             beta = 0.5 * (spec.c[qubit] - spec.s[qubit])
-            v = boundary.coefficients.reshape(-1, 2, 1 << i)
+            v = boundary.reshape(-1, 2, 1 << i)
             lo = v[:, 0, :].copy()
             hi = v[:, 1, :]
             v[:, 0, :] = alpha * lo + beta * hi
@@ -437,17 +409,12 @@ def column_evaluate(
             add += dim
 
         weights, words = _corner_column_expansion(m, n, j + 1, spec)
-        matched = boundary.coefficients[words] * weights
+        matched = boundary[words] * weights
         mul += weights.size
         if j + 1 < n:
-            coeffs = np.zeros(dim, dtype=complex)
-            np.add.at(coeffs, words, matched)
+            boundary = np.zeros(dim, dtype=complex)
+            np.add.at(boundary, words, matched)
             add += weights.size
-            boundary = ColumnVector(
-                column=j + 1,
-                slots=tuple(lattice_center(m, n, i, j + 1) for i in range(m)),
-                coefficients=coeffs,
-            )
         else:
             result = complex(matched.sum())
             add += weights.size
@@ -462,21 +429,6 @@ def column_evaluate(
 
 # ---------------------------------------------------------------------------
 # profiling
-
-
-def profile(
-    poly: FactorizedPolynomial, orderings: Sequence[str] = ("as-built",)
-) -> list[tuple[str, int, EvalReport]]:
-    """Run the sweep under each ordering; report boundary width and counters.
-
-    Rows are (ordering, max_active_slots, EvalReport).  This measures cost,
-    it asserts nothing about how cost scales.
-    """
-    rows = []
-    for strategy in orderings:
-        ordered = order_factors(poly, strategy)
-        rows.append((strategy, max_active_slots(ordered), sweep_evaluate(ordered)))
-    return rows
 
 
 def lattice_width_profile(

@@ -8,13 +8,16 @@ C_p = cos(theta_p), S_p = exp(i phi_p) sin(theta_p) equals
 with one binomial factor per qubit.  The words are fixed by the slot
 assignment: an owner contributes U (c branch) or D (s branch) at its own
 slot; every qubit additionally contributes Z, in its s branch, at the slot
-of each incident edge assigned to the other endpoint.  All letters commute,
+of each incident edge assigned to the other endpoint.  A Factor holds the
+words only; C_p and S_p are read from the polynomial's ProjectionSpec, so
+one word structure serves every projection of a graph.  All letters commute,
 so the amplitude is invariant under reordering of the factors; what the
 order changes is how many slots are simultaneously active during a sweep.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -81,25 +84,17 @@ class ProjectionSpec:
         return f"ProjectionSpec(n={self.n})"
 
 
-def coeffs(spec: ProjectionSpec, p: int) -> tuple[complex, complex]:
-    """(C_p, S_p) for qubit p."""
-    if not 0 <= p < spec.n:
-        raise SizeMismatch(f"qubit {p} outside spec of size {spec.n}")
-    return complex(spec.c[p]), complex(spec.s[p])
-
-
 @dataclass(frozen=True)
 class Factor:
-    """One qubit's binomial: c_coeff*c_word + s_coeff*s_word."""
+    """One qubit's binomial C_p*c_word + S_p*s_word, by its words only.
+
+    The words are fixed by the slot assignment; C_p and S_p belong to the
+    projection and are read from the polynomial's spec.
+    """
 
     qubit: int
-    c_coeff: complex
     c_word: TensorWord
-    s_coeff: complex
     s_word: TensorWord
-
-    def branches(self) -> tuple[tuple[complex, TensorWord], tuple[complex, TensorWord]]:
-        return (self.c_coeff, self.c_word), (self.s_coeff, self.s_word)
 
     def touched_slots(self) -> frozenset[int]:
         return frozenset([s for s, _ in self.c_word.entries + self.s_word.entries])
@@ -109,9 +104,7 @@ def _factor_from_adjacency(
     p: int,
     a: SlotAssignment,
     adj: Mapping[int, tuple[int, ...]],
-    spec: ProjectionSpec,
 ) -> Factor:
-    c, s = complex(spec.c[p]), complex(spec.s[p])
     c_entries: list[tuple[int, Letter]] = []
     s_entries: dict[int, Letter] = {}
     if p in a.owners:
@@ -125,31 +118,22 @@ def _factor_from_adjacency(
             s_entries[a.slot_of[owner]] = Letter.Z
     return Factor(
         qubit=p,
-        c_coeff=c,
         c_word=TensorWord(c_entries),
-        s_coeff=s,
         s_word=TensorWord(s_entries.items()),
     )
-
-
-def build_factor(
-    p: int, a: SlotAssignment, g: ClusterGraph, spec: ProjectionSpec
-) -> Factor:
-    """Factor for qubit p under the given slot assignment."""
-    if not 0 <= p < spec.n:
-        raise SizeMismatch(f"qubit {p} outside spec of size {spec.n}")
-    return _factor_from_adjacency(p, a, adjacency(g), spec)
 
 
 class FactorizedPolynomial:
     """Ordered sequence of factors plus per-slot activity bookkeeping.
 
     norm_exponent is the qubit count N; the physical amplitude carries the
-    2^(-N/2) prefactor.  For every slot, activity is the index interval
-    [first touch, last touch] over the current factor order; the owner's
-    factor (the U/D contribution) always lies inside it.  ``plan`` holds the
-    sweep's evaluate.FrontierPlan once evaluate.frontier_plan has built it;
-    like activity, it depends on the words and their order only.
+    2^(-N/2) prefactor.  ``spec`` is the ProjectionSpec whose C_p/S_p are the
+    factors' coefficients; it is the only place they are held.  For every
+    slot, activity is the index interval [first touch, last touch] over the
+    current factor order; the owner's factor (the U/D contribution) always
+    lies inside it.  ``plan`` holds the sweep's evaluate.FrontierPlan once
+    evaluate.frontier_plan has built it; like activity, it depends on the
+    words and their order only.
     """
 
     def __init__(
@@ -157,12 +141,14 @@ class FactorizedPolynomial:
         graph: ClusterGraph,
         assignment: SlotAssignment,
         factors: Sequence[Factor],
+        spec: ProjectionSpec,
     ):
         if sorted(f.qubit for f in factors) != list(range(graph.n)):
             raise SizeMismatch("polynomial needs exactly one factor per qubit")
         self.graph = graph
         self.assignment = assignment
         self.factors = tuple(factors)
+        self.spec = spec
         self.norm_exponent = graph.n
         self.slot_count = assignment.slot_count
 
@@ -193,35 +179,20 @@ class FactorizedPolynomial:
                 "factor order must be a permutation of range(len(factors))"
             )
         return FactorizedPolynomial(
-            self.graph, self.assignment, [self.factors[i] for i in order]
+            self.graph, self.assignment, [self.factors[i] for i in order], self.spec
         )
 
     def bind_spec(self, spec: ProjectionSpec) -> "FactorizedPolynomial":
-        """Same words, order and activity, with coefficients from a new spec.
+        """The same polynomial under another projection, in O(1).
 
-        The word structure is fixed by the graph and assignment alone, so
-        re-projecting only needs new C/S values.
+        Words, order, activity and plan are fixed by the graph and the
+        assignment alone, so the clone shares them and only swaps the spec;
+        this polynomial is left unchanged.
         """
         if spec.n != self.graph.n:
             raise SizeMismatch(f"spec has {spec.n} qubits, graph has {self.graph.n}")
-        clone = FactorizedPolynomial.__new__(FactorizedPolynomial)
-        clone.graph = self.graph
-        clone.assignment = self.assignment
-        clone.factors = tuple(
-            Factor(
-                qubit=f.qubit,
-                c_coeff=complex(spec.c[f.qubit]),
-                c_word=f.c_word,
-                s_coeff=complex(spec.s[f.qubit]),
-                s_word=f.s_word,
-            )
-            for f in self.factors
-        )
-        clone.norm_exponent = self.norm_exponent
-        clone.slot_count = self.slot_count
-        clone.activity = self.activity
-        clone.owner_position = self.owner_position
-        clone.plan = self.plan
+        clone = copy.copy(self)
+        clone.spec = spec
         return clone
 
     def __repr__(self) -> str:
@@ -248,8 +219,8 @@ def build_polynomial(
     elif isinstance(assignment, str):
         assignment = assign_slots(g, assignment)
     adj = adjacency(g)
-    factors = [_factor_from_adjacency(p, assignment, adj, spec) for p in range(g.n)]
-    return FactorizedPolynomial(g, assignment, factors)
+    factors = [_factor_from_adjacency(p, assignment, adj) for p in range(g.n)]
+    return FactorizedPolynomial(g, assignment, factors, spec)
 
 
 # ---------------------------------------------------------------------------

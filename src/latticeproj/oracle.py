@@ -22,6 +22,8 @@ from .graph import Bipartition, ClusterGraph, adjacency
 
 DEFAULT_STATEVEC_CAP = 20
 STATEVEC_CAP_ENV = "LATTICEPROJ_STATEVEC_CAP"
+# Most control qubits direct_sum takes (a 2^cap-term sum).
+DIRECT_SUM_CONTROL_CAP = 24
 
 
 def statevector_cap() -> int:
@@ -98,7 +100,7 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
         if (a in b.controls) == (bb in b.controls):
             raise NotBipartite(f"edge ({a}, {bb}) joins two qubits of one class")
     k = len(controls)
-    if k > 24:
+    if k > DIRECT_SUM_CONTROL_CAP:
         raise TooManyControls(f"{k} control qubits would need a 2^{k} sum")
 
     j = np.arange(1 << k)

@@ -56,6 +56,12 @@ def brute_amplitude(g, spec):
     return total * 2.0 ** (-n / 2.0)
 
 
+def branches(poly, factor):
+    """The factor's binomial ((C_p, c_word), (S_p, s_word)), C_p/S_p from poly.spec."""
+    p = factor.qubit
+    return (complex(poly.spec.c[p]), factor.c_word), (complex(poly.spec.s[p]), factor.s_word)
+
+
 def align_residual(measured, target):
     """(residual, scalar): least-squares scalar s minimizing ||measured - s*target||."""
     measured = np.asarray(measured, dtype=complex)
@@ -124,11 +130,14 @@ class TermSum:
     def __len__(self):
         return len(self.terms)
 
-    def multiply_factor(self, factor):
-        """Replace every term by its two branch products, merging equal words."""
+    def multiply_factor(self, binomial):
+        """Replace every term by its two branch products, merging equal words.
+
+        ``binomial`` is a factor's ((C_p, c_word), (S_p, s_word)), see branches.
+        """
         new = {}
         for word, coef in self.terms.items():
-            for bcoef, bword in factor.branches():
+            for bcoef, bword in binomial:
                 prod = word_mul(word, bword)
                 if prod is ZERO:
                     continue
@@ -194,7 +203,7 @@ def word_sweep(poly):
     state = TermSum()
     max_live = len(state)
     for pos, factor in enumerate(poly.factors):
-        state.multiply_factor(factor)
+        state.multiply_factor(branches(poly, factor))
         max_live = max(max_live, len(state))
         for slot in sorted(retire_at[pos]):
             state.retire_slot(slot)

@@ -59,9 +59,32 @@ def test_project_fixture_engines_agree(capsys):
     (("project", "--builder", "line:5", "--random", "--seed", "-1"), "--seed must be non-negative"),
     (("verify", "--builder", "line:5", "--seed", "-3"), "--seed must be non-negative"),
     (("verify", "--builder", "line:5", "--engines", "sweep,sweep"), "engine twice"),
+    # bad angles, input files, directories and unwritable outputs; {tmp} is a
+    # directory holding the bad files the test writes
+    (("project", "--builder", "line:3", "--angles", "all:nan,0"), "must be finite"),
+    (("project", "--builder", "line:3", "--angles", "all:1e400,0"), "must be finite"),
+    (("project", "--builder", "line:1", "--angles", "{tmp}/nan.angles"), "must be finite"),
+    (("project", "--builder", "line:1", "--angles", "{tmp}/abc.angles"), "bad angle file"),
+    (("project", "--graph", "{tmp}/bad.graph", "--angles", "all:0,0"), "bad graph file"),
+    (("project", "--graph", "{tmp}", "--angles", "all:0,0"), "Is a directory"),
+    (("project", "--builder", "line:3", "--angles", "{tmp}"), "Is a directory"),
+    (("compile", "--circuit", "{tmp}", "--out", "{tmp}/p"), "Is a directory"),
+    (("project", "--builder", "line:3", "--angles", "all:0,0", "--output", "{tmp}/no/x"),
+     "No such file"),
+    (("verify", "--builder", "line:3", "--trials", "1", "--output", "{tmp}/no/x"),
+     "No such file"),
+    (("bench", "--suite", "lattice-width", "--output", "{tmp}/no/x"), "No such file"),
+    (("compile", "--circuit", "{tmp}/h.circuit", "--out", "{tmp}/no/p"), "No such file"),
+    (("compile", "--circuit", "{tmp}/bad.bytes", "--out", "{tmp}/p"), "cannot compile"),
+    (("verify", "--builder", "line:3", "--tolerance", "nan"), "--tolerance must be"),
+    (("verify", "--builder", "line:3", "--tolerance", "-1"), "--tolerance must be"),
 ])
-def test_config_errors_exit_2(capsys, argv, needle):
-    code, _, err = run_cli(capsys, *argv)
+def test_config_errors_exit_2(capsys, tmp_path, argv, needle):
+    for name, text in (("nan.angles", "nan 0\n"), ("abc.angles", "abc 0\n"),
+                       ("bad.graph", "2\nx y\n"), ("h.circuit", "H 0\n")):
+        (tmp_path / name).write_text(text)
+    (tmp_path / "bad.bytes").write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert needle in err
 

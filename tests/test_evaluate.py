@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latticeproj.engines import sweep_polynomial
+from latticeproj.engines import compute_amplitude, sweep_polynomial
 from latticeproj.errors import (
     ColumnTooWide,
     NonScalarResidue,
@@ -18,7 +18,6 @@ from latticeproj.evaluate import (
     lattice_width_profile,
     line_amplitude,
     line_recursion,
-    profile,
     sweep_evaluate,
 )
 from latticeproj.factorize import (
@@ -309,9 +308,9 @@ def test_column_degenerate_single_column_is_the_chain():
 def test_column_errors():
     with pytest.raises(NotALattice):
         column_evaluate(build_line(5), random_spec(5, 0))
-    g = build_lattice(3, 1)
+    g = build_lattice(17, 1)
     with pytest.raises(ColumnTooWide):
-        column_evaluate(g, random_spec(g.n, 0), row_cap=2)
+        column_evaluate(g, random_spec(g.n, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +349,20 @@ def test_auto_sweep_on_long_lattice_matches_column():
     assert abs(report.amplitude - ref) <= 1e-12 * abs(ref)
 
 
-def test_profile_reports_orderings():
-    g = build_lattice(2, 2)
-    poly = build_polynomial(g, random_spec(g.n, 12))
-    rows = profile(poly, ("as-built", "row-major", "anti-diagonal"))
-    names = [r[0] for r in rows]
-    assert names == ["as-built", "row-major", "anti-diagonal"]
-    amps = [r[2].amplitude for r in rows]
-    for a in amps[1:]:
-        assert abs(a - amps[0]) < 1e-12
-    for _, active, report in rows:
-        assert report.max_live_terms <= 4 ** active
+@pytest.mark.parametrize("g,engine", [
+    (build_lattice(3, 10), "column"),
+    (load_graph(fixture_path("fivecross_17.graph")), "direct-sum"),
+], ids=["lattice:3x10", "fivecross_17"])
+def test_cached_structure_serves_alternating_specs(g, engine):
+    # every sweep_polynomial call binds a spec to the one cached structure;
+    # holding all the clones before evaluating any shows none changed it
+    specs = [random_spec(g.n, 45), random_spec(g.n, 46)]
+    refs = [compute_amplitude(g, spec, engine).amplitude for spec in specs]
+    picks = [0, 1, 0, 1, 1, 0]
+    polys = [sweep_polynomial(g, specs[i]) for i in picks]
+    for i, poly in zip(picks, polys):
+        amp = sweep_evaluate(poly).amplitude
+        assert abs(amp - refs[i]) <= 1e-12 * abs(refs[i])
 
 
 def test_five_cross_profile_bounds():

@@ -7,9 +7,7 @@ from latticeproj.algebra import EMPTY_WORD, Letter, TensorWord
 from latticeproj.errors import InvalidPermutation, NotALattice, SizeMismatch
 from latticeproj.factorize import (
     ProjectionSpec,
-    build_factor,
     build_polynomial,
-    coeffs,
     format_angles_text,
     max_active_slots,
     order_factors,
@@ -27,16 +25,16 @@ from latticeproj.graph import (
 from latticeproj.evaluate import sweep_evaluate
 from latticeproj.oracle import build_statevector, project_statevector
 
-from helpers import random_spec, word_to_diag
+from helpers import branches, random_spec, word_to_diag
 
 
 def test_coeffs_examples():
     spec = ProjectionSpec([0.0, np.pi / 4, np.pi / 2], [1.0, 0.0, np.pi / 2])
-    assert coeffs(spec, 0) == pytest.approx((1.0, 0.0))
-    c, s = coeffs(spec, 1)
+    assert (spec.c[0], spec.s[0]) == pytest.approx((1.0, 0.0))
+    c, s = spec.c[1], spec.s[1]
     assert c == pytest.approx(0.70710678, abs=1e-8)
     assert s == pytest.approx(0.70710678, abs=1e-8)
-    c, s = coeffs(spec, 2)
+    c, s = spec.c[2], spec.s[2]
     assert abs(c) < 1e-15 and s == pytest.approx(1j)
 
 
@@ -57,11 +55,12 @@ def test_factor_bell_owner():
     g = build_line(2)
     a = assign_slots(g, "bipartite")
     spec = random_spec(2, 1)
-    f = build_factor(0, a, g, spec)
+    poly = build_polynomial(g, spec, a)
+    f = poly.factors[0]
     assert f.c_word == TensorWord([(0, Letter.U)])
     assert f.s_word == TensorWord([(0, Letter.D)])
-    assert f.c_coeff == complex(spec.c[0]) and f.s_coeff == complex(spec.s[0])
-    f1 = build_factor(1, a, g, spec)
+    assert poly.spec is spec
+    f1 = poly.factors[1]
     assert f1.c_word == EMPTY_WORD
     assert f1.s_word == TensorWord([(0, Letter.Z)])
 
@@ -69,7 +68,7 @@ def test_factor_bell_owner():
 def test_factor_ghz_leaf():
     g = build_cross_chain(1)
     a = assign_slots(g, "bipartite")
-    f = build_factor(0, a, g, random_spec(5, 2))
+    f = build_polynomial(g, random_spec(5, 2), a).factors[0]
     assert f.c_word == EMPTY_WORD
     assert f.s_word == TensorWord([(a.slot_of[4], Letter.Z)])
 
@@ -77,7 +76,7 @@ def test_factor_ghz_leaf():
 def test_factor_shared_leaf_touches_both_centers():
     g = build_cross_chain(2)
     a = assign_slots(g, "bipartite")
-    f = build_factor(2, a, g, random_spec(8, 3))
+    f = build_polynomial(g, random_spec(8, 3), a).factors[2]
     slots = {a.slot_of[6], a.slot_of[7]}
     assert f.c_word == EMPTY_WORD
     assert dict(f.s_word.entries) == {s: Letter.Z for s in slots}
@@ -86,7 +85,7 @@ def test_factor_shared_leaf_touches_both_centers():
 def test_all_but_last_factor_carries_z_and_d():
     g = build_line(4)
     a = assign_slots(g, "all-but-last")
-    f = build_factor(1, a, g, random_spec(4, 4))
+    f = build_polynomial(g, random_spec(4, 4), a).factors[1]
     assert dict(f.c_word.entries) == {1: Letter.U}
     assert dict(f.s_word.entries) == {0: Letter.Z, 1: Letter.D}
 
@@ -107,7 +106,7 @@ def trace_by_matrices(poly):
     for f in poly.factors:
         new_d, new_c = [], []
         for d, c in zip(diags, coeffs_):
-            for bc, bw in f.branches():
+            for bc, bw in branches(poly, f):
                 new_d.append(d * word_to_diag(bw, k))
                 new_c.append(c * bc)
         diags, coeffs_ = new_d, new_c
@@ -264,12 +263,17 @@ def test_bind_spec_rebinds_coefficients_only():
     a = random_spec(g.n, 12)
     b = random_spec(g.n, 13)
     pa = build_polynomial(g, a)
+    amp_a = sweep_evaluate(pa).amplitude
     pb = pa.bind_spec(b)
     assert pb.activity == pa.activity
-    assert [f.c_word for f in pb.factors] == [f.c_word for f in pa.factors]
+    # the clone shares the word structure and plan, and only swaps the spec
+    assert pb.factors is pa.factors
+    assert pb.plan is pa.plan is not None
+    assert pb.spec is b and pa.spec is a
     assert sweep_evaluate(pb).amplitude == pytest.approx(
         sweep_evaluate(build_polynomial(g, b)).amplitude
     )
+    assert sweep_evaluate(pa).amplitude == amp_a
 
 
 def test_angle_file_round_trip():

@@ -15,7 +15,7 @@ from latticeproj.factorize import (
 from latticeproj.graph import bipartition, build_from_edges
 from latticeproj.oracle import build_statevector, direct_sum, project_statevector
 
-from helpers import TermSum, brute_amplitude, word_sweep
+from helpers import TermSum, branches, brute_amplitude, word_sweep
 
 
 @st.composite
@@ -93,5 +93,5 @@ def test_sweep_term_sums_never_keep_zero_coefficients(case):
     state = TermSum()
     poly = build_polynomial(g, spec, "greedy-cover")
     for factor in poly.factors:
-        state.multiply_factor(factor)
+        state.multiply_factor(branches(poly, factor))
         assert all(c != 0 for c in state.terms.values())
