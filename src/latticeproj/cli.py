@@ -12,16 +12,17 @@ import csv
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .engines import ENGINE_NAMES, applicable_engines, compute_amplitude
-from .errors import BadSetting, CircuitParseError, LatticeProjError, NotALattice
+from .engines import ENGINE_NAMES, ENGINES, applicable_engines, compute_amplitude
+from .errors import BadSetting, CircuitParseError, LatticeProjError, TooLarge
 from .evaluate import lattice_width_profile
-from .factorize import ProjectionSpec, load_angles
+from .factorize import ORDERINGS, ProjectionSpec, load_angles
 from .graph import (
     ClusterGraph,
     build_cross_chain,
@@ -41,6 +42,14 @@ from .mbqc import (
 
 class ConfigError(Exception):
     """Bad flags, missing files, or an engine that does not fit the graph."""
+
+
+def _check_engine(engine: str, g: ClusterGraph, name: str) -> None:
+    if engine not in ENGINE_NAMES:
+        raise ConfigError(f"unknown engine {engine!r} (choose from {ENGINE_NAMES})")
+    error = ENGINES[engine].misfit(g)
+    if error is not None:
+        raise ConfigError(f"engine {engine!r} does not fit graph {name}: {error}")
 
 
 def _fmt_float(v: float) -> str:
@@ -118,8 +127,20 @@ def _resolve_angles(args: argparse.Namespace, n: int) -> ProjectionSpec:
     return spec
 
 
-def _open_output(path: Optional[str]) -> TextIO:
-    return open(path, "w", newline="") if path else sys.stdout
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    # opened before the work starts, so an unwritable path fails at once
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as out:
+        yield out
+
+
+def _write_csv(out: TextIO, rows: list[dict]) -> None:
+    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +150,10 @@ def _open_output(path: Optional[str]) -> TextIO:
 def cmd_project(args: argparse.Namespace) -> int:
     name, g = _resolve_graph(args)
     spec = _resolve_angles(args, g.n)
-    if args.engine not in ENGINE_NAMES:
-        raise ConfigError(f"unknown engine {args.engine!r} (choose from {ENGINE_NAMES})")
-    if args.engine not in applicable_engines(g):
-        raise ConfigError(f"engine {args.engine!r} does not fit graph {name}")
-    report = compute_amplitude(g, spec, args.engine, ordering=args.ordering)
-    line = f"{_fmt_float(report.amplitude.real)} {_fmt_float(report.amplitude.imag)}"
-    if args.output:
-        Path(args.output).write_text(line + "\n")
-    else:
-        print(line)
+    _check_engine(args.engine, g, name)
+    with _output(args.output) as out:
+        amp = compute_amplitude(g, spec, args.engine, ordering=args.ordering).amplitude
+        print(f"{_fmt_float(amp.real)} {_fmt_float(amp.imag)}", file=out)
     return 0
 
 
@@ -186,30 +201,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.tolerance >= 0:
         # a NaN tolerance would pass every delta
         raise ConfigError(f"--tolerance must be non-negative, got {args.tolerance}")
-    available = applicable_engines(g)
     if args.engines:
         engines = [e.strip() for e in args.engines.split(",")]
         if len(set(engines)) < len(engines):
             raise ConfigError(f"--engines lists an engine twice: {args.engines!r}")
         for e in engines:
-            if e not in ENGINE_NAMES:
-                raise ConfigError(f"unknown engine {e!r}")
-            if e not in available:
-                raise ConfigError(f"engine {e!r} does not fit graph {name}")
+            _check_engine(e, g, name)
     else:
-        engines = available
+        engines = applicable_engines(g)
     if len(engines) < 2:
         raise ConfigError("verification needs at least two engines")
 
-    rows, worst = run_verify(g, engines, args.trials, args.seed, args.ordering)
-    out = _open_output(args.output)
-    try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.output) as out:
+        rows, worst = run_verify(g, engines, args.trials, args.seed, args.ordering)
+        _write_csv(out, rows)
     if worst > args.tolerance:
         print(
             f"FAIL: max engine delta {worst:.3e} exceeds tolerance {args.tolerance:.3e}",
@@ -287,29 +292,19 @@ def bench_line_scaling(trials: int = 25, seed: int = 0) -> list[dict]:
     return rows
 
 
-def bench_lattice_width(seed: int = 0, height: int = 2) -> list[dict]:
-    return lattice_width_profile(height, range(2, 7), seed)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     _check_trials(args.trials)
     _check_seed(args.seed)
-    if args.suite == "fig10":
-        rows = bench_fig10(args.trials, args.seed)
-    elif args.suite == "line-scaling":
-        rows = bench_line_scaling(args.trials, args.seed)
-    elif args.suite == "lattice-width":
-        rows = bench_lattice_width(args.seed)
-    else:
-        raise ConfigError(f"unknown suite {args.suite!r}")
-    out = _open_output(args.output)
-    try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.output) as out:
+        if args.suite == "fig10":
+            rows = bench_fig10(args.trials, args.seed)
+        elif args.suite == "line-scaling":
+            rows = bench_line_scaling(args.trials, args.seed)
+        elif args.suite == "lattice-width":
+            rows = lattice_width_profile(2, range(2, 7), args.seed)
+        else:
+            raise ConfigError(f"unknown suite {args.suite!r}")
+        _write_csv(out, rows)
     return 0
 
 
@@ -366,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true", help="draw angles uniform on [0, 2pi)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="sweep", help=f"one of {', '.join(ENGINE_NAMES)}")
-    p.add_argument("--ordering", default="auto",
-                   choices=("auto", "as-built", "row-major", "anti-diagonal"))
+    p.add_argument("--ordering", default="auto", choices=ORDERINGS)
     p.add_argument("--output", help="write the amplitude here instead of stdout")
     p.set_defaults(func=cmd_project)
 
@@ -377,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=31)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--ordering", default="auto",
-                   choices=("auto", "as-built", "row-major", "anti-diagonal"))
+    p.add_argument("--ordering", default="auto", choices=ORDERINGS)
     p.add_argument("--output", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_verify)
 
@@ -409,10 +402,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotALattice, BadSetting, OSError) as exc:
-        # a lattice-only ordering or engine asked of another graph, a bad
-        # environment setting, or a path that cannot be read or written is
-        # usage
+    except (ConfigError, BadSetting, TooLarge, OSError) as exc:
+        # a bad environment setting, work over an engine's memory cap (the
+        # sweep under a non-auto --ordering) or a path that cannot be read
+        # or written is usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeProjError as exc:

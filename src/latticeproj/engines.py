@@ -1,16 +1,31 @@
-"""Uniform front door over the six amplitude engines.
+"""One table of amplitude engines: what each one fits, and how it evaluates.
 
-Engine names (as used by the CLI): statevector, direct-sum, sweep,
-line-recursion, cross-recursion, column.  The specialized engines demand
-their graph family in canonical indexing; `applicable_engines` reports what
-fits a given graph.
+``ENGINES`` maps every engine name the CLI takes to an ``Engine`` row.
+``misfit(g)`` is None when the engine fits the graph within its cap, else
+the LatticeProjError that says why not; ``evaluate(g, spec, ordering)`` is
+the engine's EvalReport, and only the sweep reads ``ordering``.
+``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude`` and the CLI
+all read this table.  Direct-sum and the family rows read
+``graph.graph_family``, detected once per distinct graph; the sweep reads
+the frontier width of its cached structure, known before anything is
+allocated; the statevector cap is read on every call.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
 
-from .errors import LatticeProjError, NotALattice, OddCycle, SizeMismatch
+from .errors import (
+    ColumnTooWide,
+    LatticeProjError,
+    NotALattice,
+    NotBipartite,
+    OddCycle,
+    SizeMismatch,
+    TooLarge,
+    TooManyControls,
+)
 from .evaluate import (
     COLUMN_ROW_CAP,
     EvalReport,
@@ -21,14 +36,7 @@ from .evaluate import (
     sweep_evaluate,
 )
 from .factorize import ProjectionSpec, build_polynomial, order_factors
-from .graph import (
-    ClusterGraph,
-    assign_slots,
-    bipartition,
-    detect_cross_chain,
-    detect_lattice,
-    detect_line,
-)
+from .graph import ClusterGraph, assign_slots, graph_family
 from .oracle import (
     DIRECT_SUM_CONTROL_CAP,
     build_statevector,
@@ -37,14 +45,8 @@ from .oracle import (
     statevector_cap,
 )
 
-ENGINE_NAMES = (
-    "statevector",
-    "direct-sum",
-    "sweep",
-    "line-recursion",
-    "cross-recursion",
-    "column",
-)
+# Most frontier axes the sweep allocates: 2^24 complex entries, 256 MiB.
+SWEEP_WIDTH_CAP = 24
 
 
 @lru_cache(maxsize=64)
@@ -75,60 +77,101 @@ def sweep_polynomial(
     return _sweep_structure(g, ordering).bind_spec(spec)
 
 
+def _too_wide(g: ClusterGraph, ordering: str) -> Optional[LatticeProjError]:
+    width = frontier_plan(_sweep_structure(g, ordering)).width
+    if width <= SWEEP_WIDTH_CAP:
+        return None
+    return TooLarge(
+        f"the sweep frontier has width {width}, above the cap of {SWEEP_WIDTH_CAP}: "
+        f"2^{width} x 16 = {16 << width} bytes"
+    )
+
+
+def _sweep(g: ClusterGraph, spec: ProjectionSpec, ordering: str) -> EvalReport:
+    # misfit checked the auto order; another ordering has its own width
+    error = _too_wide(g, ordering)
+    if error is not None:
+        raise error
+    return sweep_evaluate(sweep_polynomial(g, spec, ordering))
+
+
+def _over_cap(count: int, cap: int, what: str, error: type) -> Optional[LatticeProjError]:
+    return error(f"{count} {what}, above the cap of {cap}") if count > cap else None
+
+
+def _statevector(g: ClusterGraph, spec: ProjectionSpec, ordering: str) -> EvalReport:
+    amplitude = project_statevector(build_statevector(g), spec)
+    # fold multiplies: 2*(2^n - 1); merges: 2^n - 1
+    dim = 1 << g.n
+    return EvalReport(amplitude, dim, dim - 1, 2 * (dim - 1))
+
+
+def _direct_sum_misfit(g: ClusterGraph) -> Optional[LatticeProjError]:
+    b = graph_family(g).bipartition
+    if b is None:
+        return NotBipartite("direct-sum needs a bipartite graph")
+    return _over_cap(len(b.controls), DIRECT_SUM_CONTROL_CAP, "control qubits", TooManyControls)
+
+
+def _direct_sum(g: ClusterGraph, spec: ProjectionSpec, ordering: str) -> EvalReport:
+    b = graph_family(g).bipartition
+    amplitude = direct_sum(g, b, spec)
+    k = len(b.controls)
+    terms = 1 << k
+    return EvalReport(amplitude, terms, terms - 1, terms * (k + len(b.targets) + 1))
+
+
+def _column_misfit(g: ClusterGraph) -> Optional[LatticeProjError]:
+    shape = graph_family(g).lattice
+    if shape is None:
+        return NotALattice("column needs a canonical cross lattice")
+    return _over_cap(shape[0], COLUMN_ROW_CAP, "rows", ColumnTooWide)
+
+
+class Engine(NamedTuple):
+    misfit: Callable[[ClusterGraph], Optional[LatticeProjError]]
+    evaluate: Callable[[ClusterGraph, ProjectionSpec, str], EvalReport]
+
+
+ENGINES: dict[str, Engine] = {
+    "statevector": Engine(
+        lambda g: _over_cap(g.n, statevector_cap(), "qubits", TooLarge), _statevector
+    ),
+    "direct-sum": Engine(_direct_sum_misfit, _direct_sum),
+    "sweep": Engine(lambda g: _too_wide(g, "auto"), _sweep),
+    "line-recursion": Engine(
+        lambda g: None if graph_family(g).line
+        else LatticeProjError("line-recursion needs a canonical line graph"),
+        lambda g, spec, ordering: line_amplitude(spec),
+    ),
+    "cross-recursion": Engine(
+        lambda g: None if graph_family(g).cross_chain is not None
+        else LatticeProjError("cross-recursion needs a canonical cross chain"),
+        lambda g, spec, ordering: cross_chain_recursion(spec),
+    ),
+    "column": Engine(_column_misfit, lambda g, spec, ordering: column_evaluate(g, spec)),
+}
+
+ENGINE_NAMES = tuple(ENGINES)
+
+
 def compute_amplitude(
     g: ClusterGraph,
     spec: ProjectionSpec,
     engine: str,
     ordering: str = "auto",
 ) -> EvalReport:
+    """The engine's amplitude; raises its misfit error when it does not fit g."""
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
-    if engine == "statevector":
-        sv = build_statevector(g)
-        amplitude = project_statevector(sv, spec)
-        # fold multiplies: 2*(2^n - 1); merges: 2^n - 1
-        dim = 1 << g.n
-        return EvalReport(amplitude, dim, dim - 1, 2 * (dim - 1))
-    if engine == "direct-sum":
-        b = bipartition(g)
-        amplitude = direct_sum(g, b, spec)
-        k = len(b.controls)
-        terms = 1 << k
-        return EvalReport(amplitude, terms, terms - 1, terms * (k + len(b.targets) + 1))
-    if engine == "sweep":
-        return sweep_evaluate(sweep_polynomial(g, spec, ordering))
-    if engine == "line-recursion":
-        if not detect_line(g):
-            raise LatticeProjError("line-recursion needs a canonical line graph")
-        return line_amplitude(spec)
-    if engine == "cross-recursion":
-        if detect_cross_chain(g) is None:
-            raise LatticeProjError("cross-recursion needs a canonical cross chain")
-        return cross_chain_recursion(spec)
-    if engine == "column":
-        if detect_lattice(g) is None:
-            raise NotALattice("column engine needs a canonical cross lattice")
-        return column_evaluate(g, spec)
-    raise LatticeProjError(f"unknown engine {engine!r}")
+    if engine not in ENGINES:
+        raise LatticeProjError(f"unknown engine {engine!r}")
+    error = ENGINES[engine].misfit(g)
+    if error is not None:
+        raise error
+    return ENGINES[engine].evaluate(g, spec, ordering)
 
 
 def applicable_engines(g: ClusterGraph) -> list[str]:
-    """Engines that fit this graph, within the statevector, direct-sum and column caps."""
-    engines = []
-    if g.n <= statevector_cap():
-        engines.append("statevector")
-    try:
-        b = bipartition(g)
-        if len(b.controls) <= DIRECT_SUM_CONTROL_CAP:
-            engines.append("direct-sum")
-    except OddCycle:
-        pass
-    engines.append("sweep")
-    if detect_line(g):
-        engines.append("line-recursion")
-    if detect_cross_chain(g) is not None:
-        engines.append("cross-recursion")
-    shape = detect_lattice(g)
-    if shape is not None and shape[0] <= COLUMN_ROW_CAP:
-        engines.append("column")
-    return engines
+    """Engines that fit this graph within their caps, in ENGINE_NAMES order."""
+    return [name for name, row in ENGINES.items() if row.misfit(g) is None]

@@ -32,7 +32,7 @@ class OddCycle(LatticeProjError):
 
 
 class NotALattice(LatticeProjError):
-    """Raised when a lattice-only strategy or engine meets a non-lattice graph."""
+    """Raised when the lattice-only column engine meets a non-lattice graph."""
 
 
 # --- algebra ---

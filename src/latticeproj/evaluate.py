@@ -51,7 +51,7 @@ from .factorize import (
     max_active_slots,
     order_factors,
 )
-from .graph import ClusterGraph, build_lattice, detect_lattice, lattice_center, lattice_corner
+from .graph import ClusterGraph, build_lattice, graph_family, lattice_center, lattice_corner
 
 
 @dataclass
@@ -373,9 +373,10 @@ def column_evaluate(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     the same Z pattern on both neighboring center columns, so retiring the
     left column and seeding the right one is a word-matched elementwise
     product; center factors act as the per-slot 2x2 map induced by
-    U = (I+Z)/2, D = (I-Z)/2.
+    U = (I+Z)/2, D = (I-Z)/2.  The lattice shape is read from
+    graph.graph_family, so it is detected once per graph.
     """
-    shape = detect_lattice(g)
+    shape = graph_family(g).lattice
     if shape is None:
         raise NotALattice("column evaluator needs a canonical cross lattice")
     if spec.n != g.n:

@@ -26,13 +26,13 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import Letter, TensorWord
-from .errors import InvalidPermutation, NotALattice, SizeMismatch
+from .errors import InvalidPermutation, SizeMismatch
 from .graph import (
     ClusterGraph,
     SlotAssignment,
     adjacency,
     assign_slots,
-    detect_lattice,
+    graph_family,
     lattice_center,
     lattice_corner,
 )
@@ -227,39 +227,7 @@ def build_polynomial(
 # factor ordering strategies
 
 
-def _anti_diagonal_corner_order(m: int, n: int) -> list[tuple[int, int]]:
-    # Snake over anti-diagonals of the (m+1) x (n+1) corner grid: even
-    # diagonals run top-to-bottom, odd ones bottom-to-top, reproducing the
-    # visit order 0 -> (n+2) -> 1 -> 2 -> (n+3) -> (2n+3) -> ...
-    order = []
-    for d in range(m + n + 1):
-        rows = range(max(0, d - n), min(m, d) + 1)
-        if d % 2:
-            rows = reversed(rows)
-        order.extend((r, d - r) for r in rows)
-    return order
-
-
-def _lattice_anti_diagonal_order(g: ClusterGraph, shape: tuple[int, int]) -> list[int]:
-    m, n = shape
-    order: list[int] = []
-    corners_seen: set[tuple[int, int]] = set()
-    pending = {
-        (i, j): {(i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)}
-        for i in range(m)
-        for j in range(n)
-    }
-    for r, c in _anti_diagonal_corner_order(m, n):
-        order.append(lattice_corner(m, n, r, c))
-        corners_seen.add((r, c))
-        for (i, j) in sorted(pending):
-            if pending[(i, j)] <= corners_seen:
-                order.append(lattice_center(m, n, i, j))
-                del pending[(i, j)]
-    return order
-
-
-def _lattice_row_major_order(g: ClusterGraph, shape: tuple[int, int]) -> list[int]:
+def _lattice_row_major_order(shape: tuple[int, int]) -> list[int]:
     # Sweep the lattice by rows, interleaving each center row right after
     # the corner row above it so slots retire one row behind the frontier.
     m, n = shape
@@ -371,6 +339,10 @@ def _min_frontier_order(poly: FactorizedPolynomial) -> list[int]:
     return best
 
 
+# The strategies order_factors takes without a permutation.
+ORDERINGS = ("auto", "as-built", "row-major")
+
+
 def order_factors(
     poly: FactorizedPolynomial,
     strategy: str = "as-built",
@@ -382,9 +354,9 @@ def order_factors(
     AUTO_STARTS greedy min-frontier passes over the factor/slot incidence,
     one per minimum-degree start qubit; any graph), ``as-built``
     (qubit-index order), ``row-major`` (lattices: interleave corner and
-    center rows; other graphs: index order), ``anti-diagonal`` (lattices
-    only), ``custom`` (explicit permutation of qubit indices).  Width means
-    max_active_slots, which bounds the sweep's live terms by 2^width.
+    center rows; other graphs: index order), ``custom`` (explicit
+    permutation of qubit indices).  Width means max_active_slots, which
+    bounds the sweep's live terms by 2^width.
     """
     pos_of_qubit = {f.qubit: i for i, f in enumerate(poly.factors)}
     if strategy == "auto":
@@ -392,16 +364,11 @@ def order_factors(
     elif strategy == "as-built":
         order = [pos_of_qubit[q] for q in range(poly.graph.n)]
     elif strategy == "row-major":
-        shape = detect_lattice(poly.graph)
+        shape = graph_family(poly.graph).lattice
         if shape is None:
             order = [pos_of_qubit[q] for q in range(poly.graph.n)]
         else:
-            order = [pos_of_qubit[q] for q in _lattice_row_major_order(poly.graph, shape)]
-    elif strategy == "anti-diagonal":
-        shape = detect_lattice(poly.graph)
-        if shape is None:
-            raise NotALattice("anti-diagonal ordering needs a canonical cross lattice")
-        order = [pos_of_qubit[q] for q in _lattice_anti_diagonal_order(poly.graph, shape)]
+            order = [pos_of_qubit[q] for q in _lattice_row_major_order(shape)]
     elif strategy == "custom":
         if permutation is None:
             raise InvalidPermutation("custom ordering needs an explicit permutation")

@@ -13,9 +13,10 @@ assigned to an owner endpoint, whose slot then tracks the edge's CZ phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DuplicateEdge,
@@ -148,7 +149,7 @@ def lattice_center(m: int, n: int, i: int, j: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# family detection (used by the specialized engines and orderings)
+# family detection (read through graph_family by the engines and orderings)
 
 
 def detect_line(g: ClusterGraph) -> bool:
@@ -211,6 +212,25 @@ def bipartition(g: ClusterGraph) -> Bipartition:
         controls = class0 if 0 in class0 else class1
     targets = frozenset(range(g.n)) - controls
     return Bipartition(controls=controls, targets=targets)
+
+
+class Family(NamedTuple):
+    """The families a graph belongs to, in canonical indexing, and its 2-coloring."""
+
+    line: bool
+    cross_chain: Optional[int]
+    lattice: Optional[tuple[int, int]]
+    bipartition: Optional[Bipartition]  # None on a graph with an odd cycle
+
+
+@lru_cache(maxsize=64)
+def graph_family(g: ClusterGraph) -> Family:
+    """Every family detection and the bipartition, run once per distinct graph."""
+    try:
+        b = bipartition(g)
+    except OddCycle:
+        b = None
+    return Family(detect_line(g), detect_cross_chain(g), detect_lattice(g), b)
 
 
 def _greedy_cover(g: ClusterGraph) -> frozenset[int]:

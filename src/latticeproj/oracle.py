@@ -48,10 +48,9 @@ class StateVector:
         return int(self.amplitudes.shape[0]).bit_length() - 1
 
 
-def build_statevector(g: ClusterGraph, cap: int | None = None) -> StateVector:
+def build_statevector(g: ClusterGraph) -> StateVector:
     """|+>^n with every edge applied as a CZ (negate both-bits-one amplitudes)."""
-    if cap is None:
-        cap = statevector_cap()
+    cap = statevector_cap()
     if g.n > cap:
         raise TooLarge(
             f"statevector for {g.n} qubits exceeds the cap of {cap} "

@@ -135,17 +135,32 @@ def test_column_over_cap_exits_2(capsys, builder):
     assert "does not fit" in err
 
 
-@pytest.mark.parametrize("command", [
-    ("project", "--angles", "all:0,0"),
-    ("verify", "--trials", "1"),
-])
-def test_anti_diagonal_on_non_lattice_exits_2(capsys, command):
+def test_sweep_over_width_cap_exits_2(capsys):
+    # the 40x40 frontier would need 2^42 entries; the engine refuses first
     code, out, err = run_cli(
-        capsys, *command, "--builder", "line:3", "--ordering", "anti-diagonal",
+        capsys, "project", "--builder", "lattice:40x40",
+        "--angles", "all:0,0", "--engine", "sweep",
     )
     assert code == 2
-    assert "anti-diagonal" in err and "engine error" not in err
+    assert "does not fit" in err and "bytes" in err and "engine error" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("project", "--builder", "line:3", "--angles", "all:0,0"),
+    ("verify", "--graph", "fivecross_17.graph", "--trials", "100"),
+    ("bench", "--suite", "fig10"),
+])
+def test_unwritable_output_fails_before_any_amplitude(capsys, monkeypatch, tmp_path, argv):
+    from latticeproj import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an amplitude was computed before --output was opened")
+
+    monkeypatch.setattr(cli, "compute_amplitude", no_work)
+    code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path / "no" / "x"))
+    assert code == 2
+    assert "No such file" in err
 
 
 def test_verify_tall_lattice_leaves_out_column(capsys):

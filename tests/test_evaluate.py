@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
-from latticeproj.engines import compute_amplitude, sweep_polynomial
+from latticeproj import graph
+from latticeproj.engines import (
+    ENGINE_NAMES,
+    SWEEP_WIDTH_CAP,
+    applicable_engines,
+    compute_amplitude,
+    sweep_polynomial,
+)
 from latticeproj.errors import (
     ColumnTooWide,
+    LatticeProjError,
     NonScalarResidue,
     NotALattice,
     RetirementBeforeOwner,
     SizeMismatch,
+    TooLarge,
     TooSmall,
 )
 from latticeproj.evaluate import (
@@ -31,7 +40,6 @@ from latticeproj.graph import (
     build_from_edges,
     build_lattice,
     build_line,
-    detect_lattice,
     fixture_path,
     load_graph,
 )
@@ -149,8 +157,6 @@ WORD_SWEEP_WIDTH = 12
                          ids=[name for name, _ in FRONTIER_GRAPHS])
 def test_frontier_matches_word_sweep(g):
     orderings = ["auto", "as-built", "row-major"]
-    if detect_lattice(g) is not None:
-        orderings.append("anti-diagonal")
     spec = random_spec(g.n, 70)
     for ordering in orderings:
         poly = sweep_polynomial(g, spec, ordering)
@@ -378,3 +384,62 @@ def test_lattice_width_profile_is_deterministic():
     b = lattice_width_profile(2, (2, 3, 4), seed=5)
     assert a == b
     assert [row["width"] for row in a] == [2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# the engine table
+
+
+REGISTRY_GRAPHS = (
+    [(path.name, load_graph(path))
+     for path in sorted(fixture_path("line_4.graph").parent.glob("*.graph"))]
+    + [(f"line:{n}", build_line(n)) for n in range(1, 5)]
+    + [(f"cross:{k}", build_cross_chain(k)) for k in range(1, 4)]
+    + [(f"lattice:{m}x{n}", build_lattice(m, n)) for m in range(1, 4) for n in range(1, 4)]
+    # an odd cycle: neither bipartite nor direct-sum fits
+    + [("triangle", build_from_edges(3, [(0, 1), (1, 2), (0, 2)]))]
+    # a column taller than COLUMN_ROW_CAP
+    + [("lattice:17x1", build_lattice(17, 1))]
+)
+
+
+@pytest.mark.parametrize("g", [g for _, g in REGISTRY_GRAPHS],
+                         ids=[name for name, _ in REGISTRY_GRAPHS])
+def test_applicable_engines_are_exactly_those_that_return(g):
+    applicable = applicable_engines(g)
+    oracle = "statevector" if "statevector" in applicable else "direct-sum"
+    assert oracle in applicable
+    spec = random_spec(g.n, 80)
+    ref = compute_amplitude(g, spec, oracle).amplitude
+    returned = []
+    for engine in ENGINE_NAMES:
+        try:
+            amp = compute_amplitude(g, spec, engine).amplitude
+        except LatticeProjError:
+            continue
+        returned.append(engine)
+        assert abs(amp - ref) <= 1e-9, engine
+    assert returned == applicable
+
+
+def test_sweep_width_cap():
+    wide = build_lattice(40, 40)
+    assert applicable_engines(wide) == []
+    with pytest.raises(TooLarge, match="bytes"):
+        compute_amplitude(wide, random_spec(wide.n, 81), "sweep")
+    # 20x20 runs the sweep at width 22
+    g = build_lattice(20, 20)
+    assert "sweep" in applicable_engines(g)
+    assert max_active_slots(sweep_polynomial(g, random_spec(g.n, 82))) <= SWEEP_WIDTH_CAP
+
+
+def test_family_detected_once_per_graph(monkeypatch):
+    calls = []
+    real = graph.detect_lattice
+    monkeypatch.setattr(graph, "detect_lattice", lambda g: calls.append(g) or real(g))
+    graph.graph_family.cache_clear()
+    for seed in range(3):
+        g = build_lattice(3, 10)  # a new graph object, equal to the last
+        for engine in applicable_engines(g):
+            compute_amplitude(g, random_spec(g.n, seed), engine)
+    assert len(calls) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latticeproj.algebra import EMPTY_WORD, Letter, TensorWord
-from latticeproj.errors import InvalidPermutation, NotALattice, SizeMismatch
+from latticeproj.errors import InvalidPermutation, SizeMismatch
 from latticeproj.factorize import (
     ProjectionSpec,
     build_polynomial,
@@ -140,52 +140,10 @@ def test_order_invariance_on_line6():
 
 def test_order_factors_errors():
     poly = build_polynomial(build_line(3), random_spec(3, 7))
-    with pytest.raises(NotALattice):
-        order_factors(poly, "anti-diagonal")
     with pytest.raises(InvalidPermutation):
         order_factors(poly, "custom", [0, 0, 1])
     with pytest.raises(ValueError):
         order_factors(poly, "no-such-strategy")
-
-
-def test_anti_diagonal_corner_sequence_matches_snake():
-    g = build_lattice(2, 2)
-    poly = order_factors(build_polynomial(g, random_spec(g.n, 8)), "anti-diagonal")
-    corner_count = 9
-    corner_seq = [f.qubit for f in poly.factors if f.qubit < corner_count]
-    assert corner_seq == [0, 3, 1, 2, 4, 6, 7, 5, 8]
-    # each center comes after all four of its corners
-    seen = set()
-    for f in poly.factors:
-        if f.qubit >= corner_count:
-            i, j = divmod(f.qubit - corner_count, 2)
-            needed = {3 * i + j, 3 * i + j + 1, 3 * (i + 1) + j, 3 * (i + 1) + j + 1}
-            assert needed <= seen
-        else:
-            seen.add(f.qubit)
-
-
-@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 4), (4, 2), (3, 3)])
-def test_anti_diagonal_order_is_valid_on_rectangles(shape):
-    g = build_lattice(*shape)
-    spec = random_spec(g.n, sum(shape))
-    poly = order_factors(build_polynomial(g, spec), "anti-diagonal")
-    qubits = [f.qubit for f in poly.factors]
-    assert sorted(qubits) == list(range(g.n))
-    # every center factor follows its four corners
-    m, n = shape
-    corners = (m + 1) * (n + 1)
-    seen = set()
-    for q in qubits:
-        if q >= corners:
-            i, j = divmod(q - corners, n)
-            need = {r * (n + 1) + c for r, c in
-                    ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))}
-            assert need <= seen
-        else:
-            seen.add(q)
-    assert abs(sweep_evaluate(poly).amplitude
-               - sweep_evaluate(build_polynomial(g, spec)).amplitude) < 1e-12
 
 
 def test_max_active_slots_examples():
@@ -215,13 +173,10 @@ def test_max_active_slots_examples():
 
 
 def _named_widths(poly):
-    widths = {}
-    for strategy in ("as-built", "row-major", "anti-diagonal"):
-        try:
-            widths[strategy] = max_active_slots(order_factors(poly, strategy))
-        except NotALattice:
-            pass
-    return widths
+    return {
+        strategy: max_active_slots(order_factors(poly, strategy))
+        for strategy in ("as-built", "row-major")
+    }
 
 
 FIXTURES = sorted(p.name for p in fixture_path("line_4.graph").parent.glob("*.graph"))

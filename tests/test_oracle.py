@@ -60,8 +60,9 @@ def test_cz_application_is_involution():
 
 
 def test_statevector_cap(monkeypatch):
+    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "6")
     with pytest.raises(TooLarge):
-        build_statevector(build_line(8), cap=6)
+        build_statevector(build_line(8))
     monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "22")
     assert statevector_cap() == 22
 
