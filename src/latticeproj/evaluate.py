@@ -19,6 +19,10 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
                          coefficients over one center column, carried
                          column-to-column by word matching.
 
+The frontier loop, _contract, is the one contraction core: mbqc.py runs
+patterns through it with every qubit owning its slot, bras as C/S weights
+and the input and output slots left open (never retired).
+
 The paper's literal word-dict contraction (a map from tensor word to
 coefficient, multiplied term by term) is kept as the test suite's reference,
 tests/helpers.py::word_sweep.
@@ -89,8 +93,9 @@ class FrontierPlan:
     factor's qubit, so the spec's C/S arrays expand onto the entries with
     one fancy index.  ``steps[pos]`` is (start, stop, shape, retired
     axes): the factor's entries, the broadcast shape they take, and the
-    numpy axes summed right after it.  The counters are those of
-    EvalReport, fixed by the layout; the peak frontier size is 2^width.
+    numpy axes summed right after it; ``open_axes`` are the final axes of
+    the open (never retired) slots.  The counters are those of EvalReport,
+    fixed by the layout; the peak frontier size is 2^width.
     """
 
     width: int
@@ -100,6 +105,7 @@ class FrontierPlan:
     steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
     add_count: int
     mul_count: int
+    open_axes: tuple[int, ...] = ()
 
 
 def _factor_layout(
@@ -118,14 +124,16 @@ def _factor_layout(
     return c, s, tuple(shape)
 
 
-def _build_plan(poly: FactorizedPolynomial) -> FrontierPlan:
+def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> FrontierPlan:
+    """The plan of poly's factor order, ``open_slots`` left unretired."""
     retire_at: list[list[int]] = [[] for _ in poly.factors]
     for slot, (_, last) in poly.activity.items():
         if poly.owner_position[slot] > last:
             raise RetirementBeforeOwner(
                 f"slot {slot} owner sits after the slot's last touch"
             )
-        retire_at[last].append(slot)
+        if slot not in open_slots:
+            retire_at[last].append(slot)
 
     I, U = Letter.I, Letter.U
     axis_of: dict[int, int] = {}
@@ -145,8 +153,8 @@ def _build_plan(poly: FactorizedPolynomial) -> FrontierPlan:
         for slot, c_letter, s_letter in touched:
             axis = axis_of.get(slot)
             if axis is None:
-                # a slot touched after its retirement opens again and is
-                # left open at the end
+                # a slot touched after its retirement gets an axis again
+                # and is left unretired at the end
                 if free:
                     axis = free.pop()
                 else:
@@ -179,8 +187,9 @@ def _build_plan(poly: FactorizedPolynomial) -> FrontierPlan:
         add += live - (live >> len(retire))
         steps.append((stop, stop + c.size, shape, tuple(retire)))
         stop += c.size
-    if axis_of:
-        raise NonScalarResidue(f"sweep left slots {sorted(axis_of)} unretired")
+    residue = set(axis_of).difference(open_slots)
+    if residue:
+        raise NonScalarResidue(f"sweep left slots {sorted(residue)} unretired")
 
     return FrontierPlan(
         width=width,
@@ -190,6 +199,7 @@ def _build_plan(poly: FactorizedPolynomial) -> FrontierPlan:
         steps=tuple(steps),
         add_count=add,
         mul_count=mul + 1,
+        open_axes=tuple(-1 - axis_of[slot] for slot in open_slots),
     )
 
 
@@ -198,13 +208,24 @@ def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
 
     bind_spec clones share the plan, as they share the activity intervals.
     The build checks the retirement invariants: a slot retires only after
-    its owner factor (else RetirementBeforeOwner), and no slot is open at
-    the end, as one touched after its retirement would be (else
-    NonScalarResidue).
+    its owner factor (else RetirementBeforeOwner), and no slot is left
+    unretired at the end, as one touched after its retirement would be
+    (else NonScalarResidue).
     """
     if poly.plan is None:
         poly.plan = _build_plan(poly)
     return poly.plan
+
+
+def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The unnormalized final frontier, c[q]/s[q] weighting q's words; 2 long on open axes."""
+    values = c[plan.qubit] * plan.c_diag + s[plan.qubit] * plan.s_diag
+    frontier = np.ones((1,) * plan.width, dtype=complex)
+    for start, stop, shape, retire in plan.steps:
+        frontier = frontier * values[start:stop].reshape(shape)
+        if retire:
+            frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
+    return frontier
 
 
 def sweep_evaluate(poly: FactorizedPolynomial) -> EvalReport:
@@ -217,13 +238,7 @@ def sweep_evaluate(poly: FactorizedPolynomial) -> EvalReport:
     D is 1, of Z 0) and left free for the next slot to open.
     """
     plan = frontier_plan(poly)
-    spec = poly.spec
-    values = spec.c[plan.qubit] * plan.c_diag + spec.s[plan.qubit] * plan.s_diag
-    frontier = np.ones((1,) * plan.width, dtype=complex)
-    for start, stop, shape, retire in plan.steps:
-        frontier = frontier * values[start:stop].reshape(shape)
-        if retire:
-            frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
+    frontier = _contract(plan, poly.spec.c, poly.spec.s)
     amplitude = (2.0 ** (-poly.norm_exponent / 2.0)) * frontier.item()
     return EvalReport(
         amplitude=complex(amplitude),

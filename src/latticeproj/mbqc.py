@@ -3,15 +3,18 @@
 A measurement pattern is a cluster graph plus a set of measured qubits, each
 projected on <theta|_R = <0| H exp(-i theta Z), plus designated input and
 output qubits.  Simulation is post-selected: the fixed-outcome branch is
-taken as-is, no feed-forward corrections.  It is a direct state simulation
-that measures as soon as possible: qubits enter in index order, each bra is
-applied right after the qubit's last CZ, and all input basis states ride
-along as one batch axis, so memory is 2^(inputs + live frontier), not 2^n
-(standardization in Danos, Kashefi & Panangaden, "The measurement
-calculus", J. ACM 2007).  Every compiled pattern carries
-its declared gate semantics as an explicit matrix (logical wires ordered as
-the pattern's inputs, first wire = most significant bit); equivalence checks
-are up to one nonzero scalar, since post-selection makes norms non-physical.
+taken as-is, no feed-forward corrections.  Such a pattern is a diagonal
+tensor network (Danos, Kashefi & Panangaden, "The measurement calculus",
+J. ACM 2007), so it runs on the sweep's contraction core: every qubit owns
+a slot, bras are C/S weights, and the input and output slots stay open
+(see _pattern_plan).  Memory is 2^(live frontier), not 2^n.
+
+Every compiled pattern carries its declared gate semantics as an explicit
+matrix (logical wires ordered as the pattern's inputs, first wire = most
+significant bit); equivalence checks are up to one nonzero scalar, since
+post-selection makes norms non-physical.  A w-wire semantics matrix holds
+as many entries as a 2w-qubit statevector, so compose refuses more than
+half the statevector cap of wires.
 
 Notes on the CPhase pattern (square with two diagonal tails, measurement
 angles +theta/4 and -theta/4): with the control qubit left untouched, any
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,13 +40,15 @@ from .errors import (
     CircuitParseError,
     QubitCollision,
     SizeMismatch,
+    TooLarge,
     ZeroBranch,
 )
-from .factorize import ProjectionSpec
-from .graph import ClusterGraph, adjacency, build_from_edges
+from .evaluate import FrontierPlan, _build_plan, _contract
+from .factorize import ProjectionSpec, build_polynomial
+from .graph import ClusterGraph, SlotAssignment, build_from_edges
+from .oracle import STATEVEC_CAP_ENV, statevector_cap
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
 def rz_matrix(theta: float) -> np.ndarray:
@@ -68,7 +74,7 @@ def cphase_matrix(theta: float) -> np.ndarray:
 
 
 def rotation_bra(theta: float) -> np.ndarray:
-    """<theta|_R = <0| H exp(-i theta Z), kept with its exact global phase."""
+    """<theta|_R = <0| H exp(-i theta Z) with its exact phase; rows of bras for an array."""
     return np.array([np.exp(-1j * theta), np.exp(1j * theta)], dtype=complex) / math.sqrt(2.0)
 
 
@@ -231,19 +237,13 @@ def compile_cphase_exact(theta: float) -> MeasurementPattern:
 # composition
 
 
-def _apply_to_axes(tensor: np.ndarray, mat: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Contract a 2^k x 2^k operator onto the given tensor axes, in place order."""
-    k = len(axes)
-    t = mat.reshape([2] * (2 * k))
-    out = np.tensordot(t, tensor, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, range(k), axes)
-
-
 def _embed_operator(mat: np.ndarray, positions: Sequence[int], width: int) -> np.ndarray:
     """Expand an operator on the given bit positions to the full 2^width space."""
-    full = np.eye(1 << width, dtype=complex).reshape([2] * (2 * width))
-    full = _apply_to_axes(full, mat, positions)
-    return full.reshape(1 << width, 1 << width)
+    rest = [p for p in range(width) if p not in positions]
+    full = np.kron(mat, np.eye(1 << len(rest))).reshape([2] * (2 * width))
+    # row and column bits run (positions, rest); put them back in wire order
+    back = list(np.argsort([*positions, *rest]))
+    return full.transpose(back + [width + a for a in back]).reshape(1 << width, 1 << width)
 
 
 def compose(
@@ -256,13 +256,22 @@ def compose(
     output) order.  A stage's input qubits are identified with the wires'
     current end qubits; its outputs become the new ends.  The composite's
     declared semantics is the ordered product of the stages' semantics, on
-    the sorted wire set (first wire = most significant bit).
+    the sorted wire set (first wire = most significant bit).  Raises
+    TooLarge, before anything is allocated, when twice the wire count
+    exceeds oracle.statevector_cap().
     """
     if len(patterns) != len(wiring):
         raise ArityMismatch("one wire tuple is needed per pattern")
     all_wires = sorted({w for ws in wiring for w in ws})
     if not all_wires:
         raise ArityMismatch("composition needs at least one wire")
+    cap = statevector_cap()
+    if 2 * len(all_wires) > cap:
+        raise TooLarge(
+            f"{len(all_wires)} wires need a dense semantics matrix as large as a "
+            f"{2 * len(all_wires)}-qubit statevector, above the cap of {cap} "
+            f"(set {STATEVEC_CAP_ENV} to raise it)"
+        )
     wire_pos = {w: i for i, w in enumerate(all_wires)}
 
     current: dict[int, int] = {}
@@ -325,66 +334,55 @@ def compose(
 # simulation
 
 
-def _action_core(pattern: MeasurementPattern) -> np.ndarray:
-    """The pattern's action on all 2^k input basis columns, in one pass.
+@lru_cache(maxsize=64)
+def _pattern_plan(graph: ClusterGraph, open_slots: tuple[int, ...]) -> FrontierPlan:
+    """Frontier plan of the pattern graph in which every qubit owns its slot.
 
-    Qubits enter in index order, which is compose's build order.  A
-    non-input qubit enters as |+> on its own tensor axis.  An input qubit
-    gets no axis: its value is read off the leading batch index, which runs
-    over the input basis states, so it stays diagonal in the batch.  Each CZ
-    flips signs once both of its ends are in, and a measured qubit's bra is
-    applied as soon as its last neighbour has entered - contracted away on
-    its axis, or scaled along the batch for an input (measure as soon as
-    possible).  The live array thus holds 2^(inputs + frontier) entries,
-    never 2^n.  Returns the (2^outputs, 2^inputs) matrix, outputs in the
-    pattern's declared order.
+    Each edge belongs to its lower end, so qubit q's factor
+    C_q*U_q + S_q*D_q (x) Z(lower neighbours) weights its basis value x_q by
+    (C_q, S_q) and applies each CZ sign (-1)^(x_p x_q); summing slot q
+    contracts qubit q.  ``open_slots`` are never retired; in index order
+    every other slot retires right after its last CZ (measure as soon as
+    possible).  Fixed by the graph alone, like the sweep's structure.
     """
-    k = len(pattern.inputs)
-    batch = np.arange(1 << k)
-    bit = {q: (batch >> (k - 1 - i)) & 1 for i, q in enumerate(pattern.inputs)}
-    nbrs = adjacency(pattern.graph)
-    retire_at: dict[int, list[int]] = {}
-    for q in sorted(pattern.measurements):
-        retire_at.setdefault(max((q, *nbrs[q])), []).append(q)
+    n = graph.n
+    owner = {e: e[0] for e in graph.edges}
+    assignment = SlotAssignment(frozenset(range(n)), {q: q for q in range(n)}, owner)
+    poly = build_polynomial(graph, ProjectionSpec.constant(n, 0.0, 0.0), assignment)
+    return _build_plan(poly, open_slots)
 
-    def batch_column(values: np.ndarray, ndim: int) -> np.ndarray:
-        """Per-batch values shaped to broadcast against an ndim array."""
-        return np.reshape(values, (-1,) + (1,) * (ndim - 1))
 
-    arr = np.ones(1 << k, dtype=complex)
-    axes: list[int] = []  # axes[i] is the qubit owning tensor axis 1 + i
-    for q in range(pattern.graph.n):
-        if q not in bit:
-            arr = arr[..., None] * PLUS
-            axes.append(q)
-        for p in nbrs[q]:
-            if p >= q:
-                break
-            # CZ(p, q): -1 where both ends are 1; input ends test the batch
-            idx: list = [slice(None)] * arr.ndim
-            both = 1
-            for end in (p, q):
-                if end in bit:
-                    both = both & bit[end]
-                else:
-                    idx[1 + axes.index(end)] = 1
-            view = arr[tuple(idx)]
-            view *= batch_column(1.0 - 2.0 * both, view.ndim)
-        for r in retire_at.get(q, ()):
-            bra = rotation_bra(pattern.measurements[r])
-            if r in bit:
-                arr = arr * batch_column(bra[bit[r]], arr.ndim)
-            else:
-                arr = np.tensordot(arr, bra, axes=([1 + axes.index(r)], [0]))
-                axes.remove(r)
+def _action_core(pattern: MeasurementPattern) -> np.ndarray:
+    """The pattern's (2^outputs, 2^inputs) action, outputs in declared order.
 
-    for q in pattern.outputs:
-        if q in bit:
-            onehot = np.eye(2)[bit[q]].reshape((-1,) + (1,) * (arr.ndim - 1) + (2,))
-            arr = arr[..., None] * onehot
-            axes.append(q)
-    arr = np.transpose(arr, [0] + [1 + axes.index(q) for q in pattern.outputs])
-    return arr.reshape(1 << k, -1).T
+    (C_q, S_q) is q's bra, or (1, 1) unmeasured, times the 1/sqrt(2) of |+>
+    unless q is an input.  The open slots index the matrix; an input that is
+    also an output is expanded one-hot, as the action is diagonal in it.
+    """
+    inputs, outputs = pattern.inputs, pattern.outputs
+    opened = inputs + tuple(q for q in outputs if q not in inputs)
+    plan = _pattern_plan(pattern.graph, opened)
+    n = pattern.graph.n
+    cs = np.ones((2, n), dtype=complex)
+    cs[:, list(pattern.measurements)] = rotation_bra(
+        np.fromiter(pattern.measurements.values(), float)
+    )
+    cs[:, [q for q in range(n) if q not in inputs]] *= 1.0 / math.sqrt(2.0)
+    frontier = _contract(plan, *cs)
+
+    k = len(opened)
+    arr = np.moveaxis(frontier, plan.open_axes, range(k)).reshape((2,) * k)
+    out_axes = []
+    for q in outputs:
+        axis = opened.index(q)
+        if q in inputs:
+            shape = [1] * arr.ndim + [2]
+            shape[axis] = 2
+            arr = arr[..., None] * np.eye(2).reshape(shape)
+            axis = arr.ndim - 1
+        out_axes.append(axis)
+    arr = np.transpose(arr, out_axes + list(range(len(inputs))))
+    return arr.reshape(1 << len(outputs), 1 << len(inputs))
 
 
 def simulate_pattern(
@@ -393,7 +391,7 @@ def simulate_pattern(
     """Post-selected run of the pattern on one input state.
 
     The pattern's action matrix comes from one measure-as-soon-as-possible
-    contraction batched over the input basis (see ``_action_core``); the
+    contraction with the input slots left open (see ``_action_core``); the
     input is then applied to it.  Returns the unnormalized residual vector
     on the outputs, in the pattern's declared output order.  Raises
     ZeroBranch when the post-selected branch vanishes identically.

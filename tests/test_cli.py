@@ -307,6 +307,22 @@ def test_compile_round_trips_through_project(capsys, tmp_path):
     assert abs(sweep_amp - complex(*map(float, out.split()))) < 1e-9
 
 
+def test_compile_wire_cap_exits_2(capsys, tmp_path, monkeypatch):
+    # a w-wire semantics matrix is as large as a 2w-qubit statevector
+    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "6")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("CZ 0 1\nCZ 2 3\n")
+    code, _, err = run_cli(capsys, "compile", "--circuit", str(wide), "--out", str(tmp_path / "w"))
+    assert code == 2
+    assert "4 wires" in err and "LATTICEPROJ_STATEVEC_CAP" in err
+    assert not (tmp_path / "w.graph").exists()
+    narrow = tmp_path / "narrow.txt"
+    narrow.write_text("CZ 0 1\nRZ 2 0.5\n")
+    code, _, _ = run_cli(capsys, "compile", "--circuit", str(narrow), "--out", str(tmp_path / "n"))
+    assert code == 0
+    assert (tmp_path / "n.graph").exists()
+
+
 def test_compile_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("RZ 0 0.5\nWOBBLE 1\n")

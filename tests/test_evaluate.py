@@ -22,6 +22,8 @@ from latticeproj.errors import (
     TooSmall,
 )
 from latticeproj.evaluate import (
+    _build_plan,
+    _contract,
     column_evaluate,
     cross_chain_recursion,
     lattice_width_profile,
@@ -166,6 +168,22 @@ def test_frontier_matches_word_sweep(g):
         report = sweep_evaluate(poly)
         assert abs(report.amplitude - ref) <= 1e-12 * abs(ref), ordering
         assert report.max_live_terms == 2 ** width, ordering
+
+
+@pytest.mark.parametrize("g", [g for _, g in FRONTIER_GRAPHS],
+                         ids=[name for name, _ in FRONTIER_GRAPHS])
+def test_open_slots_sum_to_the_sweep(g):
+    spec = random_spec(g.n, 71)
+    poly = sweep_polynomial(g, spec)
+    ref = sweep_evaluate(poly).amplitude
+    last = poly.slot_count - 1
+    for open_slots in [(last,)] + [(0, last)] * (last > 0):
+        plan = _build_plan(poly, open_slots)
+        frontier = _contract(plan, spec.c, spec.s)
+        assert sorted(frontier.shape[a] for a in plan.open_axes) == [2] * len(open_slots)
+        assert frontier.size == 2 ** len(open_slots)
+        amp = 2.0 ** (-g.n / 2.0) * frontier.sum()
+        assert abs(amp - ref) <= 1e-12 * abs(ref), open_slots
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticeproj.errors import (
     ArityMismatch,
@@ -13,6 +14,7 @@ from latticeproj.errors import (
 from latticeproj.graph import build_from_edges
 from latticeproj.engines import compute_amplitude
 from latticeproj.mbqc import (
+    _pattern_plan,
     CNOT_MATRIX,
     CZ_MATRIX,
     Gate,
@@ -296,6 +298,22 @@ REFERENCE_PATTERNS = {
         [compile_cphase(0.7), compile_z_rotation(0.4)], [(0, 1), (1,)]
     ),
     **{f"chain-seed{seed}": _random_chain(seed) for seed in range(8)},
+    # no open input slot: a 3-qubit line with only qubit 0 measured
+    "no-inputs": MeasurementPattern(
+        graph=build_from_edges(3, [(0, 1), (1, 2)]),
+        inputs=(),
+        outputs=(1, 2),
+        measurements={0: 0.6},
+        semantics=np.zeros((4, 1), dtype=complex),
+    ),
+    # no open output slot: input 0 and every other qubit measured
+    "no-outputs": MeasurementPattern(
+        graph=build_from_edges(3, [(0, 1), (1, 2)]),
+        inputs=(0,),
+        outputs=(),
+        measurements={0: 0.2, 1: 1.4, 2: 2.9},
+        semantics=np.zeros((1, 2), dtype=complex),
+    ),
 }
 
 
@@ -316,6 +334,43 @@ def _cphase_chain(wires, seed):
         for w, t in enumerate(rng.uniform(0, 2 * np.pi, wires - 1))
     )
     return compile_circuit(parse_circuit(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_action_matrix_matches_dense_reference_on_random_patterns(data):
+    n = data.draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]).map(lambda e: tuple(sorted(e)))
+    edges = data.draw(st.sets(pairs, max_size=2 * n))
+    qubits = st.lists(st.integers(0, n - 1), unique=True)
+    inputs, outputs = tuple(data.draw(qubits)), tuple(data.draw(qubits))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    measured = [q for q in range(n) if q not in outputs]
+    pattern = MeasurementPattern(
+        graph=build_from_edges(n, sorted(edges)),
+        inputs=inputs,
+        outputs=outputs,
+        measurements=dict(zip(measured, rng.uniform(0, 2 * np.pi, len(measured)))),
+        semantics=np.zeros((1 << len(outputs), 1 << len(inputs)), dtype=complex),
+    )
+    reference = dense_pattern_action(pattern)
+    try:
+        action = pattern_action_matrix(pattern)
+    except ZeroBranch:
+        assert np.linalg.norm(reference, axis=0).min() <= 1e-12
+        return
+    assert action.shape == reference.shape
+    assert np.linalg.norm(action - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("wires,width", [(5, 11), (8, 17)])
+def test_cphase_chain_peak_frontier(wires, width):
+    # the peak live array of the measure-as-soon-as-possible schedule:
+    # 2^11 entries on the 21-qubit chain, 2^17 on the 36-qubit one
+    pattern = _cphase_chain(wires, seed=8)
+    opened = pattern.inputs + tuple(q for q in pattern.outputs if q not in pattern.inputs)
+    assert _pattern_plan(pattern.graph, opened).width == width
 
 
 def test_eight_wire_cphase_chain_beyond_the_dense_limit():
