@@ -1,12 +1,10 @@
 """Two independent brute-force references for the projection amplitude.
 
-Conventions frozen here and documented loudly:
-
-  * Basis index bit order: qubit 0 is the most significant bit of the
-    2^n-dimensional statevector index.
-  * The projection bra applies C_p and S_p as written, without complex
-    conjugation.  That matches the C/S parameterization of the projector;
-    it is NOT the Hermitian inner product.
+Conventions frozen here: qubit 0 is the most significant bit of the 2^n
+statevector index; the statevector is a real float64 sign vector, ±2^(-n/2)
+per entry, built from the edge list alone; the projection bra applies C_p and
+S_p as written, without complex conjugation (the C/S parameterization, NOT
+the Hermitian inner product).
 """
 
 from __future__ import annotations
@@ -28,9 +26,7 @@ DIRECT_SUM_CONTROL_CAP = 24
 
 def statevector_cap() -> int:
     """Maximum qubit count for dense statevectors (env override allowed)."""
-    raw = os.environ.get(STATEVEC_CAP_ENV)
-    if raw is None:
-        return DEFAULT_STATEVEC_CAP
+    raw = os.environ.get(STATEVEC_CAP_ENV, str(DEFAULT_STATEVEC_CAP))
     try:
         return int(raw)
     except ValueError:
@@ -39,31 +35,39 @@ def statevector_cap() -> int:
 
 @dataclass
 class StateVector:
-    """Dense amplitudes of length 2^n, qubit 0 = most significant bit."""
+    """Real amplitudes, float64, length 2^n; qubit 0 = most significant bit."""
 
     amplitudes: np.ndarray
 
     @property
     def n(self) -> int:
-        return int(self.amplitudes.shape[0]).bit_length() - 1
+        size = self.amplitudes.shape[0]
+        if size < 1 or size & (size - 1):
+            raise SizeMismatch(f"{size} amplitudes is not a power of two")
+        return size.bit_length() - 1
 
 
 def build_statevector(g: ClusterGraph) -> StateVector:
-    """|+>^n with every edge applied as a CZ (negate both-bits-one amplitudes)."""
-    cap = statevector_cap()
-    if g.n > cap:
+    """|+>^n with a CZ on every edge, as ±2^(-n/2) signs built by doubling.
+
+    amps[:2^k] holds the last k qubits (every earlier qubit 0).  Placing the
+    qubit q before them copies that block to amps[2^k:2^(k+1)] and negates, in
+    the copy, the sub-blocks where a later neighbour of q (shifts[q]) is 1.
+    """
+    if g.n > (cap := statevector_cap()):
         raise TooLarge(
             f"statevector for {g.n} qubits exceeds the cap of {cap} "
             f"(set {STATEVEC_CAP_ENV} to raise it)"
         )
-    n = g.n
-    amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
-    idx = np.arange(1 << n)
-    for a, b in g.sorted_edges():
-        both = ((idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1).astype(bool)
-        amps[both] = -amps[both]
-    norm = float(np.vdot(amps, amps).real)
-    assert abs(norm - 1.0) <= 1e-12, "cluster statevector lost normalization"
+    shifts = [[g.n - 1 - b for b in nbrs if b > q] for q, nbrs in adjacency(g).items()]
+    amps = np.empty(1 << g.n)
+    amps[0] = 2.0 ** (-g.n / 2.0)
+    for k, later in enumerate(reversed(shifts)):
+        amps[1 << k : 2 << k] = amps[: 1 << k]
+        for shift in later:
+            flip = amps[1 << k : 2 << k].reshape(-1, 2, 1 << shift)[:, 1]
+            np.negative(flip, flip)
+    assert abs(np.vdot(amps, amps) - 1.0) <= 1e-12, "cluster statevector lost normalization"
     return StateVector(amps)
 
 
@@ -73,9 +77,9 @@ def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
     if spec.n != n:
         raise SizeMismatch(f"spec has {spec.n} qubits, state has {n}")
     v = sv.amplitudes
-    for p in range(n):
+    for c, s in zip(spec.c.tolist(), spec.s.tolist()):
         half = v.shape[0] // 2
-        v = spec.c[p] * v[:half] + spec.s[p] * v[half:]
+        v = c * v[:half] + s * v[half:]
     return complex(v[0])
 
 
@@ -90,7 +94,6 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
     controls = sorted(b.controls)
-    targets = sorted(b.targets)
     if b.controls | b.targets != frozenset(range(g.n)) or b.controls & b.targets:
         raise NotBipartite("control and target sets must partition the qubits")
     adj = adjacency(g)
@@ -105,11 +108,8 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     j = np.arange(1 << k)
     coef = np.ones(j.shape, dtype=complex)
     for i, s in enumerate(controls):
-        bit = (j >> i) & 1
-        coef = coef * np.where(bit, spec.s[s], spec.c[s])
-    for q in targets:
-        parity = np.zeros(j.shape, dtype=np.int64)
-        for nbr in adj[q]:
-            parity ^= (j >> bit_of[nbr]) & 1
+        coef = coef * np.where((j >> i) & 1, spec.s[s], spec.c[s])
+    for q in sorted(b.targets):
+        parity = sum(((j >> bit_of[nbr]) & 1 for nbr in adj[q]), 0) & 1
         coef = coef * np.where(parity, spec.c[q] - spec.s[q], spec.c[q] + spec.s[q])
     return complex((2.0 ** (-g.n / 2.0)) * coef.sum())

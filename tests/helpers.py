@@ -6,6 +6,8 @@ explicit Kronecker products, so agreement checks are against a second route,
 not a mirror.  The word-dict sweep (TermSum, word_sweep) is the paper's
 literal term-by-term contraction on the package's letter algebra; it is the
 reference for the package's dense frontier, which shares none of its code.
+The per-edge mask statevector (edge_mask_statevector) is the reference for
+the package's doubling build of the same vector.
 """
 
 import numpy as np
@@ -54,6 +56,21 @@ def brute_amplitude(g, spec):
         phase = sum(bits[a] & bits[b] for a, b in edges) & 1
         total += -coef if phase else coef
     return total * 2.0 ** (-n / 2.0)
+
+
+def edge_mask_statevector(g):
+    """|+>^n with every edge applied as a CZ, one bit-mask pass per edge.
+
+    Complex, length 2^n, qubit 0 = most significant bit: each edge negates
+    the amplitudes whose two bits are both one.
+    """
+    n = g.n
+    amps = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
+    idx = np.arange(1 << n)
+    for a, b in g.sorted_edges():
+        both = ((idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1).astype(bool)
+        amps[both] = -amps[both]
+    return amps
 
 
 def branches(poly, factor):

@@ -1,7 +1,13 @@
 """The two brute-force references, against each other and against by-hand values."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import latticeproj.oracle
 
 from latticeproj.errors import (
     NotBipartite,
@@ -12,20 +18,43 @@ from latticeproj.errors import (
 from latticeproj.factorize import ProjectionSpec
 from latticeproj.graph import (
     Bipartition,
+    ClusterGraph,
     bipartition,
     build_cross_chain,
     build_from_edges,
     build_lattice,
     build_line,
+    fixture_path,
+    load_graph,
 )
 from latticeproj.oracle import (
+    StateVector,
     build_statevector,
     direct_sum,
     project_statevector,
     statevector_cap,
 )
 
-from helpers import brute_amplitude, random_spec
+from helpers import brute_amplitude, edge_mask_statevector, random_spec
+
+FIXTURES = sorted(p.name for p in fixture_path("line_4.graph").parent.glob("*.graph"))
+# every line, cross and lattice builder shape of at most 16 qubits
+BUILDER_SHAPES = (
+    [build_line(n) for n in range(1, 17)]
+    + [build_cross_chain(k) for k in range(1, 5)]
+    + [build_lattice(m, n) for m, n in ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1))]
+)
+
+
+def assert_matches_edge_masks(g):
+    """The doubling build is bitwise the real part of the per-edge mask build."""
+    amps = build_statevector(g).amplitudes
+    reference = edge_mask_statevector(g)
+    assert amps.dtype == np.float64
+    assert amps.nbytes == 8 << g.n
+    assert not reference.imag.any()
+    assert amps.tobytes() == np.ascontiguousarray(reference.real).tobytes()
+    assert (np.abs(amps) == 2.0 ** (-g.n / 2.0)).all()
 
 
 def test_bell_statevector():
@@ -57,6 +86,70 @@ def test_cz_application_is_involution():
     twice[both] = -twice[both]
     twice[both] = -twice[both]
     np.testing.assert_array_equal(twice, sv.amplitudes)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_statevector_matches_edge_masks_on_fixtures(name):
+    assert_matches_edge_masks(load_graph(fixture_path(name)))
+
+
+@pytest.mark.parametrize("g", BUILDER_SHAPES, ids=repr)
+def test_statevector_matches_edge_masks_on_builder_shapes(g):
+    assert_matches_edge_masks(g)
+
+
+@pytest.mark.parametrize("g", [
+    build_line(1),
+    build_from_edges(5, []),
+    build_from_edges(6, [(1, 4)]),
+    build_from_edges(3, [(0, 1), (1, 2), (0, 2)]),
+    build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    ClusterGraph(4, frozenset({(3, 0), (2, 1), (1, 0)})),
+], ids=["n=1", "no edges", "isolated qubits", "triangle", "5-cycle", "reversed edges"])
+def test_statevector_matches_edge_masks_on_edge_cases(g):
+    assert_matches_edge_masks(g)
+
+
+@st.composite
+def oriented_graph(draw, max_qubits=10):
+    """A random graph whose edges are stored in either orientation."""
+    n = draw(st.integers(min_value=1, max_value=max_qubits))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] < e[1]
+    )
+    edges = draw(st.sets(pairs, max_size=2 * n))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return ClusterGraph(
+        n, frozenset((b, a) if flip else (a, b) for (a, b), flip in zip(sorted(edges), flips))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=oriented_graph())
+def test_statevector_matches_edge_masks_on_random_graphs(g):
+    assert_matches_edge_masks(g)
+
+
+def test_non_power_of_two_vector_is_refused():
+    sv = StateVector(np.ones(6) / np.sqrt(6))
+    with pytest.raises(SizeMismatch):
+        project_statevector(sv, ProjectionSpec.constant(2, 0.3, 0.1))
+    with pytest.raises(SizeMismatch):
+        StateVector(np.ones(0)).n
+
+
+def test_oracle_does_not_import_the_factorized_route():
+    # the dense and direct-sum oracles must stay a second, independent route
+    tree = ast.parse(Path(latticeproj.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"evaluate", "algebra", "engines", "mbqc"}
 
 
 def test_statevector_cap(monkeypatch):
