@@ -41,8 +41,7 @@ class StateVector:
 
     @property
     def n(self) -> int:
-        size = self.amplitudes.shape[0]
-        if size < 1 or size & (size - 1):
+        if (size := self.amplitudes.shape[0]) < 1 or size & (size - 1):
             raise SizeMismatch(f"{size} amplitudes is not a power of two")
         return size.bit_length() - 1
 
@@ -73,13 +72,14 @@ def build_statevector(g: ClusterGraph) -> StateVector:
 
 def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
     """Inner product with the product bra; coefficients applied unconjugated."""
-    n = sv.n
-    if spec.n != n:
-        raise SizeMismatch(f"spec has {spec.n} qubits, state has {n}")
-    v = sv.amplitudes
+    if spec.n != sv.n:
+        raise SizeMismatch(f"spec has {spec.n} qubits, state has {sv.n}")
+    v = sv.amplitudes.astype(complex)  # the fold's own buffer, halved in place
     for c, s in zip(spec.c.tolist(), spec.s.tolist()):
-        half = v.shape[0] // 2
-        v = c * v[:half] + s * v[half:]
+        lower, upper = v.reshape(2, -1)
+        lower *= c
+        upper *= s
+        v = np.add(lower, upper, out=lower)
     return complex(v[0])
 
 
