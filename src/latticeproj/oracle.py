@@ -74,7 +74,7 @@ def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
     """Inner product with the product bra; coefficients applied unconjugated."""
     if spec.n != sv.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, state has {sv.n}")
-    v = sv.amplitudes.astype(complex)  # the fold's own buffer, halved in place
+    v = sv.amplitudes.astype(complex)  # halved in place: no fresh buffer per qubit
     for c, s in zip(spec.c.tolist(), spec.s.tolist()):
         lower, upper = v.reshape(2, -1)
         lower *= c
