@@ -1,16 +1,23 @@
 """Two independent brute-force references for the projection amplitude.
 
-Conventions frozen here: qubit 0 is the most significant bit of the 2^n
-statevector index; the statevector is a real float64 sign vector, ±2^(-n/2)
-per entry, built from the edge list alone; the projection bra applies C_p and
-S_p as written, without complex conjugation (the C/S parameterization, NOT
-the Hermitian inner product).
+Conventions frozen here and documented loudly:
+
+  * Basis index bit order: qubit 0 is the most significant bit of the
+    2^n-dimensional statevector index.
+  * The statevector is real: float64 signs times 2^(-n/2), built from the
+    edge list alone by doubling over the qubits.
+  * The projection bra applies C_p and S_p as written, without complex
+    conjugation.  That matches the C/S parameterization of the projector;
+    it is NOT the Hermitian inner product.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
+from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -26,7 +33,9 @@ DIRECT_SUM_CONTROL_CAP = 24
 
 def statevector_cap() -> int:
     """Maximum qubit count for dense statevectors (env override allowed)."""
-    raw = os.environ.get(STATEVEC_CAP_ENV, str(DEFAULT_STATEVEC_CAP))
+    raw = os.environ.get(STATEVEC_CAP_ENV)
+    if raw is None:
+        return DEFAULT_STATEVEC_CAP
     try:
         return int(raw)
     except ValueError:
@@ -35,52 +44,71 @@ def statevector_cap() -> int:
 
 @dataclass
 class StateVector:
-    """Real amplitudes, float64, length 2^n; qubit 0 = most significant bit."""
+    """Amplitudes of length 2^n (a power of two), qubit 0 = most significant bit."""
 
     amplitudes: np.ndarray
 
     @property
     def n(self) -> int:
-        if (size := self.amplitudes.shape[0]) < 1 or size & (size - 1):
+        size = self.amplitudes.shape[0]
+        if size < 1 or size & (size - 1):
             raise SizeMismatch(f"{size} amplitudes is not a power of two")
         return size.bit_length() - 1
 
 
 def build_statevector(g: ClusterGraph) -> StateVector:
-    """|+>^n with a CZ on every edge, as ±2^(-n/2) signs built by doubling.
+    """|+>^n with a CZ on every edge, as float64 ±2^(-n/2) built by doubling.
 
-    amps[:2^k] holds the last k qubits (every earlier qubit 0).  Placing the
-    qubit q before them copies that block to amps[2^k:2^(k+1)] and negates, in
-    the copy, the sub-blocks where a later neighbour of q (shifts[q]) is 1.
+    Bit x of the Python int ``parity`` is set where amplitude x is negative.
+    After k steps it holds the last k qubits; placing the qubit before them
+    appends a copy of those 2^k bits, flipped where a later neighbour is 1.
     """
     if g.n > (cap := statevector_cap()):
         raise TooLarge(
             f"statevector for {g.n} qubits exceeds the cap of {cap} "
             f"(set {STATEVEC_CAP_ENV} to raise it)"
         )
-    shifts = [[g.n - 1 - b for b in nbrs if b > q] for q, nbrs in adjacency(g).items()]
-    amps = np.empty(1 << g.n)
-    amps[0] = 2.0 ** (-g.n / 2.0)
-    for k, later in enumerate(reversed(shifts)):
-        amps[1 << k : 2 << k] = amps[: 1 << k]
-        for shift in later:
-            flip = amps[1 << k : 2 << k].reshape(-1, 2, 1 << shift)[:, 1]
-            np.negative(flip, flip)
-    assert abs(np.vdot(amps, amps) - 1.0) <= 1e-12, "cluster statevector lost normalization"
+    n = g.n
+    later: list[list[int]] = [[] for _ in range(n)]  # index bits of later neighbours
+    for a, b in g.edges:
+        if a > b:
+            a, b = b, a
+        later[a].append(n - 1 - b)
+    parity, size = 0, 1
+    for shifts in reversed(later):
+        flips = 0
+        for s in shifts:
+            # the x < size with bit s set: runs of 2^s clear, then 2^s set bits
+            run = 1 << s
+            pattern = ((1 << run) - 1) << run
+            while (run := run << 1) < size:
+                pattern |= pattern << run
+            flips ^= pattern
+        parity |= (parity ^ flips) << size
+        size <<= 1
+    packed = np.frombuffer(parity.to_bytes(max(1, size >> 3), "little"), np.uint8)
+    a = 2.0 ** (-n / 2.0)
+    amps = np.unpackbits(packed, count=size, bitorder="little") * (-2.0 * a)
+    amps += a  # exactly a or -a
+    norm = float(np.vdot(amps, amps).real)
+    assert abs(norm - 1.0) <= 1e-12, "cluster statevector lost normalization"
     return StateVector(amps)
 
 
 def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
-    """Inner product with the product bra; coefficients applied unconjugated."""
-    if spec.n != sv.n:
-        raise SizeMismatch(f"spec has {spec.n} qubits, state has {sv.n}")
-    v = sv.amplitudes.astype(complex)  # halved in place: no fresh buffer per qubit
-    for c, s in zip(spec.c.tolist(), spec.s.tolist()):
-        lower, upper = v.reshape(2, -1)
-        lower *= c
-        upper *= s
-        v = np.add(lower, upper, out=lower)
-    return complex(v[0])
+    """Inner product with the product bra; coefficients applied unconjugated.
+
+    The amplitudes, as a 2^h x 2^(n-h) matrix, meet the Kronecker bra of the
+    last n - h qubits in one einsum (no BLAS), then that of the first h.
+    """
+    n = sv.n
+    if spec.n != n:
+        raise SizeMismatch(f"spec has {spec.n} qubits, state has {n}")
+    bra = list(zip(spec.c.tolist(), spec.s.tolist()))
+    h = n // 2
+    low = np.fromiter(map(prod, product(*bra[h:])), complex, 1 << (n - h))
+    rows = np.einsum("ij,j->i", sv.amplitudes.reshape(1 << h, -1), low).tolist()
+    return complex(sum(map(mul, map(prod, product(*bra[:h])), rows)))
 
 
 def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex:
@@ -94,6 +122,7 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
     controls = sorted(b.controls)
+    targets = sorted(b.targets)
     if b.controls | b.targets != frozenset(range(g.n)) or b.controls & b.targets:
         raise NotBipartite("control and target sets must partition the qubits")
     adj = adjacency(g)
@@ -108,8 +137,11 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     j = np.arange(1 << k)
     coef = np.ones(j.shape, dtype=complex)
     for i, s in enumerate(controls):
-        coef = coef * np.where((j >> i) & 1, spec.s[s], spec.c[s])
-    for q in sorted(b.targets):
-        parity = sum(((j >> bit_of[nbr]) & 1 for nbr in adj[q]), 0) & 1
+        bit = (j >> i) & 1
+        coef = coef * np.where(bit, spec.s[s], spec.c[s])
+    for q in targets:
+        parity = np.zeros(j.shape, dtype=np.int64)
+        for nbr in adj[q]:
+            parity ^= (j >> bit_of[nbr]) & 1
         coef = coef * np.where(parity, spec.c[q] - spec.s[q], spec.c[q] + spec.s[q])
     return complex((2.0 ** (-g.n / 2.0)) * coef.sum())

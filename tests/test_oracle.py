@@ -183,6 +183,19 @@ def test_projection_is_not_conjugated():
     assert got == pytest.approx(brute_amplitude(g, spec))
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_projection_is_the_kronecker_bra_product(n):
+    # an arbitrary complex vector, so that a wrong split or bit order shows
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    spec = random_spec(n, n)
+    bra = np.ones(1)
+    for c, s in zip(spec.c, spec.s):
+        bra = np.kron(bra, [c, s])
+    got = project_statevector(StateVector(amps), spec)
+    assert got == pytest.approx(complex(bra @ amps), rel=1e-12, abs=1e-12)
+
+
 def test_projection_size_mismatch():
     with pytest.raises(SizeMismatch):
         project_statevector(build_statevector(build_line(3)), ProjectionSpec.constant(2, 0, 0))
