@@ -87,9 +87,9 @@ def build_statevector(g: ClusterGraph) -> StateVector:
         parity |= (parity ^ flips) << size
         size <<= 1
     packed = np.frombuffer(parity.to_bytes(max(1, size >> 3), "little"), np.uint8)
-    a = 2.0 ** (-n / 2.0)
-    amps = np.unpackbits(packed, count=size, bitorder="little") * (-2.0 * a)
-    amps += a  # exactly a or -a
+    amp = 2.0 ** (-n / 2.0)
+    amps = np.unpackbits(packed, count=size, bitorder="little") * (-2.0 * amp)
+    amps += amp  # exactly amp or -amp
     norm = float(np.vdot(amps, amps).real)
     assert abs(norm - 1.0) <= 1e-12, "cluster statevector lost normalization"
     return StateVector(amps)
