@@ -228,68 +228,65 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bench
 
 
-def bench_point(
-    name: str,
-    g: ClusterGraph,
+def bench_points(
+    points: Sequence[tuple[str, ClusterGraph]],
     engines: Sequence[str],
     trials: int,
     seed: int,
 ) -> list[dict]:
-    """Time each engine over the same per-trial random projections.
+    """Time each engine on each graph over the same per-trial random projections.
 
-    Timing runs are sequential on purpose; medians keep stray scheduling
-    noise out of the comparisons.
+    Runs are interleaved: trial t runs every (graph, engine) pair on the
+    graph's projection t, starting from pair t mod the pair count, so a
+    change in host speed during the suite falls on every graph and engine
+    alike instead of on one pair's block of trials.  Timing runs are
+    sequential on purpose; medians keep stray scheduling noise out of the
+    comparisons.  One row per pair, graphs in the given order, then engines.
     """
-    specs = [
-        ProjectionSpec.random(g.n, np.random.default_rng(seed + t)) for t in range(trials)
-    ]
-    rows = []
-    for engine in engines:
-        times = []
-        muls: list[int] = []
-        adds: list[int] = []
-        livs: list[int] = []
-        for spec in specs:
+    runs = [(name, g, engine) for name, g in points for engine in engines]
+    specs = {
+        name: [ProjectionSpec.random(g.n, np.random.default_rng(seed + t)) for t in range(trials)]
+        for name, g in points
+    }
+    times: list[list[float]] = [[] for _ in runs]
+    reports: list[list] = [[] for _ in runs]
+    for t in range(trials):
+        for k in range(len(runs)):
+            i = (t + k) % len(runs)
+            name, g, engine = runs[i]
             start = time.perf_counter()
-            report = compute_amplitude(g, spec, engine)
-            times.append(time.perf_counter() - start)
-            muls.append(report.mul_count)
-            adds.append(report.add_count)
-            livs.append(report.max_live_terms)
-        rows.append(
-            {
-                "graph": name,
-                "qubits": g.n,
-                "engine": engine,
-                "trials": trials,
-                "median_s": repr(statistics.median(times)),
-                "mean_s": repr(statistics.fmean(times)),
-                "stddev_s": repr(statistics.pstdev(times)),
-                "mul_count": int(statistics.median(muls)),
-                "add_count": int(statistics.median(adds)),
-                "max_live_terms": int(statistics.median(livs)),
-            }
-        )
-    return rows
+            report = compute_amplitude(g, specs[name][t], engine)
+            times[i].append(time.perf_counter() - start)
+            reports[i].append(report)
+    return [
+        {
+            "graph": name,
+            "qubits": g.n,
+            "engine": engine,
+            "trials": trials,
+            "median_s": repr(statistics.median(times[i])),
+            "mean_s": repr(statistics.fmean(times[i])),
+            "stddev_s": repr(statistics.pstdev(times[i])),
+            "mul_count": int(statistics.median(r.mul_count for r in reports[i])),
+            "add_count": int(statistics.median(r.add_count for r in reports[i])),
+            "max_live_terms": int(statistics.median(r.max_live_terms for r in reports[i])),
+        }
+        for i, (name, g, engine) in enumerate(runs)
+    ]
 
 
 def bench_fig10(trials: int = 25, seed: int = 0) -> list[dict]:
     """Scaling study on the 4/7/12-qubit fixtures, three engines per point."""
-    rows = []
-    for fixture in ("fig10_a4.graph", "fig10_b7.graph", "fig10_c12.graph"):
-        g = load_graph(fixture_path(fixture))
-        rows.extend(
-            bench_point(fixture, g, ("statevector", "sweep", "line-recursion"), trials, seed)
-        )
-    return rows
+    points = [
+        (fixture, load_graph(fixture_path(fixture)))
+        for fixture in ("fig10_a4.graph", "fig10_b7.graph", "fig10_c12.graph")
+    ]
+    return bench_points(points, ("statevector", "sweep", "line-recursion"), trials, seed)
 
 
 def bench_line_scaling(trials: int = 25, seed: int = 0) -> list[dict]:
-    rows = []
-    for n in (64, 128, 256):
-        g = build_line(n)
-        rows.extend(bench_point(f"line:{n}", g, ("line-recursion", "sweep"), trials, seed))
-    return rows
+    points = [(f"line:{n}", build_line(n)) for n in (64, 128, 256)]
+    return bench_points(points, ("line-recursion", "sweep"), trials, seed)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

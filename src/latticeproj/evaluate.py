@@ -17,7 +17,8 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
                          along the chain of crosses.
   * column_evaluate      lattices of crosses: a boundary vector of {I,Z}-word
                          coefficients over one center column, carried
-                         column-to-column by word matching.
+                         column to column by one diagonal per corner column
+                         and a 2x2 map per center.
 
 The frontier loop, _contract, is the one contraction core: mbqc.py runs
 patterns through it with every qubit owning its slot, bras as C/S weights
@@ -28,13 +29,15 @@ coefficient, multiplied term by term) is kept as the test suite's reference,
 tests/helpers.py::word_sweep.
 
 Every route is pure apart from the sweep storing its plan on the polynomial
-on first use (the same plan whichever call builds it); distinct evaluations
-can run in parallel freely.
+on first use and the column evaluator caching its per-shape index layout
+(each the same whichever call builds it); distinct evaluations can run in
+parallel freely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -68,9 +71,12 @@ class EvalReport:
     yields, and every retirement one add per entry it folds away (the
     factor's own c*diag + s*diag entries are not counted); for the
     recursions and the column evaluator they are the recursion steps and
-    boundary updates.  max_live_terms is the peak size of the live
-    coefficient container: frontier entries for the sweep (2^max_active_slots),
-    2 scalars for the recursions, the boundary vector length for the column
+    boundary updates.  On an m x n lattice, with d = 2^m, the column
+    evaluator's come to mul_count = (2m+1) n d + 1 and
+    add_count = m n d + d - 1 (the corner diagonals' own entries are not
+    counted).  max_live_terms is the peak size of the live coefficient
+    container: frontier entries for the sweep (2^max_active_slots), 2
+    scalars for the recursions, the boundary vector length d for the column
     evaluator.
     """
 
@@ -355,24 +361,34 @@ def cross_chain_recursion(spec: ProjectionSpec) -> EvalReport:
 # column/block evaluator for lattices of crosses
 
 
-def _corner_column_expansion(
-    m: int, n: int, c_col: int, spec: ProjectionSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and matched center-column words for one corner column.
+@lru_cache(maxsize=16)
+def _column_layout(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Qubit indices and the word permutation of the m x n lattice.
 
-    Returns (weights, words): entry y runs over the 2^(m+1) branch choices
-    of the column's corners; words[y] has bit i set iff corners i and i+1
-    disagree, which is exactly where the pair of Zs lands on the adjacent
-    center columns.
+    Returns (corners, centers, gray): corners[c, r] is corner (r, c),
+    centers[j, i] is center (i, j), and gray[w] is the corner assignment
+    y < 2^m whose word y ^ (y >> 1) is w.  Read-only, as every caller of
+    the shape shares them.
     """
-    y = np.arange(1 << (m + 1))
-    weights = np.ones(y.shape, dtype=complex)
-    for r in range(m + 1):
-        qubit = lattice_corner(m, n, r, c_col)
-        bit = (y >> r) & 1
-        weights = weights * np.where(bit, spec.s[qubit], spec.c[qubit])
-    words = (y ^ (y >> 1)) & ((1 << m) - 1)
-    return weights, words
+    corners = np.array(
+        [[lattice_corner(m, n, r, c) for r in range(m + 1)] for c in range(n + 1)]
+    )
+    centers = np.array([[lattice_center(m, n, i, j) for i in range(m)] for j in range(n)])
+    y = np.arange(1 << m)
+    gray = np.empty_like(y)
+    gray[y ^ (y >> 1)] = y
+    for arr in (corners, centers, gray):
+        arr.setflags(write=False)
+    return corners, centers, gray
+
+
+def _corner_diagonal(column: np.ndarray, gray: np.ndarray) -> np.ndarray:
+    """One corner column's diagonal over the words; column[r] is corner r's (C, S)."""
+    chain = column[0]
+    for pair in column[1:-1]:
+        chain = np.multiply.outer(pair, chain).ravel()
+    top_c, top_s = column[-1].tolist()
+    return (top_c * chain + top_s * chain[::-1])[gray]
 
 
 # Most center slots per column that column_evaluate takes (2^cap boundary).
@@ -382,14 +398,35 @@ COLUMN_ROW_CAP = 16
 def column_evaluate(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     """Evaluate an m x n lattice of crosses column by column.
 
-    The boundary holds 2^m coefficients over {I,Z}-words on the current
+    The boundary holds d = 2^m coefficients over {I,Z}-words on the current
     center column's slots; bit i of a word index is the Z/I letter at the
-    column's i-th center, top to bottom.  A corner column's expansion places
-    the same Z pattern on both neighboring center columns, so retiring the
-    left column and seeding the right one is a word-matched elementwise
-    product; center factors act as the per-slot 2x2 map induced by
-    U = (I+Z)/2, D = (I-Z)/2.  The lattice shape is read from
-    graph.graph_family, so it is detected once per graph.
+    column's i-th center, top to bottom.
+
+    A corner column is one diagonal on the boundary.  Its assignment y
+    (bit r picks S over C at corner r) puts Z on center i of both
+    neighbouring center columns where corners i and i+1 disagree, the word
+    w = (y ^ y >> 1) mod 2^m.  Exactly two assignments give each word: y
+    and its complement.  Take y < 2^m, i.e. y = gray[w]; its complement
+    has corner m set and corners 0..m-1 at 2^m-1-y.  With W the Kronecker
+    chain of the (C, S) pairs of corners 0..m-1, the column's diagonal is
+
+        D[w] = C_m W[y] + S_m W[2^m-1-y],   y = gray[w].
+
+    Multiplying by D retires the left center column (a Z met by the same Z
+    leaves I) and seeds the same words on the right one.  The first
+    column's D is the initial boundary; after the last one's multiply the
+    boundary is summed.  A center factor C U + S D = ((C+S) I + (C-S) Z)/2
+    acts on its slot as the 2x2 map [[C+S, C-S], [C-S, C+S]]: twice the
+    factor's map, the 2 being trace(I) of the slot, which the next corner
+    column retires.  Every center's C+S and C-S is read before the loop.
+
+    Counters: each center slot costs 2d multiplies and d adds, each corner
+    column after the first d multiplies and the final sum d-1 adds, plus
+    the normalization multiply, so mul_count = (2m+1) n d + 1 and
+    add_count = m n d + d - 1.  The diagonals' own entries are not counted,
+    as the sweep does not count its factors' entries.  max_live_terms = d.
+    The lattice shape is read from graph.graph_family, so it is detected
+    once per graph.
     """
     shape = graph_family(g).lattice
     if shape is None:
@@ -401,45 +438,33 @@ def column_evaluate(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
         raise ColumnTooWide(
             f"center column holds {m} slots, above the cap of {COLUMN_ROW_CAP}"
         )
-    mul = add = 0
     dim = 1 << m
+    corners, centers, gray = _column_layout(m, n)
+    pairs = np.stack((spec.c[corners], spec.s[corners]), axis=-1)
+    plus = (spec.c[centers] + spec.s[centers]).tolist()
+    minus = (spec.c[centers] - spec.s[centers]).tolist()
 
-    weights, words = _corner_column_expansion(m, n, 0, spec)
-    boundary = np.zeros(dim, dtype=complex)
-    np.add.at(boundary, words, weights)
-    add += weights.size
-
-    result = 0.0 + 0.0j
+    boundary = _corner_diagonal(pairs[0], gray)
+    spare = np.empty_like(boundary)
     for j in range(n):
-        # center column j: per-slot linear map on the I/Z components
-        for i in range(m):
-            qubit = lattice_center(m, n, i, j)
-            alpha = 0.5 * (spec.c[qubit] + spec.s[qubit])
-            beta = 0.5 * (spec.c[qubit] - spec.s[qubit])
+        # center (i, j) maps entry w to alpha*b[w] + beta*b[w ^ 2^i]; the two
+        # buffers take turns, so no slot allocates
+        for i, (alpha, beta) in enumerate(zip(plus[j], minus[j])):
             v = boundary.reshape(-1, 2, 1 << i)
-            lo = v[:, 0, :].copy()
-            hi = v[:, 1, :]
-            v[:, 0, :] = alpha * lo + beta * hi
-            v[:, 1, :] = beta * lo + alpha * hi
-            mul += 2 * dim
-            add += dim
+            out = spare.reshape(v.shape)
+            np.multiply(v[:, ::-1], beta, out=out)
+            v *= alpha
+            out += v
+            boundary, spare = spare, boundary
+        boundary *= _corner_diagonal(pairs[j + 1], gray)
+    result = boundary.sum()
 
-        weights, words = _corner_column_expansion(m, n, j + 1, spec)
-        matched = boundary[words] * weights
-        mul += weights.size
-        if j + 1 < n:
-            boundary = np.zeros(dim, dtype=complex)
-            np.add.at(boundary, words, matched)
-            add += weights.size
-        else:
-            result = complex(matched.sum())
-            add += weights.size
-
-    # every retired slot contributed trace(I) = 2 on the matched words
-    amplitude = (2.0 ** (m * n - g.n / 2.0)) * result
-    mul += 1
+    amplitude = (2.0 ** (-g.n / 2.0)) * result
     return EvalReport(
-        amplitude=complex(amplitude), max_live_terms=dim, add_count=add, mul_count=mul
+        amplitude=complex(amplitude),
+        max_live_terms=dim,
+        add_count=m * n * dim + dim - 1,
+        mul_count=(2 * m + 1) * n * dim + 1,
     )
 
 

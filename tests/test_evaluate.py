@@ -329,6 +329,31 @@ def test_column_degenerate_single_column_is_the_chain():
             ) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 10), (5, 4), (16, 1)])
+def test_column_counters_closed_forms(shape):
+    m, n = shape
+    g = build_lattice(m, n)
+    report = column_evaluate(g, random_spec(g.n, 0))
+    d = 2 ** m
+    # per center slot 2d multiplies and d adds; per corner column after the
+    # first d multiplies; the final sum d - 1 adds; one normalization multiply
+    assert report.mul_count == m * n * 2 * d + n * d + 1
+    assert report.add_count == m * n * d + d - 1
+    assert report.max_live_terms == d
+
+
+def test_column_at_the_row_cap():
+    # 16 rows is COLUMN_ROW_CAP: the boundary's highest bit positions
+    g = build_lattice(16, 1)
+    spec = random_spec(g.n, 3)
+    ref = cross_chain_recursion(spec).amplitude
+    assert abs(column_evaluate(g, spec).amplitude - ref) <= 1e-12 * abs(ref)
+    g = build_lattice(6, 2)
+    spec = random_spec(g.n, 4)
+    ref = compute_amplitude(g, spec, "sweep").amplitude
+    assert abs(column_evaluate(g, spec).amplitude - ref) <= 1e-12 * abs(ref)
+
+
 def test_column_errors():
     with pytest.raises(NotALattice):
         column_evaluate(build_line(5), random_spec(5, 0))

@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latticeproj.errors import OddCycle
-from latticeproj.evaluate import sweep_evaluate
+from latticeproj.evaluate import column_evaluate, sweep_evaluate
 from latticeproj.factorize import (
     ProjectionSpec,
     build_polynomial,
     max_active_slots,
     order_factors,
 )
-from latticeproj.graph import bipartition, build_from_edges
+from latticeproj.graph import bipartition, build_from_edges, build_lattice
 from latticeproj.oracle import build_statevector, direct_sum, project_statevector
 
 from helpers import TermSum, branches, brute_amplitude, word_sweep
@@ -95,3 +95,21 @@ def test_sweep_term_sums_never_keep_zero_coefficients(case):
     for factor in poly.factors:
         state.multiply_factor(branches(poly, factor))
         assert all(c != 0 for c in state.terms.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=5),
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+)
+@example(m=5, n=3, seed=0)  # slot bit positions up to 4, every run
+def test_column_matches_direct_sum_and_sweep_on_lattices(m, n, seed):
+    # relative tolerances: a 5x4 lattice's amplitudes are near 1e-8
+    g = build_lattice(m, n)
+    spec = ProjectionSpec.random(g.n, np.random.default_rng(seed))
+    amp = column_evaluate(g, spec).amplitude
+    ref = direct_sum(g, bipartition(g), spec)
+    assert abs(amp - ref) <= 1e-10 * abs(ref)
+    poly = order_factors(build_polynomial(g, spec), "row-major")
+    assert abs(amp - sweep_evaluate(poly).amplitude) <= 1e-10 * abs(ref)
