@@ -328,9 +328,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
         role = "output" if q in pattern.outputs else "measured"
         lines.append(f"{theta!r} {phi!r}  # qubit {q} ({role}, rotation {rot!r})")
     angles_path.write_text("\n".join(lines) + "\n")
-    for wire, q in enumerate(pattern.inputs):
+    # the pattern's inputs and outputs follow the circuit's sorted wire labels
+    wires = sorted({w for gate in gates for w in gate.qubits})
+    for wire, q in zip(wires, pattern.inputs):
         print(f"input wire {wire} -> qubit {q}")
-    for wire, q in enumerate(pattern.outputs):
+    for wire, q in zip(wires, pattern.outputs):
         print(f"output wire {wire} -> qubit {q}")
     print(f"wrote {graph_path} and {angles_path}")
     return 0

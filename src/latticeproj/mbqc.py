@@ -12,7 +12,10 @@ a slot, bras are C/S weights, and the input and output slots stay open
 Every compiled pattern carries its declared gate semantics as an explicit
 matrix (logical wires ordered as the pattern's inputs, first wire = most
 significant bit); equivalence checks are up to one nonzero scalar, since
-post-selection makes norms non-physical.  A w-wire semantics matrix holds
+post-selection makes norms non-physical.  A composite's semantics is the
+ordered product of its stages' gates, each applied on its own wire axes
+of the running 2^w x 2^w matrix: O(2^k 4^w) for a k-wire stage, never a
+Kronecker-embedded 2^w x 2^w copy of it.  A w-wire semantics matrix holds
 as many entries as a 2w-qubit statevector, so compose refuses more than
 half the statevector cap of wires.
 
@@ -237,13 +240,26 @@ def compile_cphase_exact(theta: float) -> MeasurementPattern:
 # composition
 
 
-def _embed_operator(mat: np.ndarray, positions: Sequence[int], width: int) -> np.ndarray:
-    """Expand an operator on the given bit positions to the full 2^width space."""
-    rest = [p for p in range(width) if p not in positions]
-    full = np.kron(mat, np.eye(1 << len(rest))).reshape([2] * (2 * width))
-    # row and column bits run (positions, rest); put them back in wire order
-    back = list(np.argsort([*positions, *rest]))
-    return full.transpose(back + [width + a for a in back]).reshape(1 << width, 1 << width)
+def _apply_on_wires(mat: np.ndarray, positions: Sequence[int], total: np.ndarray) -> np.ndarray:
+    """``mat`` applied to the given wire axes of the rows of ``total``.
+
+    ``total`` is 2^w x 2^w with the first wire as the most significant row
+    bit, ``mat`` is 2^k x 2^k over ``positions`` in the stage's own order.
+    The stage's bits are first put in ascending wire order; adjacent wires
+    then take one broadcast matmul, and others a tensordot on the wire axes.
+    Either way the cost is O(2^k 4^w), with no 2^w x 2^w copy of ``mat``.
+    """
+    k = len(positions)
+    order = sorted(range(k), key=positions.__getitem__)
+    mat = mat.reshape((2,) * (2 * k)).transpose(order + [k + a for a in order])
+    positions = sorted(positions)
+    lo = positions[0]
+    if positions[-1] - lo == k - 1:
+        out = mat.reshape(1 << k, 1 << k) @ total.reshape(1 << lo, 1 << k, -1)
+        return out.reshape(total.shape)
+    width = total.shape[0].bit_length() - 1
+    out = np.tensordot(mat, total.reshape((2,) * width + (-1,)), (range(k, 2 * k), positions))
+    return np.moveaxis(out, range(k), positions).reshape(total.shape)
 
 
 def compose(
@@ -256,9 +272,10 @@ def compose(
     output) order.  A stage's input qubits are identified with the wires'
     current end qubits; its outputs become the new ends.  The composite's
     declared semantics is the ordered product of the stages' semantics, on
-    the sorted wire set (first wire = most significant bit).  Raises
-    TooLarge, before anything is allocated, when twice the wire count
-    exceeds oracle.statevector_cap().
+    the sorted wire set (first wire = most significant bit); each stage's
+    2^k x 2^k matrix acts on its k wire axes of the running product, at
+    O(2^k 4^w) per stage on w wires.  Raises TooLarge, before anything is
+    allocated, when twice the wire count exceeds oracle.statevector_cap().
     """
     if len(patterns) != len(wiring):
         raise ArityMismatch("one wire tuple is needed per pattern")
@@ -315,9 +332,7 @@ def compose(
             measurements[target] = angle
         for i, w in enumerate(wires):
             current[w] = mapping[pattern.outputs[i]]
-        total = _embed_operator(
-            pattern.semantics, [wire_pos[w] for w in wires], len(all_wires)
-        ) @ total
+        total = _apply_on_wires(pattern.semantics, [wire_pos[w] for w in wires], total)
 
     graph = build_from_edges(max(next_id, 1), sorted(edges))
     return MeasurementPattern(

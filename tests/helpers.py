@@ -7,7 +7,8 @@ not a mirror.  The word-dict sweep (TermSum, word_sweep) is the paper's
 literal term-by-term contraction on the package's letter algebra; it is the
 reference for the package's dense frontier, which shares none of its code.
 The per-edge mask statevector (edge_mask_statevector) is the reference for
-the package's doubling build of the same vector.
+the package's doubling build of the same vector, and the Kronecker-embedded
+product (kron_semantics) the reference for compose's wire-axis product.
 """
 
 import numpy as np
@@ -71,6 +72,31 @@ def edge_mask_statevector(g):
         both = ((idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1).astype(bool)
         amps[both] = -amps[both]
     return amps
+
+
+def _embed_operator(mat, positions, width):
+    """Expand an operator on the given bit positions to the full 2^width space."""
+    rest = [p for p in range(width) if p not in positions]
+    full = np.kron(mat, np.eye(1 << len(rest))).reshape([2] * (2 * width))
+    # row and column bits run (positions, rest); put them back in wire order
+    back = list(np.argsort([*positions, *rest]))
+    return full.transpose(back + [width + a for a in back]).reshape(1 << width, 1 << width)
+
+
+def kron_semantics(stages, wiring):
+    """Ordered product of the stages' semantics, each embedded by np.kron.
+
+    The wires are sorted, first wire = most significant bit, as in compose;
+    every stage becomes an explicit 2^w x 2^w matrix before it multiplies.
+    """
+    all_wires = sorted({w for ws in wiring for w in ws})
+    wire_pos = {w: i for i, w in enumerate(all_wires)}
+    total = np.eye(1 << len(all_wires), dtype=complex)
+    for pattern, wires in zip(stages, wiring):
+        total = _embed_operator(
+            pattern.semantics, [wire_pos[w] for w in wires], len(all_wires)
+        ) @ total
+    return total
 
 
 def branches(poly, factor):

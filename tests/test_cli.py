@@ -307,6 +307,21 @@ def test_compile_round_trips_through_project(capsys, tmp_path):
     assert abs(sweep_amp - complex(*map(float, out.split()))) < 1e-9
 
 
+def test_compile_prints_the_circuits_wire_labels(capsys, tmp_path):
+    # wires 3 and 7 are the composite's sorted wires; the I-shape CZ takes
+    # qubits 0-4 for the first and 5-9 for the second
+    circuit = tmp_path / "gap.txt"
+    circuit.write_text("CZ 3 7\n")
+    code, out, _ = run_cli(capsys, "compile", "--circuit", str(circuit), "--out", str(tmp_path / "g"))
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "input wire 3 -> qubit 0",
+        "input wire 7 -> qubit 5",
+        "output wire 3 -> qubit 4",
+        "output wire 7 -> qubit 9",
+    ]
+
+
 def test_compile_wire_cap_exits_2(capsys, tmp_path, monkeypatch):
     # a w-wire semantics matrix is as large as a 2w-qubit statevector
     monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "6")

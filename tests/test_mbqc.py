@@ -39,7 +39,7 @@ from latticeproj.mbqc import (
     simulate_pattern,
 )
 
-from helpers import align_residual, dense_pattern_action
+from helpers import align_residual, dense_pattern_action, kron_semantics
 
 
 def assert_realizes(pattern, target=None, tol=1e-9):
@@ -175,6 +175,72 @@ def test_compose_error_cases():
         compose([p], [(0, 0)])
     with pytest.raises(ArityMismatch):
         compose([p], [])
+
+
+def _declared_stage(semantics):
+    """A wire-only stage on k = log2(dim) wires declaring an arbitrary matrix."""
+    k = semantics.shape[0].bit_length() - 1
+    return MeasurementPattern(
+        graph=build_from_edges(k, []),
+        inputs=tuple(range(k)),
+        outputs=tuple(range(k)),
+        measurements={},
+        semantics=semantics,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compose_semantics_matches_kron_reference(data):
+    # every stage kind on 1-6 wires, any wire order: reversed and
+    # non-adjacent tuples, plus dense declared matrices (which, unlike the
+    # diagonal or swap-symmetric gates, tell a reversed tuple apart) on 1-3 wires
+    width = data.draw(st.integers(1, 6), label="wires")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+
+    def angle():
+        return float(rng.uniform(0, 2 * np.pi))
+
+    def dense(k):
+        shape = (1 << k, 1 << k)
+        return _declared_stage(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    kinds = [
+        (1, lambda: compile_z_rotation(angle())),
+        (1, lambda: compile_rotation(angle(), angle(), angle())),
+        (1, _pass_through),
+        (1, lambda: dense(1)),
+        (2, compile_cnot),
+        (2, lambda: compile_cphase(angle())),
+        (2, lambda: compile_cphase_exact(angle())),
+        (2, lambda: dense(2)),
+        (3, lambda: dense(3)),
+    ]
+    usable = [kind for kind in kinds if kind[0] <= width]
+    stages, wiring = [], []
+    for _ in range(data.draw(st.integers(1, 8), label="stages")):
+        k, make = usable[data.draw(st.integers(0, len(usable) - 1), label="kind")]
+        wires = data.draw(st.permutations(range(width)), label="wires")[:k]
+        stages.append(make())
+        wiring.append(tuple(wires))
+    semantics = compose(stages, wiring).semantics
+    reference = kron_semantics(stages, wiring)
+    assert semantics.shape == reference.shape
+    assert np.abs(semantics - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def test_compose_ten_wire_cz_chain_at_the_cap(monkeypatch):
+    # 2w = 20 is exactly the default cap; the I-shape CZ declares its gate
+    # exactly, so the product is diag((-1)^(sum_i x_i x_{i+1})) to the bit
+    monkeypatch.delenv("LATTICEPROJ_STATEVEC_CAP", raising=False)
+    width = 10
+    pattern = compile_circuit(parse_circuit(
+        "".join(f"CZ {i} {i + 1}\n" for i in range(width - 1))
+    ))
+    x = np.arange(1 << width)
+    bits = (x[:, None] >> (width - 1 - np.arange(width))) & 1
+    signs = (-1.0) ** (bits[:, :-1] * bits[:, 1:]).sum(axis=1)
+    assert np.array_equal(pattern.semantics, np.diag(signs).astype(complex))
 
 
 # ---------------------------------------------------------------------------
