@@ -19,7 +19,7 @@ products are returned separately so the words themselves stay canonical.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -108,10 +108,6 @@ class TensorWord:
                 seen[slot] = letter
         self.entries = tuple(sorted(seen.items()))
         self._hash = hash(self.entries)
-
-    @classmethod
-    def from_map(cls, mapping: Mapping[int, Letter]) -> "TensorWord":
-        return cls(mapping.items())
 
     @classmethod
     def _from_sorted(cls, entries: tuple[tuple[int, Letter], ...]) -> "TensorWord":

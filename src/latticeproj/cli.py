@@ -22,7 +22,7 @@ import numpy as np
 from .engines import ENGINE_NAMES, ENGINES, applicable_engines, compute_amplitude
 from .errors import BadSetting, CircuitParseError, LatticeProjError, TooLarge
 from .evaluate import lattice_width_profile
-from .factorize import ORDERINGS, ProjectionSpec, load_angles
+from .factorize import ProjectionSpec, load_angles
 from .graph import (
     ClusterGraph,
     build_cross_chain,
@@ -152,7 +152,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     spec = _resolve_angles(args, g.n)
     _check_engine(args.engine, g, name)
     with _output(args.output) as out:
-        amp = compute_amplitude(g, spec, args.engine, ordering=args.ordering).amplitude
+        amp = compute_amplitude(g, spec, args.engine).amplitude
         print(f"{_fmt_float(amp.real)} {_fmt_float(amp.imag)}", file=out)
     return 0
 
@@ -162,28 +162,28 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def run_verify(
-    g: ClusterGraph,
-    engines: Sequence[str],
-    trials: int,
-    seed: int,
-    ordering: str = "auto",
+    g: ClusterGraph, engines: Sequence[str], trials: int, seed: int
 ) -> tuple[list[dict], float]:
-    """Per-trial amplitudes for every engine plus the worst pairwise delta."""
+    """Per-trial amplitudes for every engine plus the worst relative delta.
+
+    A trial's relative delta is its largest pairwise |a - b| over its
+    largest |amplitude| (0 when every amplitude is exactly zero), so an
+    engine that returns 0 against a non-zero amplitude reads 1.0 however
+    small the amplitudes are.  The CSV's max_abs_delta stays absolute.
+    """
     rows = []
     worst = 0.0
     for trial in range(trials):
         trial_seed = seed + trial
         spec = ProjectionSpec.random(g.n, np.random.default_rng(trial_seed))
-        amps = {
-            e: compute_amplitude(g, spec, e, ordering=ordering).amplitude
-            for e in engines
-        }
+        amps = {e: compute_amplitude(g, spec, e).amplitude for e in engines}
         values = list(amps.values())
         delta = max(
             (abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]),
             default=0.0,
         )
-        worst = max(worst, delta)
+        scale = max((abs(a) for a in values), default=0.0)
+        worst = max(worst, delta / scale if scale else 0.0)
         row: dict = {"trial": trial, "seed": trial_seed}
         for e in engines:
             key = e.replace("-", "_")
@@ -213,11 +213,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("verification needs at least two engines")
 
     with _output(args.output) as out:
-        rows, worst = run_verify(g, engines, args.trials, args.seed, args.ordering)
+        rows, worst = run_verify(g, engines, args.trials, args.seed)
         _write_csv(out, rows)
     if worst > args.tolerance:
         print(
-            f"FAIL: max engine delta {worst:.3e} exceeds tolerance {args.tolerance:.3e}",
+            f"FAIL: max relative engine delta {worst:.3e} exceeds tolerance "
+            f"{args.tolerance:.3e}",
             file=sys.stderr,
         )
         return 1
@@ -360,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true", help="draw angles uniform on [0, 2pi)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="sweep", help=f"one of {', '.join(ENGINE_NAMES)}")
-    p.add_argument("--ordering", default="auto", choices=ORDERINGS)
     p.add_argument("--output", help="write the amplitude here instead of stdout")
     p.set_defaults(func=cmd_project)
 
@@ -369,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engines", help="comma-separated engine list (default: all applicable)")
     p.add_argument("--trials", type=int, default=31)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--ordering", default="auto", choices=ORDERINGS)
+    p.add_argument("--tolerance", type=float, default=1e-9,
+                   help="bound on each trial's largest engine delta relative to "
+                        "its largest |amplitude|")
     p.add_argument("--output", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_verify)
 
@@ -402,9 +403,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, BadSetting, TooLarge, OSError) as exc:
-        # a bad environment setting, work over an engine's memory cap (the
-        # sweep under a non-auto --ordering) or a path that cannot be read
-        # or written is usage
+        # a bad environment setting, a circuit over compile's wire cap or a
+        # path that cannot be read or written is usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeProjError as exc:

@@ -2,12 +2,12 @@
 
 ``ENGINES`` maps every engine name the CLI takes to an ``Engine`` row.
 ``misfit(g)`` is None when the engine fits the graph within its cap, else
-the LatticeProjError that says why not; ``evaluate(g, spec, ordering)`` is
-the engine's EvalReport, and only the sweep reads ``ordering``.
-``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude`` and the CLI
-all read this table.  Direct-sum and the family rows read
-``graph.graph_family``, detected once per distinct graph; the sweep reads
-the frontier width of its cached structure, known before anything is
+the LatticeProjError that says why not; ``evaluate(g, spec)`` is the
+engine's EvalReport.  ``ENGINE_NAMES``, ``applicable_engines``,
+``compute_amplitude`` and the CLI all read this table.  Direct-sum and the
+family rows read ``graph.graph_family``, detected once per distinct graph;
+the sweep always runs the ``auto`` factor order and reads that order's
+frontier width from its cached structure, known before anything is
 allocated; the statevector cap is read on every call.
 """
 
@@ -50,35 +50,33 @@ SWEEP_WIDTH_CAP = 24
 
 
 @lru_cache(maxsize=64)
-def _sweep_structure(g: ClusterGraph, ordering: str):
-    # Words, slots, activity and the frontier plan depend on the graph alone;
-    # cache them and bind each projection's spec to a clone.  The all-zero
-    # spec here is never evaluated.
+def _sweep_structure(g: ClusterGraph):
+    # Words, slots, activity, the auto order and the frontier plan depend on
+    # the graph alone; cache them and bind each projection's spec to a
+    # clone.  The all-zero spec here is never evaluated.
     try:
         assignment = assign_slots(g, "bipartite")
     except OddCycle:
         assignment = assign_slots(g, "greedy-cover")
     poly = build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0), assignment)
-    poly = order_factors(poly, ordering)
+    poly = order_factors(poly, "auto")
     frontier_plan(poly)
     return poly
 
 
-def sweep_polynomial(
-    g: ClusterGraph, spec: ProjectionSpec, ordering: str = "auto"
-):
+def sweep_polynomial(g: ClusterGraph, spec: ProjectionSpec):
     """Build the ordered polynomial the sweep engine actually runs.
 
     The slot assignment is bipartite when the graph allows it, greedy cover
-    otherwise.  ``ordering`` is any order_factors strategy; ``auto`` (the
-    min-frontier search) is decided there, once per graph, and cached with
-    the structure; the result is a bind_spec clone of that shared structure.
+    otherwise, and the factor order is ``auto`` (the min-frontier search);
+    both are decided once per graph and cached with the structure.  The
+    result is a bind_spec clone of that shared structure.
     """
-    return _sweep_structure(g, ordering).bind_spec(spec)
+    return _sweep_structure(g).bind_spec(spec)
 
 
-def _too_wide(g: ClusterGraph, ordering: str) -> Optional[LatticeProjError]:
-    width = frontier_plan(_sweep_structure(g, ordering)).width
+def _too_wide(g: ClusterGraph) -> Optional[LatticeProjError]:
+    width = frontier_plan(_sweep_structure(g)).width
     if width <= SWEEP_WIDTH_CAP:
         return None
     return TooLarge(
@@ -87,19 +85,11 @@ def _too_wide(g: ClusterGraph, ordering: str) -> Optional[LatticeProjError]:
     )
 
 
-def _sweep(g: ClusterGraph, spec: ProjectionSpec, ordering: str) -> EvalReport:
-    # misfit checked the auto order; another ordering has its own width
-    error = _too_wide(g, ordering)
-    if error is not None:
-        raise error
-    return sweep_evaluate(sweep_polynomial(g, spec, ordering))
-
-
 def _over_cap(count: int, cap: int, what: str, error: type) -> Optional[LatticeProjError]:
     return error(f"{count} {what}, above the cap of {cap}") if count > cap else None
 
 
-def _statevector(g: ClusterGraph, spec: ProjectionSpec, ordering: str) -> EvalReport:
+def _statevector(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     amplitude = project_statevector(build_statevector(g), spec)
     # fold multiplies: 2*(2^n - 1); merges: 2^n - 1
     dim = 1 << g.n
@@ -113,7 +103,7 @@ def _direct_sum_misfit(g: ClusterGraph) -> Optional[LatticeProjError]:
     return _over_cap(len(b.controls), DIRECT_SUM_CONTROL_CAP, "control qubits", TooManyControls)
 
 
-def _direct_sum(g: ClusterGraph, spec: ProjectionSpec, ordering: str) -> EvalReport:
+def _direct_sum(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     b = graph_family(g).bipartition
     amplitude = direct_sum(g, b, spec)
     k = len(b.controls)
@@ -130,7 +120,7 @@ def _column_misfit(g: ClusterGraph) -> Optional[LatticeProjError]:
 
 class Engine(NamedTuple):
     misfit: Callable[[ClusterGraph], Optional[LatticeProjError]]
-    evaluate: Callable[[ClusterGraph, ProjectionSpec, str], EvalReport]
+    evaluate: Callable[[ClusterGraph, ProjectionSpec], EvalReport]
 
 
 ENGINES: dict[str, Engine] = {
@@ -138,29 +128,24 @@ ENGINES: dict[str, Engine] = {
         lambda g: _over_cap(g.n, statevector_cap(), "qubits", TooLarge), _statevector
     ),
     "direct-sum": Engine(_direct_sum_misfit, _direct_sum),
-    "sweep": Engine(lambda g: _too_wide(g, "auto"), _sweep),
+    "sweep": Engine(_too_wide, lambda g, spec: sweep_evaluate(sweep_polynomial(g, spec))),
     "line-recursion": Engine(
         lambda g: None if graph_family(g).line
         else LatticeProjError("line-recursion needs a canonical line graph"),
-        lambda g, spec, ordering: line_amplitude(spec),
+        lambda g, spec: line_amplitude(spec),
     ),
     "cross-recursion": Engine(
         lambda g: None if graph_family(g).cross_chain is not None
         else LatticeProjError("cross-recursion needs a canonical cross chain"),
-        lambda g, spec, ordering: cross_chain_recursion(spec),
+        lambda g, spec: cross_chain_recursion(spec),
     ),
-    "column": Engine(_column_misfit, lambda g, spec, ordering: column_evaluate(g, spec)),
+    "column": Engine(_column_misfit, lambda g, spec: column_evaluate(g, spec)),
 }
 
 ENGINE_NAMES = tuple(ENGINES)
 
 
-def compute_amplitude(
-    g: ClusterGraph,
-    spec: ProjectionSpec,
-    engine: str,
-    ordering: str = "auto",
-) -> EvalReport:
+def compute_amplitude(g: ClusterGraph, spec: ProjectionSpec, engine: str) -> EvalReport:
     """The engine's amplitude; raises its misfit error when it does not fit g."""
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
@@ -169,7 +154,7 @@ def compute_amplitude(
     error = ENGINES[engine].misfit(g)
     if error is not None:
         raise error
-    return ENGINES[engine].evaluate(g, spec, ordering)
+    return ENGINES[engine].evaluate(g, spec)
 
 
 def applicable_engines(g: ClusterGraph) -> list[str]:

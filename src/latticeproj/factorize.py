@@ -172,16 +172,6 @@ class FactorizedPolynomial:
         self.owner_position = owner_pos
         self.plan = None
 
-    def with_factor_order(self, order: Sequence[int]) -> "FactorizedPolynomial":
-        """New polynomial with factors permuted; activity is recomputed."""
-        if sorted(order) != list(range(len(self.factors))):
-            raise InvalidPermutation(
-                "factor order must be a permutation of range(len(factors))"
-            )
-        return FactorizedPolynomial(
-            self.graph, self.assignment, [self.factors[i] for i in order], self.spec
-        )
-
     def bind_spec(self, spec: ProjectionSpec) -> "FactorizedPolynomial":
         """The same polynomial under another projection, in O(1).
 
@@ -339,10 +329,6 @@ def _min_frontier_order(poly: FactorizedPolynomial) -> list[int]:
     return best
 
 
-# The strategies order_factors takes without a permutation.
-ORDERINGS = ("auto", "as-built", "row-major")
-
-
 def order_factors(
     poly: FactorizedPolynomial,
     strategy: str = "as-built",
@@ -358,28 +344,31 @@ def order_factors(
     permutation of qubit indices).  Width means max_active_slots, which
     bounds the sweep's live terms by 2^width.
     """
-    pos_of_qubit = {f.qubit: i for i, f in enumerate(poly.factors)}
     if strategy == "auto":
-        order = [pos_of_qubit[q] for q in _min_frontier_order(poly)]
+        qubits = _min_frontier_order(poly)
     elif strategy == "as-built":
-        order = [pos_of_qubit[q] for q in range(poly.graph.n)]
+        qubits = list(range(poly.graph.n))
     elif strategy == "row-major":
         shape = graph_family(poly.graph).lattice
         if shape is None:
-            order = [pos_of_qubit[q] for q in range(poly.graph.n)]
+            qubits = list(range(poly.graph.n))
         else:
-            order = [pos_of_qubit[q] for q in _lattice_row_major_order(shape)]
+            qubits = _lattice_row_major_order(shape)
     elif strategy == "custom":
         if permutation is None:
             raise InvalidPermutation("custom ordering needs an explicit permutation")
         if sorted(permutation) != list(range(poly.graph.n)):
             raise InvalidPermutation("custom order must be a permutation of the qubits")
-        order = [pos_of_qubit[q] for q in permutation]
+        qubits = list(permutation)
     else:
         raise ValueError(f"unknown ordering strategy {strategy!r}")
-    if order == list(range(len(poly.factors))):
+    if qubits == [f.qubit for f in poly.factors]:
         return poly
-    return poly.with_factor_order(order)
+    # a new polynomial, so activity is recomputed for the new order
+    factor_of = {f.qubit: f for f in poly.factors}
+    return FactorizedPolynomial(
+        poly.graph, poly.assignment, [factor_of[q] for q in qubits], poly.spec
+    )
 
 
 def max_active_slots(poly: FactorizedPolynomial) -> int:

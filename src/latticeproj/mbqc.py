@@ -447,19 +447,17 @@ def pattern_projection_spec(
     e^{-i theta} relative to the exact <theta|_R, so the engine amplitude
     matches the simulated scalar up to exp(-i * sum of all angles).
     """
-    output_thetas = output_thetas or {}
-    theta = np.empty(pattern.graph.n)
-    phi = np.empty(pattern.graph.n)
-    for q in range(pattern.graph.n):
-        rot = pattern.measurements.get(q, output_thetas.get(q, 0.0))
-        theta[q], phi[q] = rotation_projector_to_spec(rot)
-    return ProjectionSpec(theta, phi)
+    angles = [
+        rotation_projector_to_spec(rot)
+        for rot in pattern_rotation_angles(pattern, output_thetas)
+    ]
+    return ProjectionSpec([t for t, _ in angles], [p for _, p in angles])
 
 
 def pattern_rotation_angles(
     pattern: MeasurementPattern, output_thetas: Optional[dict[int, float]] = None
 ) -> list[float]:
-    """Rotation angle per qubit as used by pattern_projection_spec."""
+    """Rotation angle per qubit: its measurement, else output_thetas (default 0)."""
     output_thetas = output_thetas or {}
     return [
         pattern.measurements.get(q, output_thetas.get(q, 0.0))

@@ -106,7 +106,7 @@ def test_parser_built_once_and_defaults_stay_independent(capsys, monkeypatch):
     cli._parser.cache_clear()
     code, first, _ = run_cli(
         capsys, "project", "--builder", "line:4", "--random", "--seed", "5",
-        "--engine", "statevector", "--ordering", "as-built",
+        "--engine", "statevector",
     )
     assert code == 0
     # verify keeps its own --seed default, not project's 5
@@ -238,6 +238,37 @@ def test_verify_failure_exit_code(capsys):
     )
     assert code == 1
     assert "exceeds tolerance" in err
+
+
+def test_verify_fails_an_engine_that_returns_zero_on_tiny_amplitudes(capsys, monkeypatch):
+    from latticeproj import engines
+    from latticeproj.evaluate import EvalReport
+
+    # lattice:3x10 amplitudes are about 1e-12, below any absolute tolerance
+    monkeypatch.setitem(
+        engines.ENGINES, "column",
+        engines.Engine(engines.ENGINES["column"].misfit, lambda g, spec: EvalReport(0j, 1, 0, 0)),
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--builder", "lattice:3x10", "--trials", "3",
+    )
+    assert code == 1
+    assert "relative" in err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert all(float(r["column_re"]) == 0.0 for r in rows)
+    assert all(float(r["max_abs_delta"]) < 1e-9 for r in rows)
+
+
+@pytest.mark.parametrize("command", [
+    ("project", "--builder", "line:3", "--angles", "all:0,0"),
+    ("verify", "--builder", "line:3", "--trials", "1"),
+])
+def test_ordering_flag_is_gone(capsys, command):
+    # the sweep always runs the auto order; --ordering is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--ordering", "auto"])
+    assert exc.value.code == 2
+    assert "--ordering" in capsys.readouterr().err
 
 
 def test_verify_writes_file(capsys, tmp_path):

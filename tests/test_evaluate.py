@@ -161,7 +161,7 @@ def test_frontier_matches_word_sweep(g):
     orderings = ["auto", "as-built", "row-major"]
     spec = random_spec(g.n, 70)
     for ordering in orderings:
-        poly = sweep_polynomial(g, spec, ordering)
+        poly = order_factors(sweep_polynomial(g, spec), ordering)
         width = max_active_slots(poly)
         reference = poly if width <= WORD_SWEEP_WIDTH else sweep_polynomial(g, spec)
         ref = word_sweep(reference).amplitude
