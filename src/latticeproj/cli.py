@@ -1,8 +1,9 @@
 """Command-line driver: project, verify, bench, compile.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 engine-internal invariant breach.  All CSV output is deterministic
-for a fixed configuration (including seeds) except wall-clock columns.
+error (running out of memory included), 3 engine-internal invariant breach.
+All CSV output is deterministic for a fixed configuration (including seeds)
+except wall-clock columns.
 """
 
 from __future__ import annotations
@@ -406,6 +407,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a bad environment setting, a circuit over compile's wire cap or a
         # path that cannot be read or written is usage
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a size within every cap that still does not fit in this machine
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except LatticeProjError as exc:
         print(f"engine error: {exc}", file=sys.stderr)

@@ -98,8 +98,10 @@ def build_statevector(g: ClusterGraph) -> StateVector:
 def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
     """Inner product with the product bra; coefficients applied unconjugated.
 
-    The amplitudes, as a 2^h x 2^(n-h) matrix, meet the Kronecker bra of the
-    last n - h qubits in one einsum (no BLAS), then that of the first h.
+    The amplitudes, as a real 2^h x 2^(n-h) matrix, meet the Kronecker bra of
+    the last n - h qubits in two real matrix-vector products (its real and
+    imaginary parts), then that of the first h in a Python sum.  The half-bras
+    are Python products of C_p/S_p, 2^h + 2^(n-h) terms in all.
     """
     n = sv.n
     if spec.n != n:
@@ -107,7 +109,8 @@ def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
     bra = list(zip(spec.c.tolist(), spec.s.tolist()))
     h = n // 2
     low = np.fromiter(map(prod, product(*bra[h:])), complex, 1 << (n - h))
-    rows = np.einsum("ij,j->i", sv.amplitudes.reshape(1 << h, -1), low).tolist()
+    amps = sv.amplitudes.reshape(1 << h, -1)
+    rows = (amps.dot(low.real) + 1j * amps.dot(low.imag)).tolist()
     return complex(sum(map(mul, map(prod, product(*bra[:h])), rows)))
 
 
@@ -117,7 +120,12 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     amplitude = 2^(-N/2) * sum_j  prod_{s in controls} [(1-j_s) C_s + j_s S_s]
                                 * prod_{q in targets}  [C_q + (-1)^alpha_q S_q]
 
-    where alpha_q is the parity of q's neighbors held in |1>.
+    where alpha_q is the parity of q's neighbors held in |1>.  The control
+    product is a Kronecker chain of (C_s, S_s) pairs, bit i of j standing for
+    the i-th control; each target then multiplies in one factor picked by the
+    parity of j's bits under its neighbours' mask (np.bitwise_count).  Peak
+    memory stays O(2^k) for k controls: a few 2^k vectors, one target at a
+    time, never a (targets x 2^k) array.
     """
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
@@ -134,14 +142,15 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     if k > DIRECT_SUM_CONTROL_CAP:
         raise TooManyControls(f"{k} control qubits would need a 2^{k} sum")
 
+    c, s = spec.c.tolist(), spec.s.tolist()
+    # Kronecker chain of (C, S) pairs, each more significant than the last:
+    # bit i of the index j is controls[i]
+    coef = np.ones(1, dtype=complex)
+    for p in controls:
+        coef = np.multiply.outer((c[p], s[p]), coef).ravel()
     j = np.arange(1 << k)
-    coef = np.ones(j.shape, dtype=complex)
-    for i, s in enumerate(controls):
-        bit = (j >> i) & 1
-        coef = coef * np.where(bit, spec.s[s], spec.c[s])
     for q in targets:
-        parity = np.zeros(j.shape, dtype=np.int64)
-        for nbr in adj[q]:
-            parity ^= (j >> bit_of[nbr]) & 1
-        coef = coef * np.where(parity, spec.c[q] - spec.s[q], spec.c[q] + spec.s[q])
+        mask = sum(1 << bit_of[nbr] for nbr in adj[q])
+        odd = np.bitwise_count(j & mask) & 1
+        coef *= np.where(odd, c[q] - s[q], c[q] + s[q])
     return complex((2.0 ** (-g.n / 2.0)) * coef.sum())

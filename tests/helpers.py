@@ -9,6 +9,8 @@ reference for the package's dense frontier, which shares none of its code.
 The per-edge mask statevector (edge_mask_statevector) is the reference for
 the package's doubling build of the same vector, and the Kronecker-embedded
 product (kron_semantics) the reference for compose's wire-axis product.
+The per-target parity loop (loop_direct_sum) is the reference for the
+package's bit-counting direct sum.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from latticeproj.algebra import EMPTY_WORD, Letter, ZERO, word_mul
 from latticeproj.errors import NonScalarResidue, RetirementBeforeOwner
 from latticeproj.evaluate import EvalReport
+from latticeproj.graph import adjacency
 
 # the four diagonal letters as explicit matrices, keyed by tag name
 LETTER_MATS = {
@@ -72,6 +75,32 @@ def edge_mask_statevector(g):
         both = ((idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1).astype(bool)
         amps[both] = -amps[both]
     return amps
+
+
+def loop_direct_sum(g, b, spec):
+    """The direct sum with each target's parity XOR-ed one neighbour at a time.
+
+    Same formula as oracle.direct_sum, without its input checks: bit i of j
+    is the i-th control in sorted order, and every target multiplies in
+    C_q +/- S_q by the parity of its neighbours' bits.
+    """
+    controls = sorted(b.controls)
+    targets = sorted(b.targets)
+    adj = adjacency(g)
+    bit_of = {q: i for i, q in enumerate(controls)}
+    k = len(controls)
+
+    j = np.arange(1 << k)
+    coef = np.ones(j.shape, dtype=complex)
+    for i, s in enumerate(controls):
+        bit = (j >> i) & 1
+        coef = coef * np.where(bit, spec.s[s], spec.c[s])
+    for q in targets:
+        parity = np.zeros(j.shape, dtype=np.int64)
+        for nbr in adj[q]:
+            parity ^= (j >> bit_of[nbr]) & 1
+        coef = coef * np.where(parity, spec.c[q] - spec.s[q], spec.c[q] + spec.s[q])
+    return complex((2.0 ** (-g.n / 2.0)) * coef.sum())
 
 
 def _embed_operator(mat, positions, width):

@@ -97,6 +97,24 @@ def test_bad_statevector_cap_setting_exits_2(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 64.0 GiB"])
+def test_memory_error_exits_2_without_traceback(capsys, monkeypatch, message):
+    # stands in for a statevector within the cap that the machine cannot hold
+    from latticeproj import engines
+
+    def out_of_memory(g):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(engines, "build_statevector", out_of_memory)
+    code, out, err = run_cli(
+        capsys, "project", "--builder", "line:3",
+        "--angles", "all:0.3,0.2", "--engine", "statevector",
+    )
+    assert code == 2
+    assert err.splitlines() == [f"error: out of memory{': ' + message if message else ''}"]
+    assert out == ""
+
+
 def test_parser_built_once_and_defaults_stay_independent(capsys, monkeypatch):
     from latticeproj import cli
 

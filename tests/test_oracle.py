@@ -1,6 +1,7 @@
 """The two brute-force references, against each other and against by-hand values."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from latticeproj.oracle import (
     statevector_cap,
 )
 
-from helpers import brute_amplitude, edge_mask_statevector, random_spec
+from helpers import brute_amplitude, edge_mask_statevector, loop_direct_sum, random_spec
 
 FIXTURES = sorted(p.name for p in fixture_path("line_4.graph").parent.glob("*.graph"))
 # every line, cross and lattice builder shape of at most 16 qubits
@@ -183,17 +184,37 @@ def test_projection_is_not_conjugated():
     assert got == pytest.approx(brute_amplitude(g, spec))
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+def kron_bra(spec):
+    """The product bra as one explicit 2^n vector, qubit 0 most significant."""
+    bra = np.ones(1)
+    for c, s in zip(spec.c, spec.s):
+        bra = np.kron(bra, [c, s])
+    return bra
+
+
+@pytest.mark.parametrize("n", range(1, 18))
 def test_projection_is_the_kronecker_bra_product(n):
     # an arbitrary complex vector, so that a wrong split or bit order shows
     rng = np.random.default_rng(n)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     spec = random_spec(n, n)
-    bra = np.ones(1)
-    for c, s in zip(spec.c, spec.s):
-        bra = np.kron(bra, [c, s])
     got = project_statevector(StateVector(amps), spec)
-    assert got == pytest.approx(complex(bra @ amps), rel=1e-12, abs=1e-12)
+    assert got == pytest.approx(complex(kron_bra(spec) @ amps), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(10, 18))
+def test_projection_of_real_statevectors_is_the_kronecker_bra_product(n):
+    # the real float64 vectors the oracle folds, at the sizes the workloads use
+    rng = np.random.default_rng(100 + n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    picked = rng.choice(len(pairs), size=2 * n, replace=False)
+    for g in (build_line(n), build_from_edges(n, [pairs[i] for i in picked])):
+        sv = build_statevector(g)
+        for seed in range(3):
+            spec = random_spec(n, seed)
+            expected = complex(kron_bra(spec) @ sv.amplitudes)
+            got = project_statevector(sv, spec)
+            assert abs(got - expected) <= 1e-12 * max(abs(expected), 2.0 ** (-n / 2.0))
 
 
 def test_projection_size_mismatch():
@@ -240,3 +261,80 @@ def test_direct_sum_rejects_bad_partitions():
     big = Bipartition(frozenset(range(25)), frozenset(range(25, 30)))
     with pytest.raises(TooManyControls):
         direct_sum(build_from_edges(30, [(0, 29)]), big, random_spec(30, 0))
+
+
+def assert_direct_sum_matches_loop(g, b, spec):
+    expected = loop_direct_sum(g, b, spec)
+    got = direct_sum(g, b, spec)
+    assert abs(got - expected) <= 1e-12 * abs(expected), (got, expected)
+
+
+@pytest.mark.parametrize("g", [
+    load_graph(fixture_path(name)) for name in FIXTURES
+] + BUILDER_SHAPES, ids=FIXTURES + [repr(g) for g in BUILDER_SHAPES])
+def test_direct_sum_matches_loop_reference(g):
+    # every packaged fixture and builder shape is bipartite with <= 16 controls
+    b = bipartition(g)
+    assert len(b.controls) <= 16
+    for seed in range(3):
+        assert_direct_sum_matches_loop(g, b, random_spec(g.n, seed))
+
+
+@pytest.mark.parametrize("g, b", [
+    # zero controls: the sum has one term, every target has mask 0
+    (build_from_edges(4, []), Bipartition(frozenset(), frozenset(range(4)))),
+    # an isolated target next to a connected pair
+    (build_from_edges(3, [(0, 1)]), Bipartition(frozenset({0}), frozenset({1, 2}))),
+    # every target adjacent to every control (complete bipartite K_{3,4})
+    (
+        build_from_edges(7, [(s, t) for s in range(3) for t in range(3, 7)]),
+        Bipartition(frozenset(range(3)), frozenset(range(3, 7))),
+    ),
+    # one target adjacent to every control of a line's control class
+    (
+        build_from_edges(9, [(2 * i, 2 * i + 1) for i in range(4)] + [(2 * i, 8) for i in range(4)]),
+        Bipartition(frozenset(range(0, 8, 2)), frozenset(range(1, 9, 2)) | {8}),
+    ),
+], ids=["zero controls", "isolated target", "complete bipartite", "target on every control"])
+def test_direct_sum_matches_loop_reference_on_edge_cases(g, b):
+    for seed in range(4):
+        spec = random_spec(g.n, seed)
+        assert_direct_sum_matches_loop(g, b, spec)
+        assert direct_sum(g, b, spec) == pytest.approx(brute_amplitude(g, spec), rel=1e-12)
+
+
+@st.composite
+def bipartite_graph(draw, max_side=7):
+    """A random graph on controls 0..k-1 and targets k..k+t-1, edges across only."""
+    k = draw(st.integers(min_value=0, max_value=max_side))
+    t = draw(st.integers(min_value=1, max_value=max_side))
+    pairs = [(s, k + q) for s in range(k) for q in range(t)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = build_from_edges(k + t, edges)
+    return g, Bipartition(frozenset(range(k)), frozenset(range(k, k + t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gb=bipartite_graph(), seed=st.integers(0, 2**31))
+def test_direct_sum_matches_loop_reference_on_random_bipartite_graphs(gb, seed):
+    g, b = gb
+    assert_direct_sum_matches_loop(g, b, random_spec(g.n, seed))
+
+
+def test_direct_sum_peak_memory_is_order_two_to_the_controls():
+    # k = 16 controls, 8 targets each on 12 of them: one complex coefficient
+    # vector (16 << k bytes) and a few per-target temporaries may be live at
+    # once, never a (targets x 2^k) array
+    k, t = 16, 8
+    edges = [(s, k + q) for q in range(t) for s in range(k) if (s + q) % 4]
+    g = build_from_edges(k + t, edges)
+    b = Bipartition(frozenset(range(k)), frozenset(range(k, k + t)))
+    spec = random_spec(g.n, 0)
+    direct_sum(g, b, spec)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        direct_sum(g, b, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (16 << k)
