@@ -8,7 +8,10 @@ engine's EvalReport.  ``ENGINE_NAMES``, ``applicable_engines``,
 family rows read ``graph.graph_family``, detected once per distinct graph;
 the sweep always runs the ``auto`` factor order and reads that order's
 frontier width from its cached structure, known before anything is
-allocated; the statevector cap is read on every call.
+allocated.  The oracles keep their own graph-only work: the statevector
+row's vector is built once per graph (``build_statevector`` holds the last
+graph's, and reads the cap on every call), and direct-sum's partition checks
+and target masks once per (graph, bipartition).
 """
 
 from __future__ import annotations

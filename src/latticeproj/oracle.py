@@ -6,6 +6,16 @@ Conventions frozen here and documented loudly:
     2^n-dimensional statevector index.
   * The statevector is real: float64 signs times 2^(-n/2), built from the
     edge list alone by doubling over the qubits.
+  * One graph's statevector is held: ``build_statevector`` keeps the last
+    graph it built and that vector's read-only array, and hands out a fresh
+    ``StateVector`` around it while the graph stays (by value) the same.  A
+    different graph drops the held array before its own is built, so at
+    most one vector (8 << n bytes) is retained and never two are live.
+    The qubit cap is read on every call, hit or miss.  Threads racing on
+    the slot can at worst build twice.
+  * ``direct_sum`` checks the partition and derives its per-target
+    neighbour masks once per (graph, bipartition); the 2^k arrays it sums
+    stay per call.
   * The projection bra applies C_p and S_p as written, without complex
     conjugation.  That matches the C/S parameterization of the projector;
     it is NOT the Hermitian inner product.
@@ -15,9 +25,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import mul
+from typing import Optional
 
 import numpy as np
 
@@ -56,18 +68,42 @@ class StateVector:
         return size.bit_length() - 1
 
 
+# The last graph build_statevector built and its read-only amplitudes.
+_held: Optional[tuple[ClusterGraph, np.ndarray]] = None
+
+
 def build_statevector(g: ClusterGraph) -> StateVector:
     """|+>^n with a CZ on every edge, as float64 ±2^(-n/2) built by doubling.
 
-    Bit x of the Python int ``parity`` is set where amplitude x is negative.
-    After k steps it holds the last k qubits; placing the qubit before them
-    appends a copy of those 2^k bits, flipped where a later neighbour is 1.
+    The cap is checked on every call.  One graph's vector is held: when g
+    equals (by value) the last graph built, the result is a fresh
+    StateVector around that graph's read-only array.  Otherwise the held
+    array is dropped first, so two vectors are never live at once, and g's
+    is built and held instead.  Threads racing here can at worst build twice
+    (two vectors live for that moment); each gets its own graph's vector.
     """
+    global _held
     if g.n > (cap := statevector_cap()):
         raise TooLarge(
             f"statevector for {g.n} qubits exceeds the cap of {cap} "
             f"(set {STATEVEC_CAP_ENV} to raise it)"
         )
+    held = _held
+    if held is None or held[0] != g:
+        _held = held = None
+        amps = _doubling_build(g)
+        amps.flags.writeable = False
+        _held = held = (g, amps)
+    return StateVector(held[1])
+
+
+def _doubling_build(g: ClusterGraph) -> np.ndarray:
+    """The statevector's float64 amplitudes, built by doubling.
+
+    Bit x of the Python int ``parity`` is set where amplitude x is negative.
+    After k steps it holds the last k qubits; placing the qubit before them
+    appends a copy of those 2^k bits, flipped where a later neighbour is 1.
+    """
     n = g.n
     later: list[list[int]] = [[] for _ in range(n)]  # index bits of later neighbours
     for a, b in g.edges:
@@ -92,7 +128,7 @@ def build_statevector(g: ClusterGraph) -> StateVector:
     amps += amp  # exactly amp or -amp
     norm = float(np.vdot(amps, amps).real)
     assert abs(norm - 1.0) <= 1e-12, "cluster statevector lost normalization"
-    return StateVector(amps)
+    return amps
 
 
 def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
@@ -114,6 +150,30 @@ def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
     return complex(sum(map(mul, map(prod, product(*bra[:h])), rows)))
 
 
+@lru_cache(maxsize=64)
+def _direct_sum_plan(
+    g: ClusterGraph, b: Bipartition
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The controls in bit order and each target with its neighbours' mask.
+
+    Checks that b partitions g into two classes with no edge inside one, and
+    that the controls are within the cap; an error is raised, not cached.
+    """
+    if b.controls | b.targets != frozenset(range(g.n)) or b.controls & b.targets:
+        raise NotBipartite("control and target sets must partition the qubits")
+    for a, bb in g.edges:
+        if (a in b.controls) == (bb in b.controls):
+            raise NotBipartite(f"edge ({a}, {bb}) joins two qubits of one class")
+    controls = tuple(sorted(b.controls))
+    k = len(controls)
+    if k > DIRECT_SUM_CONTROL_CAP:
+        raise TooManyControls(f"{k} control qubits would need a 2^{k} sum")
+    adj = adjacency(g)
+    bit_of = {q: i for i, q in enumerate(controls)}
+    masks = tuple((q, sum(1 << bit_of[nbr] for nbr in adj[q])) for q in sorted(b.targets))
+    return controls, masks
+
+
 def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex:
     """Sum over control bitstrings of the control/target-decomposed projection.
 
@@ -125,32 +185,20 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     the i-th control; each target then multiplies in one factor picked by the
     parity of j's bits under its neighbours' mask (np.bitwise_count).  Peak
     memory stays O(2^k) for k controls: a few 2^k vectors, one target at a
-    time, never a (targets x 2^k) array.
+    time, never a (targets x 2^k) array.  The partition checks and the masks
+    depend on (g, b) alone and are cached; the 2^k arrays are not.
     """
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
-    controls = sorted(b.controls)
-    targets = sorted(b.targets)
-    if b.controls | b.targets != frozenset(range(g.n)) or b.controls & b.targets:
-        raise NotBipartite("control and target sets must partition the qubits")
-    adj = adjacency(g)
-    bit_of = {q: i for i, q in enumerate(controls)}
-    for a, bb in g.edges:
-        if (a in b.controls) == (bb in b.controls):
-            raise NotBipartite(f"edge ({a}, {bb}) joins two qubits of one class")
-    k = len(controls)
-    if k > DIRECT_SUM_CONTROL_CAP:
-        raise TooManyControls(f"{k} control qubits would need a 2^{k} sum")
-
+    controls, masks = _direct_sum_plan(g, b)
     c, s = spec.c.tolist(), spec.s.tolist()
     # Kronecker chain of (C, S) pairs, each more significant than the last:
     # bit i of the index j is controls[i]
     coef = np.ones(1, dtype=complex)
     for p in controls:
         coef = np.multiply.outer((c[p], s[p]), coef).ravel()
-    j = np.arange(1 << k)
-    for q in targets:
-        mask = sum(1 << bit_of[nbr] for nbr in adj[q])
+    j = np.arange(1 << len(controls))
+    for q, mask in masks:
         odd = np.bitwise_count(j & mask) & 1
         coef *= np.where(odd, c[q] - s[q], c[q] + s[q])
     return complex((2.0 ** (-g.n / 2.0)) * coef.sum())

@@ -2,6 +2,7 @@
 
 import ast
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import latticeproj.oracle
 
+from latticeproj.cli import bench_fig10, main
 from latticeproj.errors import (
     NotBipartite,
     SizeMismatch,
@@ -338,3 +340,130 @@ def test_direct_sum_peak_memory_is_order_two_to_the_controls():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * (16 << k)
+
+
+def test_direct_sum_rejects_a_bad_partition_on_every_call():
+    # the per-(graph, bipartition) prelude caches its result, not its errors
+    g = build_line(3)
+    spec = random_spec(3, 0)
+    same_class = Bipartition(frozenset({0, 1}), frozenset({2}))
+    overlap = Bipartition(frozenset({0, 1}), frozenset({1, 2}))
+    big = Bipartition(frozenset(range(25)), frozenset(range(25, 30)))
+    for _ in range(2):
+        with pytest.raises(NotBipartite):
+            direct_sum(g, same_class, spec)
+        with pytest.raises(NotBipartite):
+            direct_sum(g, overlap, spec)
+        with pytest.raises(TooManyControls):
+            direct_sum(build_from_edges(30, [(0, 29)]), big, random_spec(30, 0))
+
+
+def test_direct_sum_prelude_is_shared_by_equal_graphs():
+    path = fixture_path("fivecross_17.graph")
+    g, again = load_graph(path), load_graph(path)
+    assert g == again and g is not again
+    spec = random_spec(g.n, 0)
+    first = direct_sum(g, bipartition(g), spec)
+    hits = latticeproj.oracle._direct_sum_plan.cache_info().hits
+    assert direct_sum(again, bipartition(again), spec) == first
+    assert latticeproj.oracle._direct_sum_plan.cache_info().hits == hits + 1
+
+
+# the one-slot statevector memo
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Start with nothing held and count the doubling builds that follow."""
+    monkeypatch.setattr(latticeproj.oracle, "_held", None)
+    calls = []
+    build = latticeproj.oracle._doubling_build
+
+    def counted(g):
+        calls.append(g)
+        return build(g)
+
+    monkeypatch.setattr(latticeproj.oracle, "_doubling_build", counted)
+    return calls
+
+
+def test_memo_alternating_graphs_of_one_size(builds):
+    # same n, different edges: a memo keyed on the qubit count would hand
+    # one graph the other's vector
+    line = build_line(8)
+    cycle = build_from_edges(8, [(q, (q + 1) % 8) for q in range(8)])
+    references = {
+        g: np.ascontiguousarray(edge_mask_statevector(g).real).tobytes() for g in (line, cycle)
+    }
+    for _ in range(4):
+        for g in (line, cycle):
+            assert build_statevector(g).amplitudes.tobytes() == references[g]
+    assert len(builds) == 8
+
+
+def test_memo_equal_graph_objects_share_one_build(builds):
+    g, again = build_lattice(2, 2), build_lattice(2, 2)
+    assert g == again and g is not again
+    first, second = build_statevector(g), build_statevector(again)
+    assert len(builds) == 1
+    assert second is not first
+    assert second.amplitudes is first.amplitudes
+
+
+def test_verify_trials_build_the_statevector_once(builds, capsys):
+    code = main(["verify", "--graph", "fivecross_17.graph", "--trials", "31"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(builds) == 1
+
+
+def test_memo_array_is_read_only(builds):
+    sv = build_statevector(build_line(5))
+    with pytest.raises(ValueError):
+        sv.amplitudes[0] = 1.0
+    with pytest.raises(ValueError):
+        sv.amplitudes *= 2.0
+    assert build_statevector(build_line(5)).amplitudes.tobytes() == sv.amplitudes.tobytes()
+    assert len(builds) == 1
+
+
+def test_memo_reads_the_cap_on_every_call(builds, monkeypatch, capsys):
+    g = build_line(8)
+    build_statevector(g)
+    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "6")
+    with pytest.raises(TooLarge):
+        build_statevector(g)
+    code = main(
+        ["project", "--builder", "line:8", "--angles", "all:0.3,0.2", "--engine", "statevector"]
+    )
+    assert code == 2
+    assert "cap" in capsys.readouterr().err
+    assert len(builds) == 1
+
+
+def test_memo_drops_the_old_vector_before_building_the_new_one(builds):
+    n = 16
+    a = build_line(n)
+    b = build_from_edges(n, [(q, (q + 1) % n) for q in range(n)])
+    build_statevector(b)  # warm numpy's caches, then hold nothing of a or b
+    latticeproj.oracle._held = None
+    tracemalloc.start()
+    try:
+        held_a = weakref.ref(build_statevector(a).amplitudes)
+        assert held_a() is not None
+        tracemalloc.reset_peak()
+        build_statevector(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held_a() is None
+    # b's build needs its 8 << n float64 result and a 1 << n byte temporary;
+    # a's 8 << n bytes held on top of that would pass 2 * (8 << n)
+    assert peak < 3 * (8 << n) // 2
+
+
+def test_fig10_bench_still_builds_every_statevector(builds):
+    # its three graphs alternate, so the one held vector never hits and the
+    # suite keeps timing the whole dense route
+    bench_fig10(trials=3, seed=0)
+    assert len(builds) == 3 * 3
