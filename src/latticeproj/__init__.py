@@ -20,14 +20,22 @@ from .algebra import (
     word_mul,
     word_trace,
 )
-from .engines import ENGINE_NAMES, applicable_engines, compute_amplitude, sweep_polynomial
+from .engines import (
+    ENGINE_NAMES,
+    applicable_engines,
+    compute_amplitude,
+    compute_amplitudes,
+    sweep_polynomial,
+)
 from .evaluate import (
     EvalReport,
+    column_batch,
     column_evaluate,
     cross_chain_recursion,
     lattice_width_profile,
     line_amplitude,
     line_recursion,
+    sweep_batch,
     sweep_evaluate,
 )
 from .factorize import (
@@ -77,7 +85,9 @@ from .oracle import (
     StateVector,
     build_statevector,
     direct_sum,
+    direct_sum_batch,
     project_statevector,
+    project_statevector_batch,
     statevector_cap,
 )
 

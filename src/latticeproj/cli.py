@@ -20,7 +20,13 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .engines import ENGINE_NAMES, ENGINES, applicable_engines, compute_amplitude
+from .engines import (
+    ENGINE_NAMES,
+    ENGINES,
+    applicable_engines,
+    compute_amplitude,
+    compute_amplitudes,
+)
 from .errors import BadSetting, CircuitParseError, LatticeProjError, TooLarge
 from .evaluate import lattice_width_profile
 from .factorize import ProjectionSpec, load_angles
@@ -167,17 +173,20 @@ def run_verify(
 ) -> tuple[list[dict], float]:
     """Per-trial amplitudes for every engine plus the worst relative delta.
 
+    Trial t draws its projection from seed + t.  Each engine is checked
+    against the graph once and asked for all T amplitudes in one
+    ``evaluate_batch`` pass (chunked within its cap; see engines).
     A trial's relative delta is its largest pairwise |a - b| over its
     largest |amplitude| (0 when every amplitude is exactly zero), so an
     engine that returns 0 against a non-zero amplitude reads 1.0 however
     small the amplitudes are.  The CSV's max_abs_delta stays absolute.
     """
+    specs = [ProjectionSpec.random(g.n, np.random.default_rng(seed + t)) for t in range(trials)]
+    batches = {e: compute_amplitudes(g, specs, e) for e in engines}
     rows = []
     worst = 0.0
     for trial in range(trials):
-        trial_seed = seed + trial
-        spec = ProjectionSpec.random(g.n, np.random.default_rng(trial_seed))
-        amps = {e: compute_amplitude(g, spec, e).amplitude for e in engines}
+        amps = {e: batches[e][trial] for e in engines}
         values = list(amps.values())
         delta = max(
             (abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]),
@@ -185,7 +194,7 @@ def run_verify(
         )
         scale = max((abs(a) for a in values), default=0.0)
         worst = max(worst, delta / scale if scale else 0.0)
-        row: dict = {"trial": trial, "seed": trial_seed}
+        row: dict = {"trial": trial, "seed": seed + trial}
         for e in engines:
             key = e.replace("-", "_")
             row[f"{key}_re"] = repr(amps[e].real)

@@ -22,7 +22,10 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
 
 The frontier loop, _contract, is the one contraction core: mbqc.py runs
 patterns through it with every qubit owning its slot, bras as C/S weights
-and the input and output slots left open (never retired).
+and the input and output slots left open (never retired).  sweep_batch and
+column_batch run T projections in one pass of the same loops, the trial
+axis leading the frontier and trailing the column boundary; each trial's
+amplitude is bitwise the one-projection result.
 
 The paper's literal word-dict contraction (a map from tensor word to
 coefficient, multiplied term by term) is kept as the test suite's reference,
@@ -57,6 +60,7 @@ from .factorize import (
     build_polynomial,
     max_active_slots,
     order_factors,
+    stack_specs,
 )
 from .graph import ClusterGraph, build_lattice, graph_family, lattice_center, lattice_corner
 
@@ -91,15 +95,17 @@ class FrontierPlan:
     """The sweep's axis layout for one factor order; fixed by the words alone.
 
     The frontier has ``width`` axes; frontier axis a is numpy axis -1-a, so a
-    factor's array needs only as many dimensions as its highest axis.  An
+    factor's array needs only as many dimensions as its highest axis, and a
+    leading trial axis (see _contract) passes every axis by.  An
     axis of length 2 carries one active slot's diagonal index; an axis of
     length 1 is free (the slot there is I).  ``c_diag`` and ``s_diag`` hold
     each factor's c-word and s-word diagonals over the axes it touches,
     flattened in factor order, and ``qubit`` maps every entry to its
     factor's qubit, so the spec's C/S arrays expand onto the entries with
-    one fancy index.  ``steps[pos]`` is (start, stop, shape, retired
-    axes): the factor's entries, the broadcast shape they take, and the
-    numpy axes summed right after it; ``open_axes`` are the final axes of
+    one fancy index.  ``steps[pos]`` is (entries, shape, retired axes):
+    the index of the factor's entries on the last axis of those values
+    (``[..., start:stop]``), the broadcast shape they take, and the numpy
+    axes summed right after it; ``open_axes`` are the final axes of
     the open (never retired) slots.  The counters are those of EvalReport,
     fixed by the layout; the peak frontier size is 2^width.
     """
@@ -108,7 +114,7 @@ class FrontierPlan:
     qubit: np.ndarray
     c_diag: np.ndarray
     s_diag: np.ndarray
-    steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
+    steps: tuple[tuple[tuple, tuple[int, ...], tuple[int, ...]], ...]
     add_count: int
     mul_count: int
     open_axes: tuple[int, ...] = ()
@@ -191,7 +197,7 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
             free.append(axis)
             retire.append(-1 - axis)
         add += live - (live >> len(retire))
-        steps.append((stop, stop + c.size, shape, tuple(retire)))
+        steps.append(((..., slice(stop, stop + c.size)), shape, tuple(retire)))
         stop += c.size
     residue = set(axis_of).difference(open_slots)
     if residue:
@@ -224,11 +230,23 @@ def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
 
 
 def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The unnormalized final frontier, c[q]/s[q] weighting q's words; 2 long on open axes."""
-    values = c[plan.qubit] * plan.c_diag + s[plan.qubit] * plan.s_diag
-    frontier = np.ones((1,) * plan.width, dtype=complex)
-    for start, stop, shape, retire in plan.steps:
-        frontier = frontier * values[start:stop].reshape(shape)
+    """The unnormalized final frontier, c[q]/s[q] weighting q's words; 2 long on open axes.
+
+    c and s are (n,) arrays, or (T, n) for T projections at once.  The T
+    frontiers then share a leading axis, which every factor and retirement
+    passes over (their axes count from the end) once each factor's shape is
+    padded to all ``width`` axes; one projection runs with no leading axis
+    and the plan's shapes as they are.
+    """
+    values = c.take(plan.qubit, -1) * plan.c_diag + s.take(plan.qubit, -1) * plan.s_diag
+    lead = c.shape[:-1]
+    steps = plan.steps
+    if lead:
+        steps = [(index, lead + (1,) * (plan.width - len(shape)) + shape, retire)
+                 for index, shape, retire in steps]
+    frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
+    for index, shape, retire in steps:
+        frontier = frontier * values[index].reshape(shape)
         if retire:
             frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
     return frontier
@@ -252,6 +270,17 @@ def sweep_evaluate(poly: FactorizedPolynomial) -> EvalReport:
         add_count=plan.add_count,
         mul_count=plan.mul_count,
     )
+
+
+def sweep_batch(poly: FactorizedPolynomial, specs: Sequence[ProjectionSpec]) -> np.ndarray:
+    """sweep_evaluate's amplitude under each of T specs, as a (T,) array.
+
+    One pass of poly's plan with a leading trial axis (see _contract); the
+    spec poly itself carries is not read.  Each trial's amplitude is bitwise
+    the one sweep_evaluate gives.
+    """
+    frontier = _contract(frontier_plan(poly), *stack_specs(specs, poly.graph.n))
+    return (2.0 ** (-poly.norm_exponent / 2.0)) * frontier.reshape(len(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +412,35 @@ def _column_layout(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _corner_diagonal(column: np.ndarray, gray: np.ndarray) -> np.ndarray:
-    """One corner column's diagonal over the words; column[r] is corner r's (C, S)."""
+    """One corner column's diagonal over the words, (d,) or (d, T).
+
+    column[r] is corner r's (C, S) as a (2, 1) or (2, 1, T) column.  The
+    chain X of all m+1 corners, corner 0 least significant, holds C_m W[y]
+    at y and S_m W[2^m-1-y] at 2^(m+1)-1-y, so D = X[y] + X[2^(m+1)-1-y].
+    """
+    shape = (1, -1) + column.shape[3:]
     chain = column[0]
-    for pair in column[1:-1]:
-        chain = np.multiply.outer(pair, chain).ravel()
-    top_c, top_s = column[-1].tolist()
-    return (top_c * chain + top_s * chain[::-1])[gray]
+    for pair in column[1:]:
+        chain = pair * chain.reshape(shape)
+    chain = chain.reshape(shape[1:])
+    d = len(gray)
+    return (chain[:d] + chain[: d - 1 : -1])[gray]
 
 
 # Most center slots per column that column_evaluate takes (2^cap boundary).
 COLUMN_ROW_CAP = 16
+
+
+def _column_shape(g: ClusterGraph) -> tuple[int, int]:
+    shape = graph_family(g).lattice
+    if shape is None:
+        raise NotALattice("column evaluator needs a canonical cross lattice")
+    m, n = shape
+    if m > COLUMN_ROW_CAP:
+        raise ColumnTooWide(
+            f"center column holds {m} slots, above the cap of {COLUMN_ROW_CAP}"
+        )
+    return m, n
 
 
 def column_evaluate(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
@@ -428,44 +476,61 @@ def column_evaluate(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     The lattice shape is read from graph.graph_family, so it is detected
     once per graph.
     """
-    shape = graph_family(g).lattice
-    if shape is None:
-        raise NotALattice("column evaluator needs a canonical cross lattice")
+    m, n = _column_shape(g)
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
-    m, n = shape
-    if m > COLUMN_ROW_CAP:
-        raise ColumnTooWide(
-            f"center column holds {m} slots, above the cap of {COLUMN_ROW_CAP}"
-        )
     dim = 1 << m
-    corners, centers, gray = _column_layout(m, n)
-    pairs = np.stack((spec.c[corners], spec.s[corners]), axis=-1)
-    plus = (spec.c[centers] + spec.s[centers]).tolist()
-    minus = (spec.c[centers] - spec.s[centers]).tolist()
-
-    boundary = _corner_diagonal(pairs[0], gray)
-    spare = np.empty_like(boundary)
-    for j in range(n):
-        # center (i, j) maps entry w to alpha*b[w] + beta*b[w ^ 2^i]; the two
-        # buffers take turns, so no slot allocates
-        for i, (alpha, beta) in enumerate(zip(plus[j], minus[j])):
-            v = boundary.reshape(-1, 2, 1 << i)
-            out = spare.reshape(v.shape)
-            np.multiply(v[:, ::-1], beta, out=out)
-            v *= alpha
-            out += v
-            boundary, spare = spare, boundary
-        boundary *= _corner_diagonal(pairs[j + 1], gray)
-    result = boundary.sum()
-
-    amplitude = (2.0 ** (-g.n / 2.0)) * result
+    amplitude = (2.0 ** (-g.n / 2.0)) * _column_sum(m, n, spec.c, spec.s)
     return EvalReport(
         amplitude=complex(amplitude),
         max_live_terms=dim,
         add_count=m * n * dim + dim - 1,
         mul_count=(2 * m + 1) * n * dim + 1,
     )
+
+
+def column_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> np.ndarray:
+    """column_evaluate's amplitude under each of T specs, as a (T,) array.
+
+    The same column loop on a (d, T) boundary; each trial's amplitude is
+    bitwise the one column_evaluate gives.
+    """
+    m, n = _column_shape(g)
+    return (2.0 ** (-g.n / 2.0)) * _column_sum(m, n, *stack_specs(specs, g.n))
+
+
+def _column_sum(m: int, n: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The summed final boundary of the m x n lattice, for C/S arrays of one
+    projection (one entry per qubit) or of T projections (T rows).
+
+    T projections put their trial axis last on the boundary, (d, T), so a
+    center's (T,) coefficients broadcast over it as one projection's
+    scalars do.
+    """
+    corners, centers, gray = _column_layout(m, n)
+    trail = c.shape[:-1]
+    pairs = np.empty(corners.shape + (2, 1) + trail, dtype=complex)
+    pairs[:, :, 0, 0] = c.T[corners]
+    pairs[:, :, 1, 0] = s.T[corners]
+    cc, sc = c.T[centers], s.T[centers]
+    plus, minus = cc + sc, cc - sc
+    shapes = [(-1, 2, 1 << i) + trail for i in range(m)]
+
+    boundary = _corner_diagonal(pairs[0], gray)
+    spare = np.empty_like(boundary)
+    for j in range(n):
+        # center (i, j) maps entry w to alpha*b[w] + beta*b[w ^ 2^i]; the two
+        # buffers take turns, so no slot allocates
+        for shape, alpha, beta in zip(shapes, plus[j], minus[j]):
+            v = boundary.reshape(shape)
+            out = spare.reshape(shape)
+            np.multiply(v[:, ::-1], beta, out=out)
+            v *= alpha
+            out += v
+            boundary, spare = spare, boundary
+        boundary *= _corner_diagonal(pairs[j + 1], gray)
+    # each trial's sum over one contiguous row, as for one projection
+    return np.ascontiguousarray(boundary.T).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

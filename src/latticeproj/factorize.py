@@ -84,6 +84,16 @@ class ProjectionSpec:
         return f"ProjectionSpec(n={self.n})"
 
 
+def stack_specs(specs: Sequence[ProjectionSpec], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C and S arrays of T n-qubit specs, stacked as (T, n) arrays."""
+    for spec in specs:
+        if spec.n != n:
+            raise SizeMismatch(f"spec has {spec.n} qubits, expected {n}")
+    c = np.array([spec.c for spec in specs]).reshape(len(specs), n)
+    s = np.array([spec.s for spec in specs], dtype=complex).reshape(c.shape)
+    return c, s
+
+
 @dataclass(frozen=True)
 class Factor:
     """One qubit's binomial C_p*c_word + S_p*s_word, by its words only.

@@ -13,6 +13,12 @@ Conventions frozen here and documented loudly:
     most one vector (8 << n bytes) is retained and never two are live.
     The qubit cap is read on every call, hit or miss.  Threads racing on
     the slot can at worst build twice.
+  * The projection folds the vector with two half-bras, each a numpy
+    Kronecker chain of the (C_p, S_p) pairs (one array multiply per qubit).
+    ``project_statevector_batch`` and ``direct_sum_batch`` take T specs in
+    one pass: every per-spec array gains a leading trial axis, so the fold's
+    matrix-vector products become two real matrix products.  Both stay brute
+    force from the edge list, the specs' C/S arrays only stacked.
   * ``direct_sum`` checks the partition and derives its per-target
     neighbour masks once per (graph, bipartition); the 2^k arrays it sums
     stay per call.
@@ -26,15 +32,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import prod
-from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BadSetting, NotBipartite, SizeMismatch, TooLarge, TooManyControls
-from .factorize import ProjectionSpec
+from .factorize import ProjectionSpec, stack_specs
 from .graph import Bipartition, ClusterGraph, adjacency
 
 DEFAULT_STATEVEC_CAP = 20
@@ -134,20 +137,64 @@ def _doubling_build(g: ClusterGraph) -> np.ndarray:
 def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
     """Inner product with the product bra; coefficients applied unconjugated.
 
-    The amplitudes, as a real 2^h x 2^(n-h) matrix, meet the Kronecker bra of
-    the last n - h qubits in two real matrix-vector products (its real and
-    imaginary parts), then that of the first h in a Python sum.  The half-bras
-    are Python products of C_p/S_p, 2^h + 2^(n-h) terms in all.
+    The amplitudes, as a real 2^h x 2^(n-h) matrix (h = n // 2), meet the
+    Kronecker bra of the last n - h qubits in two real matrix-vector products
+    (its real and imaginary parts); the 2^h rows then meet the bra of the
+    first h qubits.  Each half-bra is a numpy Kronecker chain of the
+    (C_p, S_p) pairs, qubit 0 most significant: 2^h + 2^(n-h) entries built
+    by about n array multiplies, with no Python loop over the entries.
     """
-    n = sv.n
-    if spec.n != n:
-        raise SizeMismatch(f"spec has {spec.n} qubits, state has {n}")
-    bra = list(zip(spec.c.tolist(), spec.s.tolist()))
-    h = n // 2
-    low = np.fromiter(map(prod, product(*bra[h:])), complex, 1 << (n - h))
-    amps = sv.amplitudes.reshape(1 << h, -1)
-    rows = (amps.dot(low.real) + 1j * amps.dot(low.imag)).tolist()
-    return complex(sum(map(mul, map(prod, product(*bra[:h])), rows)))
+    if spec.n != sv.n:
+        raise SizeMismatch(f"spec has {spec.n} qubits, state has {sv.n}")
+    return complex(_fold(sv.amplitudes, spec.c, spec.s))
+
+
+def project_statevector_batch(sv: StateVector, specs: Sequence[ProjectionSpec]) -> np.ndarray:
+    """project_statevector of each of T specs, as a (T,) complex array.
+
+    The same fold with a leading trial axis: the low half-bras form a
+    (T, 2^(n-h)) array that meets the amplitude matrix in two real matrix
+    products, and the (T, 2^h) rows then meet their high half-bras row by
+    row.  Beside the shared vector it holds T times one spec's bras.
+    """
+    return _fold(sv.amplitudes, *stack_specs(specs, sv.n))
+
+
+def _pairs(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Each qubit's (C, S) as a column: (n, 2, 1) from (n,) arrays, (n, T, 2, 1) from (T, n).
+
+    C-ordered, so every chain built from it is too.
+    """
+    pairs = np.empty(c.shape[::-1] + (2, 1), dtype=complex)
+    pairs[..., 0, 0] = c.T
+    pairs[..., 1, 0] = s.T
+    return pairs
+
+
+def _kron_chain(pairs: np.ndarray) -> np.ndarray:
+    """The Kronecker chain of the _pairs columns, pairs[0] most significant.
+
+    The trial axis, if any, is kept: k columns give (2^k,) or (T, 2^k), and
+    k = 0 gives ones.  Each step multiplies one column into the chain so far,
+    less significant, as np.multiply.outer would.
+    """
+    shape = pairs.shape[1:-2] + (1, -1)
+    if not len(pairs):
+        return np.ones(shape[:-2] + (1,), dtype=complex)
+    chain = pairs[-1]
+    for pair in pairs[-2::-1]:
+        chain = pair * chain.reshape(shape)
+    return chain.reshape(shape[:-2] + (-1,))
+
+
+def _fold(amps: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The projection of the real amplitudes onto the bras of (n,) or (T, n) C/S arrays."""
+    pairs = _pairs(c, s)
+    h = len(pairs) // 2
+    low = _kron_chain(pairs[h:])
+    cols = amps.reshape(1 << h, -1).T  # a view of the read-only amplitudes
+    rows = np.dot(low.real, cols) + 1j * np.dot(low.imag, cols)
+    return (_kron_chain(pairs[:h]) * rows).sum(axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -190,15 +237,28 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     """
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
+    return complex(_direct_sum(g, b, spec.c, spec.s))
+
+
+def direct_sum_batch(g: ClusterGraph, b: Bipartition, specs: Sequence[ProjectionSpec]) -> np.ndarray:
+    """direct_sum of each of T specs, as a (T,) complex array.
+
+    The same sum on a (T, 2^k) coefficient array: each target's factor is
+    picked per trial, and the index and parity arrays (2^k) are shared.
+    """
+    return _direct_sum(g, b, *stack_specs(specs, g.n))
+
+
+def _direct_sum(g: ClusterGraph, b: Bipartition, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """direct_sum on (n,) or (T, n) C/S arrays."""
     controls, masks = _direct_sum_plan(g, b)
-    c, s = spec.c.tolist(), spec.s.tolist()
-    # Kronecker chain of (C, S) pairs, each more significant than the last:
-    # bit i of the index j is controls[i]
-    coef = np.ones(1, dtype=complex)
-    for p in controls:
-        coef = np.multiply.outer((c[p], s[p]), coef).ravel()
+    # bit i of the index j is controls[i], so the last control leads the chain
+    coef = _kron_chain(_pairs(c, s)[list(controls[::-1])])
+    plus, minus = (c + s)[..., None], (c - s)[..., None]
     j = np.arange(1 << len(controls))
     for q, mask in masks:
         odd = np.bitwise_count(j & mask) & 1
-        coef *= np.where(odd, c[q] - s[q], c[q] + s[q])
-    return complex((2.0 ** (-g.n / 2.0)) * coef.sum())
+        # not in place: numpy multiplies a lone complex in place without
+        # FMA, so one spec with no controls would round unlike T of them
+        coef = coef * np.where(odd, minus[..., q, :], plus[..., q, :])
+    return (2.0 ** (-g.n / 2.0)) * coef.sum(axis=-1)

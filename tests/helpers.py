@@ -10,8 +10,14 @@ The per-edge mask statevector (edge_mask_statevector) is the reference for
 the package's doubling build of the same vector, and the Kronecker-embedded
 product (kron_semantics) the reference for compose's wire-axis product.
 The per-target parity loop (loop_direct_sum) is the reference for the
-package's bit-counting direct sum.
+package's bit-counting direct sum, and the Python-product fold
+(product_fold) the reference for the numpy Kronecker half-bras of
+project_statevector.
 """
+
+from itertools import product
+from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -101,6 +107,23 @@ def loop_direct_sum(g, b, spec):
             parity ^= (j >> bit_of[nbr]) & 1
         coef = coef * np.where(parity, spec.c[q] - spec.s[q], spec.c[q] + spec.s[q])
     return complex((2.0 ** (-g.n / 2.0)) * coef.sum())
+
+
+def product_fold(sv, spec):
+    """project_statevector with half-bras built as Python products.
+
+    Each half-bra entry is math.prod of one C_p/S_p choice per qubit, over
+    itertools.product (qubit 0 most significant); the low half meets the
+    amplitude matrix in two real matrix-vector products and the high half
+    the rows in a Python sum.
+    """
+    n = sv.n
+    bra = list(zip(spec.c.tolist(), spec.s.tolist()))
+    h = n // 2
+    low = np.fromiter(map(prod, product(*bra[h:])), complex, 1 << (n - h))
+    amps = sv.amplitudes.reshape(1 << h, -1)
+    rows = (amps.dot(low.real) + 1j * amps.dot(low.imag)).tolist()
+    return complex(sum(map(mul, map(prod, product(*bra[:h])), rows)))
 
 
 def _embed_operator(mat, positions, width):

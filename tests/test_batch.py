@@ -1,0 +1,204 @@
+"""Batched evaluation: every engine's evaluate_batch against its own evaluate."""
+
+import csv
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latticeproj import engines
+from latticeproj.cli import main
+from latticeproj.engines import ENGINES, Engine, applicable_engines, compute_amplitudes
+from latticeproj.errors import LatticeProjError, NotALattice, SizeMismatch
+from latticeproj.evaluate import EvalReport
+from latticeproj.graph import build_cross_chain, build_from_edges, build_lattice, build_line
+
+from helpers import random_spec
+
+BUILDERS = {"line": build_line, "cross": build_cross_chain, "lattice": build_lattice}
+
+
+def _agree(engine, batch, singles):
+    # the statevector's rows meet its amplitudes in one GEMM, whose rounding
+    # depends on how many rows it takes; every other engine runs the very
+    # same operations per trial
+    if engine != "statevector":
+        return batch == singles
+    scale = max(map(abs, singles))
+    return all(abs(a - b) <= 1e-13 * scale for a, b in zip(batch, singles))
+
+
+def _check_batches(g, trials, seed):
+    specs = [random_spec(g.n, seed + t) for t in range(trials)]
+    for name in applicable_engines(g):
+        row = ENGINES[name]
+        singles = [row.evaluate(g, spec).amplitude for spec in specs]
+        batch = row.evaluate_batch(g, specs)
+        assert len(batch) == trials, name
+        assert _agree(name, batch, singles), name
+
+
+@st.composite
+def random_graph(draw, max_qubits=8):
+    n = draw(st.integers(min_value=1, max_value=max_qubits))
+    pairs = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)
+    ).filter(lambda e: e[0] != e[1]).map(lambda e: tuple(sorted(e)))
+    return build_from_edges(n, sorted(draw(st.sets(pairs, max_size=2 * n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=random_graph(), trials=st.sampled_from([1, 2, 7]), seed=st.integers(0, 2**20))
+def test_batch_equals_single_on_random_graphs(g, trials, seed):
+    _check_batches(g, trials, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("line"), st.integers(1, 12)),
+        st.tuples(st.just("cross"), st.integers(1, 5)),
+        st.tuples(st.just("lattice"), st.integers(1, 3), st.integers(1, 4)),
+    ),
+    trials=st.sampled_from([1, 2, 7]),
+    seed=st.integers(0, 2**20),
+)
+def test_batch_equals_single_on_builder_shapes(shape, trials, seed):
+    kind, *size = shape
+    _check_batches(BUILDERS[kind](*size), trials, seed)
+
+
+# Each batching row's cap and the kernel one pass calls.  The budget is 2^cap
+# entries and a spec holds 2^(controls, frontier width or rows), so a cap
+# one above that allows 2 specs a pass.
+CAPS = {
+    "direct-sum": ("DIRECT_SUM_CONTROL_CAP", "direct_sum_batch"),
+    "sweep": ("SWEEP_WIDTH_CAP", "sweep_batch"),
+    "column": ("COLUMN_ROW_CAP", "column_batch"),
+}
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(engines, name)
+
+    def spy(*args):
+        calls.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(engines, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("engine", sorted(CAPS))
+def test_lowered_cap_splits_the_batch_into_chunks(monkeypatch, engine):
+    g = build_lattice(2, 3)
+    specs = [random_spec(g.n, 70 + t) for t in range(7)]
+    whole = ENGINES[engine].evaluate_batch(g, specs)
+    need = {
+        "direct-sum": len(engines.graph_family(g).bipartition.controls),
+        "sweep": engines.frontier_plan(engines._sweep_structure(g)).width,
+        "column": 2,
+    }[engine]
+    cap, kernel = CAPS[engine]
+    monkeypatch.setattr(engines, cap, need + 1)
+    calls = _spy(monkeypatch, kernel)
+    assert ENGINES[engine].evaluate_batch(g, specs) == whole
+    # 2 + 2 + 2 + 1: the last, partial chunk is run too
+    assert calls == [2, 2, 2, 1]
+
+
+def test_lowered_statevector_cap_splits_the_batch_into_chunks(monkeypatch):
+    g = build_line(6)
+    specs = [random_spec(g.n, 80 + t) for t in range(7)]
+    whole = ENGINES["statevector"].evaluate_batch(g, specs)
+    # 2^7 - 2^6 entries beside the vector, 2^3 + 2^3 per spec: 4 specs a pass
+    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "7")
+    calls = _spy(monkeypatch, "project_statevector_batch")
+    assert _agree("statevector", ENGINES["statevector"].evaluate_batch(g, specs), whole)
+    assert calls == [4, 3]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5])
+def test_any_chunk_length_gives_the_same_amplitudes(monkeypatch, budget):
+    # every batching row, with the budget cut to `budget` specs a pass
+    g = build_cross_chain(2)
+    specs = [random_spec(g.n, 90 + t) for t in range(7)]
+    whole = {name: ENGINES[name].evaluate_batch(g, specs) for name in applicable_engines(g)}
+    real = engines._chunk_length
+    monkeypatch.setattr(engines, "_chunk_length", lambda per_spec, _: real(per_spec, budget * per_spec))
+    for name, amps in whole.items():
+        assert _agree(name, ENGINES[name].evaluate_batch(g, specs), amps), name
+
+
+def test_chunk_length_keeps_within_the_budget():
+    assert engines._chunk_length(8, 64) == 8
+    assert engines._chunk_length(8, 63) == 7
+    # a spec larger than the budget still runs, alone
+    assert engines._chunk_length(8, 7) == 1
+    assert engines._chunk_length(8, -5) == 1
+
+
+def test_a_row_without_a_batch_loops_over_its_evaluate():
+    seen = []
+
+    def evaluate(g, spec):
+        seen.append(spec)
+        return EvalReport(complex(len(seen)), 1, 0, 0)
+
+    row = Engine(lambda g: None, evaluate)
+    specs = [random_spec(3, t) for t in range(3)]
+    assert row.evaluate_batch(build_line(3), specs) == [1, 2, 3]
+    assert seen == specs
+
+
+def test_compute_amplitudes_checks_like_compute_amplitude():
+    g = build_line(5)
+    with pytest.raises(SizeMismatch):
+        compute_amplitudes(g, [random_spec(5, 0), random_spec(4, 0)], "sweep")
+    with pytest.raises(NotALattice):
+        compute_amplitudes(g, [random_spec(5, 0)], "column")
+    with pytest.raises(LatticeProjError, match="unknown engine"):
+        compute_amplitudes(g, [random_spec(5, 0)], "nope")
+
+
+def test_verify_makes_one_batch_call_per_engine(capsys, monkeypatch):
+    g = build_lattice(2, 2)
+    names = applicable_engines(g)
+    assert names == ["statevector", "direct-sum", "sweep", "column"]
+    counts = {}
+    for name in names:
+        row = ENGINES[name]
+        counts[name] = {"evaluate": 0, "batch": []}
+
+        def evaluate(g, spec, row=row, count=counts[name]):
+            count["evaluate"] += 1
+            return row.evaluate(g, spec)
+
+        def evaluate_batch(g, specs, row=row, count=counts[name]):
+            count["batch"].append(len(specs))
+            return row.evaluate_batch(g, specs)
+
+        monkeypatch.setitem(ENGINES, name, Engine(row.misfit, evaluate, evaluate_batch))
+    code = main(["verify", "--builder", "lattice:2x2", "--trials", "31"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 31
+    assert counts == {name: {"evaluate": 0, "batch": [31]} for name in names}
+
+
+def test_verify_csv_is_the_per_trial_one(capsys):
+    # the amplitudes verify prints are each engine's per-spec evaluate
+    code = main(["verify", "--builder", "cross:2", "--trials", "5", "--seed", "3"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 0
+    g = build_cross_chain(2)
+    for trial, row in enumerate(rows):
+        spec = random_spec(g.n, 3 + trial)
+        for name in applicable_engines(g):
+            amp = ENGINES[name].evaluate(g, spec).amplitude
+            key = name.replace("-", "_")
+            if name == "statevector":
+                assert abs(complex(float(row[f"{key}_re"]), float(row[f"{key}_im"])) - amp) <= 1e-13 * abs(amp)
+            else:
+                assert (row[f"{key}_re"], row[f"{key}_im"]) == (repr(amp.real), repr(amp.imag))

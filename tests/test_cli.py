@@ -176,6 +176,7 @@ def test_unwritable_output_fails_before_any_amplitude(capsys, monkeypatch, tmp_p
         raise AssertionError("an amplitude was computed before --output was opened")
 
     monkeypatch.setattr(cli, "compute_amplitude", no_work)
+    monkeypatch.setattr(cli, "compute_amplitudes", no_work)
     code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path / "no" / "x"))
     assert code == 2
     assert "No such file" in err

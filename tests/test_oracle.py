@@ -34,11 +34,19 @@ from latticeproj.oracle import (
     StateVector,
     build_statevector,
     direct_sum,
+    direct_sum_batch,
     project_statevector,
+    project_statevector_batch,
     statevector_cap,
 )
 
-from helpers import brute_amplitude, edge_mask_statevector, loop_direct_sum, random_spec
+from helpers import (
+    brute_amplitude,
+    edge_mask_statevector,
+    loop_direct_sum,
+    product_fold,
+    random_spec,
+)
 
 FIXTURES = sorted(p.name for p in fixture_path("line_4.graph").parent.glob("*.graph"))
 # every line, cross and lattice builder shape of at most 16 qubits
@@ -217,6 +225,56 @@ def test_projection_of_real_statevectors_is_the_kronecker_bra_product(n):
             expected = complex(kron_bra(spec) @ sv.amplitudes)
             got = project_statevector(sv, spec)
             assert abs(got - expected) <= 1e-12 * max(abs(expected), 2.0 ** (-n / 2.0))
+
+
+def _random_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    picked = rng.choice(len(pairs), size=min(len(pairs), 2 * n), replace=False)
+    return build_from_edges(n, sorted(pairs[i] for i in picked))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_numpy_bras_match_the_exhaustive_sum(n):
+    # n = 1 has an empty high half-bra; an asymmetric spec tells a
+    # reversed Kronecker order apart
+    g = _random_graph(n, 300 + n)
+    sv = build_statevector(g)
+    for seed in range(2):
+        spec = random_spec(n, 400 + seed)
+        expected = brute_amplitude(g, spec)
+        got = project_statevector(sv, spec)
+        assert abs(got - expected) <= 1e-12 * max(abs(expected), 2.0 ** (-n / 2.0))
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_numpy_bras_match_the_python_product_fold(n):
+    for g in (build_line(n), _random_graph(n, 500 + n)):
+        sv = build_statevector(g)
+        for seed in range(3):
+            spec = random_spec(n, 600 + seed)
+            expected = product_fold(sv, spec)
+            assert abs(project_statevector(sv, spec) - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 17])
+def test_batched_fold_matches_single_folds(n):
+    sv = build_statevector(_random_graph(n, 700 + n))
+    specs = [random_spec(n, 800 + t) for t in range(7)]
+    singles = [project_statevector(sv, spec) for spec in specs]
+    batch = project_statevector_batch(sv, specs)
+    assert batch.shape == (7,)
+    scale = max(map(abs, singles))
+    assert all(abs(b - a) <= 1e-13 * scale for a, b in zip(singles, batch))
+    with pytest.raises(SizeMismatch):
+        project_statevector_batch(sv, specs + [random_spec(n + 1, 0)])
+
+
+@pytest.mark.parametrize("g", [build_line(6), build_cross_chain(3), build_lattice(2, 3)])
+def test_batched_direct_sum_is_bitwise_the_single_sum(g):
+    b = bipartition(g)
+    specs = [random_spec(g.n, 900 + t) for t in range(7)]
+    assert direct_sum_batch(g, b, specs).tolist() == [direct_sum(g, b, s) for s in specs]
 
 
 def test_projection_size_mismatch():
