@@ -36,8 +36,9 @@ from .graph import (
     build_lattice,
     build_line,
     fixture_path,
+    format_graph_text,
     load_graph,
-    save_graph,
+    rewrite,
 )
 from .mbqc import (
     compile_circuit,
@@ -136,11 +137,17 @@ def _resolve_angles(args: argparse.Namespace, n: int) -> ProjectionSpec:
 
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
-    # opened before the work starts, so an unwritable path fails at once
+    """The ``--output`` stream: stdout, or ``path`` rewritten in place.
+
+    Opened before the work starts, so an unwritable path fails at once.  A
+    file is rewritten by ``graph.rewrite`` (never truncated to zero first);
+    ``/dev/null`` and pipes such as ``/dev/stdout`` work as they do with
+    ``"w"``.
+    """
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", newline="") as out:
+    with rewrite(path) as out:
         yield out
 
 
@@ -331,14 +338,18 @@ def cmd_compile(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot compile {args.circuit}: {exc}")
     graph_path = Path(args.out + ".graph")
     angles_path = Path(args.out + ".angles")
-    save_graph(pattern.graph, graph_path, header=f"pattern compiled from {path.name}")
+    graph_text = format_graph_text(pattern.graph, header=f"pattern compiled from {path.name}")
     rotations = pattern_rotation_angles(pattern)
     lines = [f"# projector angles (theta phi) per qubit; outputs default to <+|"]
     for q, rot in enumerate(rotations):
         theta, phi = rotation_projector_to_spec(rot)
         role = "output" if q in pattern.outputs else "measured"
         lines.append(f"{theta!r} {phi!r}  # qubit {q} ({role}, rotation {rot!r})")
-    angles_path.write_text("\n".join(lines) + "\n")
+    # both opened before either is written: if the second cannot be opened,
+    # the first is left empty rather than holding half of a new pair
+    with rewrite(graph_path) as graph_out, rewrite(angles_path) as angles_out:
+        graph_out.write(graph_text)
+        angles_out.write("\n".join(lines) + "\n")
     # the pattern's inputs and outputs follow the circuit's sorted wire labels
     wires = sorted({w for gate in gates for w in gate.qubits})
     for wire, q in zip(wires, pattern.inputs):

@@ -35,6 +35,7 @@ from .graph import (
     graph_family,
     lattice_center,
     lattice_corner,
+    rewrite,
 )
 
 
@@ -420,4 +421,6 @@ def load_angles(path: Union[str, Path]) -> ProjectionSpec:
 
 
 def save_angles(spec: ProjectionSpec, path: Union[str, Path], header: str = "") -> None:
-    Path(path).write_text(format_angles_text(spec, header))
+    """Write ``spec`` in the angle file format, rewriting ``path`` in place."""
+    with rewrite(path) as out:
+        out.write(format_angles_text(spec, header))

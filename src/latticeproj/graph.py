@@ -12,11 +12,14 @@ assigned to an owner endpoint, whose slot then tracks the edge's CZ phase.
 
 from __future__ import annotations
 
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .errors import (
     DuplicateEdge,
@@ -329,8 +332,40 @@ def load_graph(path: Union[str, Path]) -> ClusterGraph:
     return parse_graph_text(Path(path).read_text())
 
 
+@contextmanager
+def rewrite(path: Union[str, Path]) -> Iterator[TextIO]:
+    """Open ``path`` for text output like ``open(path, "w", newline="")``,
+    but overwrite the old bytes in place instead of truncating the file first.
+
+    Every file the package writes goes through here.  The file is opened
+    without ``O_TRUNC``, and on exit, however the body ends, it is cut at the
+    current position, so it holds exactly what the body wrote (nothing when
+    the body raises before writing, as with ``"w"``).  Truncating a non-empty
+    file to zero (or renaming over it) makes ext4's ``auto_da_alloc`` start
+    writeback at close: on 2 vCPUs and ext4, rewriting a 1.5 kB and a 0.13 kB
+    file took a median 254-329 µs with ``"w"`` and 18 µs in place (README,
+    "Conventions that matter").  Symlinks are followed; the inode, its hard
+    links and its mode are kept; a new file is created ``0o666 & ~umask``.
+    Only a regular file is cut: ``ftruncate`` on ``/dev/null`` or a pipe
+    fails.  The one difference from ``"w"``: a process killed (SIGKILL)
+    between the last write and the cut leaves the old file's tail after the
+    new bytes.  Neither this nor ``"w"`` fsyncs.
+    """
+    with open(
+        path, "w", newline="",
+        opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666),
+    ) as out:
+        try:
+            yield out
+        finally:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
+
+
 def save_graph(g: ClusterGraph, path: Union[str, Path], header: str = "") -> None:
-    Path(path).write_text(format_graph_text(g, header))
+    """Write ``g`` in the graph file format, rewriting ``path`` in place."""
+    with rewrite(path) as out:
+        out.write(format_graph_text(g, header))
 
 
 def fixture_path(name: str) -> Path:

@@ -259,6 +259,9 @@ def _direct_sum(g: ClusterGraph, b: Bipartition, c: np.ndarray, s: np.ndarray) -
     for q, mask in masks:
         odd = np.bitwise_count(j & mask) & 1
         # not in place: numpy multiplies a lone complex in place without
-        # FMA, so one spec with no controls would round unlike T of them
-        coef = coef * np.where(odd, minus[..., q, :], plus[..., q, :])
+        # FMA, so one spec with no controls would round unlike T of them.
+        # np.multiply, not `*`: from 256 KiB the operator reuses the
+        # temporary np.where array as its output, an in-place multiply that
+        # made T = 7 specs at 12 controls round unlike one spec each
+        coef = np.multiply(coef, np.where(odd, minus[..., q, :], plus[..., q, :]))
     return (2.0 ** (-g.n / 2.0)) * coef.sum(axis=-1)

@@ -38,6 +38,13 @@ def _check_batches(g, trials, seed):
         assert _agree(name, batch, singles), name
 
 
+def test_batch_past_numpys_elision_size_rounds_like_single():
+    # seven 2^12-entry complex rows (12 controls) pass 256 KiB, the size from
+    # which numpy's `*` reuses a temporary operand as its output, an in-place
+    # multiply that rounds unlike the one-spec product
+    _check_batches(build_lattice(3, 4), 7, 0)
+
+
 @st.composite
 def random_graph(draw, max_qubits=8):
     n = draw(st.integers(min_value=1, max_value=max_qubits))

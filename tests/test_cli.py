@@ -2,10 +2,15 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticeproj
 from latticeproj.cli import main
 from latticeproj.factorize import load_angles
 from latticeproj.graph import load_graph
@@ -386,6 +391,74 @@ def test_compile_wire_cap_exits_2(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "compile", "--circuit", str(narrow), "--out", str(tmp_path / "n"))
     assert code == 0
     assert (tmp_path / "n.graph").exists()
+
+
+def test_compile_over_a_longer_pair_writes_what_a_fresh_compile_does(capsys, tmp_path):
+    long_circuit = tmp_path / "chain.txt"
+    long_circuit.write_text("CPHASE 0 1 0.5\nCPHASE 1 2 0.25\nCZ 2 3\nCNOT 3 4\n")
+    prefix = tmp_path / "p"
+    code, _, _ = run_cli(capsys, "compile", "--circuit", str(long_circuit), "--out", str(prefix))
+    assert code == 0
+    short_circuit = tmp_path / "one" / "chain.txt"
+    short_circuit.parent.mkdir()
+    short_circuit.write_text("RZ 0 0.5\n")
+    old_size = Path(f"{prefix}.graph").stat().st_size
+    code, _, _ = run_cli(capsys, "compile", "--circuit", str(short_circuit), "--out", str(prefix))
+    assert code == 0
+    fresh = tmp_path / "one" / "fresh"
+    code, _, _ = run_cli(capsys, "compile", "--circuit", str(short_circuit), "--out", str(fresh))
+    assert code == 0
+    for suffix in (".graph", ".angles"):
+        assert Path(f"{prefix}{suffix}").read_bytes() == Path(f"{fresh}{suffix}").read_bytes()
+    assert Path(f"{prefix}.graph").stat().st_size < old_size
+
+
+def test_compile_leaves_no_half_pair_when_an_output_cannot_be_opened(capsys, tmp_path):
+    circuit = tmp_path / "cz.txt"
+    circuit.write_text("CZ 0 1\n")
+    prefix = tmp_path / "p"
+    (tmp_path / "p.graph").write_text("# an older pattern\n2\n0 1\n")
+    (tmp_path / "p.angles").mkdir()
+    code, _, err = run_cli(capsys, "compile", "--circuit", str(circuit), "--out", str(prefix))
+    assert code == 2
+    assert "Is a directory" in err
+    assert "compiled from" not in (tmp_path / "p.graph").read_text()
+    code, _, _ = run_cli(
+        capsys, "project", "--graph", f"{prefix}.graph", "--angles", f"{prefix}.angles",
+    )
+    assert code != 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("project", "--builder", "line:3", "--angles", "all:0.3,0.2"),
+    ("verify", "--builder", "lattice:2x2", "--trials", "3"),
+    ("bench", "--suite", "lattice-width"),
+])
+def test_output_over_a_longer_file_holds_exactly_the_new_csv(capsys, tmp_path, argv):
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.csv"
+    path.write_text("stale row\n" * 2000)
+    code, _, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 0
+    assert path.read_bytes() == printed.encode()
+
+
+def test_output_to_dev_null_and_to_a_pipe(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--builder", "line:3", "--trials", "2", "--output", os.devnull
+    )
+    assert (code, out, err) == (0, "", "")
+    src = str(Path(latticeproj.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticeproj.cli", "verify", "--builder", "line:3",
+         "--trials", "2", "--output", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("trial,seed,")
+    assert len(proc.stdout.splitlines()) == 3
 
 
 def test_compile_parse_error(capsys, tmp_path):

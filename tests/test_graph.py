@@ -1,8 +1,15 @@
 """Graph builders, bipartition, slot assignment, and the file format."""
 
+import ast
+import os
+import stat
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import latticeproj
+from latticeproj.factorize import ProjectionSpec, format_angles_text, save_angles
 from latticeproj.errors import (
     DuplicateEdge,
     IndexOutOfRange,
@@ -25,6 +32,8 @@ from latticeproj.graph import (
     format_graph_text,
     load_graph,
     parse_graph_text,
+    rewrite,
+    save_graph,
 )
 
 
@@ -201,3 +210,140 @@ def test_fivecross_fixture_shape():
     assert adj[16] == (2, 3, 4, 5)
     for leaf in (2, 3, 4, 5):
         assert len(adj[leaf]) == 3
+
+
+# ---------------------------------------------------------------------------
+# rewrite: the one way the package writes a file
+
+
+def test_save_graph_and_save_angles_over_longer_files_leave_only_the_new_bytes(tmp_path):
+    graph_path, angles_path = tmp_path / "p.graph", tmp_path / "p.angles"
+    save_graph(build_lattice(2, 2), graph_path, "a longer graph")
+    save_angles(ProjectionSpec.constant(20, 0.3, 0.1), angles_path, "twenty qubits")
+    small = build_line(2)
+    spec = ProjectionSpec.constant(2, 0.5, 0.25)
+    save_graph(small, graph_path, "bell")
+    save_angles(spec, angles_path)
+    assert graph_path.read_text() == format_graph_text(small, "bell")
+    assert angles_path.read_text() == format_angles_text(spec)
+    assert load_graph(graph_path) == small
+
+
+def test_rewrite_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old contents, longer than the new ones\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    with rewrite(link) as out:
+        out.write("new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+
+
+def test_rewrite_keeps_the_inode_its_hard_links_and_its_mode(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("x" * 5000)
+    path.chmod(0o600)
+    twin = tmp_path / "twin.csv"
+    os.link(path, twin)
+    inode = path.stat().st_ino
+    with rewrite(path) as out:
+        out.write("a,b\n1,2\n")
+    after = path.stat()
+    assert after.st_ino == inode
+    assert stat.S_IMODE(after.st_mode) == 0o600
+    assert twin.read_text() == "a,b\n1,2\n"
+
+
+def test_rewrite_creates_a_new_file_like_open_w(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with rewrite(tmp_path / "new.csv") as out:
+            out.write("x\n")
+        with open(tmp_path / "plain.csv", "w") as out:
+            out.write("x\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+    assert mode == 0o666 & ~0o027
+    assert mode == stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
+    assert (tmp_path / "new.csv").read_text() == "x\n"
+
+
+def test_rewrite_after_an_exception_holds_exactly_what_was_written(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("y" * 3000)
+    with pytest.raises(RuntimeError):
+        with rewrite(path) as out:
+            out.write("prefix,")
+            raise RuntimeError("stopped midway")
+    assert path.read_text() == "prefix,"
+    with pytest.raises(RuntimeError):
+        with rewrite(path) as out:
+            raise RuntimeError("stopped before writing")
+    # what "w" leaves, too
+    assert path.read_bytes() == b""
+
+
+def test_rewrite_to_a_device_or_a_pipe_does_not_truncate(tmp_path):
+    with rewrite(os.devnull) as out:
+        out.write("discarded\n")
+    read_fd, write_fd = os.pipe()
+    try:
+        with rewrite(f"/dev/fd/{write_fd}") as out:
+            out.write("through the pipe\n")
+        os.close(write_fd)
+        write_fd = None
+        assert os.read(read_fd, 100) == b"through the pipe\n"
+    finally:
+        os.close(read_fd)
+        if write_fd is not None:
+            os.close(write_fd)
+
+
+def _calls_that_write(tree):
+    """(line, source) of every call in tree that can open or write a file."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes", "fdopen"):
+            found.append(node)
+        elif name == "open":
+            if isinstance(func, ast.Attribute) and ast.unparse(func.value) in ("os", "io"):
+                found.append(node)
+                continue
+            # open(path, mode) or Path(path).open(mode)
+            position = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None and len(node.args) > position:
+                mode = node.args[position]
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+                found.append(node)
+            elif set(mode.value) & set("wax+"):
+                found.append(node)
+    return [(node.lineno, ast.unparse(node)) for node in found]
+
+
+def test_only_rewrite_opens_files_for_writing():
+    # one write path: a new writer goes through graph.rewrite, or it would
+    # reopen its file with O_TRUNC again
+    package = Path(latticeproj.__file__).parent
+    outside = {}
+    for module in sorted(package.rglob("*.py")):
+        tree = ast.parse(module.read_text())
+        if module.name == "graph.py":
+            helper = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "rewrite"
+            )
+            assert len(_calls_that_write(helper)) == 2  # open and os.open
+            tree.body.remove(helper)
+        calls = _calls_that_write(tree)
+        if calls:
+            outside[module.name] = calls
+    assert outside == {}
