@@ -1,8 +1,9 @@
 """Margins of acceptance criterion 8 over fresh interpreters.
 
-    PYTHONPATH=src python3 scripts/criterion8_margins.py --runs 20
+    python3 scripts/criterion8_margins.py --runs 20
 
 Runs ``cli.bench_fig10(25, 0)`` in N fresh interpreters, one after another,
+each importing the checkout's ``src/`` ahead of any PYTHONPATH it inherits,
 and prints the median and minimum of the two numbers the criterion rests
 on: the 12-qubit statevector/sweep median-time ratio (it must stay >= 1)
 and the statevector growth margin ``inc_large - inc_small`` (the second
@@ -16,9 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = """
 import json
@@ -46,9 +51,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
 
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     ratios, gaps, passed = [], [], 0
     for i in range(args.runs):
-        out = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True, check=True)
+        out = subprocess.run(
+            [sys.executable, "-c", CHILD], capture_output=True, text=True, check=True, env=env
+        )
         ratio, margin, ok = margins(json.loads(out.stdout))
         ratios.append(ratio)
         gaps.append(margin)

@@ -5,11 +5,14 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
   * sweep_evaluate       generic ordered contraction on a dense frontier.
                          All four letters are diagonal, so the live tensor is
                          a numpy array with one length-2 axis per active slot
-                         (its diagonal index).  Each factor is one broadcast
-                         multiply; a slot is retired right after the last
-                         factor touching it by summing its axis, which frees
-                         the axis for the next slot.  The live tensor thus
-                         holds 2^(active slots) entries.  The axis plan is
+                         (its diagonal index).  A slot is retired right
+                         after the last factor touching it by summing its
+                         axis, which frees the axis for the next slot.  A
+                         factor that retires no slot is first multiplied
+                         into a later factor touching all its slots, entry
+                         by entry, so only the other factors are broadcast
+                         multiplies on the frontier.  The live tensor holds
+                         at most 2^(active slots) entries.  The axis plan is
                          built once per factor order (FrontierPlan).
   * line_recursion       the two-scalar recursion for line graphs,
                          O(n) adds and multiplies, counted exactly.
@@ -39,6 +42,7 @@ parallel freely.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -71,17 +75,19 @@ class EvalReport:
 
     mul_count / add_count tally complex multiplications and additions applied
     to the live coefficients, plus the final normalization multiply.  For the
-    sweep, every factor costs one multiply per entry of the frontier it
-    yields, and every retirement one add per entry it folds away (the
-    factor's own c*diag + s*diag entries are not counted); for the
-    recursions and the column evaluator they are the recursion steps and
-    boundary updates.  On an m x n lattice, with d = 2^m, the column
-    evaluator's come to mul_count = (2m+1) n d + 1 and
+    sweep, every surviving step (see FrontierPlan) costs one multiply per
+    entry of the frontier it yields and every absorbed factor one per entry
+    of its survivor it is multiplied into, and every retirement one add per
+    entry it folds away (the factors' own c*diag + s*diag entries are not
+    counted); for the recursions and the column evaluator they are the
+    recursion steps and boundary updates.  On an m x n lattice, with
+    d = 2^m, the column evaluator's come to mul_count = (2m+1) n d + 1 and
     add_count = m n d + d - 1 (the corner diagonals' own entries are not
     counted).  max_live_terms is the peak size of the live coefficient
-    container: frontier entries for the sweep (2^max_active_slots), 2
-    scalars for the recursions, the boundary vector length d for the column
-    evaluator.
+    container: for the sweep 2^max_active_slots, the frontier were every
+    factor multiplied in at its own position (absorbed factors can leave
+    the actual frontier narrower), 2 scalars for the recursions, the
+    boundary vector length d for the column evaluator.
     """
 
     amplitude: complex
@@ -98,22 +104,37 @@ class FrontierPlan:
     factor's array needs only as many dimensions as its highest axis, and a
     leading trial axis (see _contract) passes every axis by.  An
     axis of length 2 carries one active slot's diagonal index; an axis of
-    length 1 is free (the slot there is I).  ``c_diag`` and ``s_diag`` hold
-    each factor's c-word and s-word diagonals over the axes it touches,
-    flattened in factor order, and ``qubit`` maps every entry to its
-    factor's qubit, so the spec's C/S arrays expand onto the entries with
-    one fancy index.  ``steps[pos]`` is (entries, shape, retired axes):
-    the index of the factor's entries on the last axis of those values
-    (``[..., start:stop]``), the broadcast shape they take, and the numpy
-    axes summed right after it; ``open_axes`` are the final axes of
-    the open (never retired) slots.  The counters are those of EvalReport,
-    fixed by the layout; the peak frontier size is 2^width.
+    length 1 is free (the slot there is I).  Axes are allocated in factor
+    order, a retired slot's axis going to the next slot to open.
+
+    A factor that retires no slot is absorbed into the next later factor
+    touching all its slots (or, touching none, into the next factor), and
+    through it into the first factor along that chain that retires a slot
+    or has no such successor: a survivor.  Only survivors are steps.  The
+    absorbed factor's slots keep their axes until then, as none retires
+    before its last touch, so each entry of the survivor is multiplied by
+    the absorbed factor's entry on the same diagonal indices.
+
+    ``c_diag`` and ``s_diag`` hold the factors' c-word and s-word diagonal
+    entries in that gathered layout: survivor by survivor, each of its
+    entries (over its axes, the highest axis most significant) followed by
+    the absorbed factors' entries mapped onto it, in factor order; ``qubit``
+    maps every entry to its factor's qubit, so the spec's C/S arrays expand
+    onto the entries with one fancy index, and ``starts`` opens each
+    survivor entry's run for one multiply.reduceat.  ``steps[i]`` is
+    (entries, shape, retired axes) of the i-th survivor: the index of its
+    reduced entries on the last axis (``[..., start:stop]``), the broadcast
+    shape they take, and the numpy axes summed right after it; ``open_axes``
+    are the final axes of the open (never retired) slots.  The counters are
+    those of EvalReport, fixed by the layout; the peak frontier size is at
+    most 2^width.
     """
 
     width: int
     qubit: np.ndarray
     c_diag: np.ndarray
     s_diag: np.ndarray
+    starts: np.ndarray
     steps: tuple[tuple[tuple, tuple[int, ...], tuple[int, ...]], ...]
     add_count: int
     mul_count: int
@@ -136,6 +157,48 @@ def _factor_layout(
     return c, s, tuple(shape)
 
 
+def _entry_map(axes: tuple[int, ...], sub: tuple[int, ...]) -> np.ndarray:
+    """For each entry of a factor on ``axes``, the entry of one on ``sub`` (a subset).
+
+    Both run from the highest axis down, the first axis the most significant
+    bit of an entry's index; the map is bit arithmetic on those indices, so
+    it needs no array with as many dimensions as the axes.
+    """
+    index = np.arange(1 << len(axes))
+    out = np.zeros_like(index)
+    for axis in sub:
+        out = (out << 1) | ((index >> (len(axes) - 1 - axes.index(axis))) & 1)
+    return out
+
+
+def _survivors(slots: Sequence[frozenset[int]], retire_at: Sequence[list[int]]) -> list[int]:
+    """Each factor position's surviving step (see FrontierPlan), from the
+    slots each factor touches and those each retires.
+
+    The next later factor touching all of a factor's slots is found through
+    the touch positions of one of its slots, so the search stays near-linear.
+    """
+    touches: dict[int, list[int]] = {}
+    for pos, own in enumerate(slots):
+        for slot in own:
+            touches.setdefault(slot, []).append(pos)
+    root = list(range(len(slots)))
+    for pos in reversed(range(len(slots))):
+        if retire_at[pos]:
+            continue
+        own = slots[pos]
+        if own:
+            later = min((touches[slot] for slot in own), key=len)
+            candidates = later[bisect_right(later, pos):]
+        else:
+            candidates = range(pos + 1, min(pos + 2, len(slots)))
+        for after in candidates:
+            if own <= slots[after]:
+                root[pos] = root[after]
+                break
+    return root
+
+
 def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> FrontierPlan:
     """The plan of poly's factor order, ``open_slots`` left unretired."""
     retire_at: list[list[int]] = [[] for _ in poly.factors]
@@ -152,10 +215,11 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
     free: list[int] = []
     owned: set[int] = set()
     layouts: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = {}
-    width = add = mul = stop = 0
-    c_parts: list[np.ndarray] = []
-    s_parts: list[np.ndarray] = []
-    steps = []
+    width = 0
+    layout_at = []
+    axes_at: list[tuple[int, ...]] = []
+    slot_sets: list[frozenset[int]] = []
+    retired_axes: list[list[int]] = []
     for pos, factor in enumerate(poly.factors):
         c_of = dict(factor.c_word.entries)
         # slots of the s word, then those of the c word alone (s holds I)
@@ -181,13 +245,11 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
         layout = layouts.get(key)
         if layout is None:
             layout = layouts[key] = _factor_layout(key)
-        c, s, shape = layout
-        c_parts.append(c)
-        s_parts.append(s)
+        layout_at.append(layout)
+        axes_at.append(tuple(axis for axis, _, _ in key))
+        slot_sets.append(frozenset(slot for slot, _, _ in touched))
 
-        live = 1 << len(axis_of)
-        mul += live
-        retire = []
+        retired = []
         for slot in retire_at[pos]:
             if slot not in owned:
                 raise RetirementBeforeOwner(
@@ -195,19 +257,60 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
                 )
             axis = axis_of.pop(slot)
             free.append(axis)
-            retire.append(-1 - axis)
-        add += live - (live >> len(retire))
-        steps.append(((..., slice(stop, stop + c.size)), shape, tuple(retire)))
-        stop += c.size
+            retired.append(axis)
+        retired_axes.append(retired)
     residue = set(axis_of).difference(open_slots)
     if residue:
         raise NonScalarResidue(f"sweep left slots {sorted(residue)} unretired")
 
+    root = _survivors(slot_sets, retire_at)
+    absorbed: list[list[int]] = [[] for _ in root]
+    for pos, survivor in enumerate(root):
+        if survivor != pos:
+            absorbed[survivor].append(pos)
+    # each survivor entry's run, as (factor, entry of that factor) pairs:
+    # the entry indices come from one template per (survivor axes, absorbed
+    # axes), the factors from a list, so the loop makes no array
+    templates: dict[tuple, np.ndarray] = {}
+    entry_parts: list[np.ndarray] = []
+    factor_of: list[int] = []
+    starts: list[int] = []
+    steps = []
+    live: set[int] = set()
+    add = mul = stop = 0
+    for pos, axes in enumerate(axes_at):
+        if root[pos] != pos:
+            continue
+        members = [pos] + absorbed[pos]
+        key = (axes,) + tuple(axes_at[sub] for sub in absorbed[pos])
+        template = templates.get(key)
+        if template is None:
+            runs = [_entry_map(axes, sub) for sub in key]
+            template = templates[key] = np.stack(runs, axis=-1).reshape(-1)
+        entry_parts.append(template)
+        size = 1 << len(axes)
+        starts.extend(range(len(factor_of), len(factor_of) + len(members) * size, len(members)))
+        factor_of.extend(members * size)
+
+        # the frontier holds the axes multiplied in and not yet summed
+        live.update(axes)
+        frontier = 1 << len(live)
+        mul += frontier + size * len(absorbed[pos])
+        live.difference_update(retired_axes[pos])
+        add += frontier - (frontier >> len(retired_axes[pos]))
+        retire = tuple(-1 - axis for axis in retired_axes[pos])
+        steps.append(((..., slice(stop, stop + size)), layout_at[pos][2], retire))
+        stop += size
+
+    offsets = np.cumsum([0] + [c.size for c, _, _ in layout_at[:-1]])
+    rows = np.array(factor_of)
+    index = offsets[rows] + np.concatenate(entry_parts)
     return FrontierPlan(
         width=width,
-        qubit=np.repeat([f.qubit for f in poly.factors], [c.size for c in c_parts]),
-        c_diag=np.concatenate(c_parts),
-        s_diag=np.concatenate(s_parts),
+        qubit=np.array([f.qubit for f in poly.factors])[rows],
+        c_diag=np.concatenate([c for c, _, _ in layout_at])[index],
+        s_diag=np.concatenate([s for _, s, _ in layout_at])[index],
+        starts=np.array(starts),
         steps=tuple(steps),
         add_count=add,
         mul_count=mul + 1,
@@ -232,6 +335,8 @@ def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
 def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The unnormalized final frontier, c[q]/s[q] weighting q's words; 2 long on open axes.
 
+    One multiply.reduceat folds the absorbed factors' entries into their
+    survivors' (see FrontierPlan); only the survivors touch the frontier.
     c and s are (n,) arrays, or (T, n) for T projections at once.  The T
     frontiers then share a leading axis, which every factor and retirement
     passes over (their axes count from the end) once each factor's shape is
@@ -239,6 +344,7 @@ def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     and the plan's shapes as they are.
     """
     values = c.take(plan.qubit, -1) * plan.c_diag + s.take(plan.qubit, -1) * plan.s_diag
+    values = np.multiply.reduceat(values, plan.starts, axis=-1)
     lead = c.shape[:-1]
     steps = plan.steps
     if lead:
@@ -411,24 +517,36 @@ def _column_layout(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return corners, centers, gray
 
 
-def _corner_diagonal(column: np.ndarray, gray: np.ndarray) -> np.ndarray:
-    """One corner column's diagonal over the words, (d,) or (d, T).
+def _corner_diagonals(block: np.ndarray, gray: np.ndarray) -> np.ndarray:
+    """The diagonals over the words of B corner columns, (B, d) or (B, d, T).
 
-    column[r] is corner r's (C, S) as a (2, 1) or (2, 1, T) column.  The
-    chain X of all m+1 corners, corner 0 least significant, holds C_m W[y]
-    at y and S_m W[2^m-1-y] at 2^(m+1)-1-y, so D = X[y] + X[2^(m+1)-1-y].
+    block[b, r] is corner r's (C, S) in the b-th column as a (2, 1) or
+    (2, 1, T) column.  The chain X of all m+1 corners, corner 0 least
+    significant, holds C_m W[y] at y and S_m W[2^m-1-y] at 2^(m+1)-1-y, so
+    D = X[y] + X[2^(m+1)-1-y].
     """
-    shape = (1, -1) + column.shape[3:]
-    chain = column[0]
-    for pair in column[1:]:
-        chain = pair * chain.reshape(shape)
-    chain = chain.reshape(shape[1:])
+    shape = (len(block), 1, -1) + block.shape[4:]
+    chain = block[:, 0]
+    for r in range(1, block.shape[1]):
+        chain = block[:, r] * chain.reshape(shape)
+    chain = chain.reshape(shape[:1] + shape[2:])
     d = len(gray)
-    return (chain[:d] + chain[: d - 1 : -1])[gray]
+    sums = chain[:, :d] + chain[:, : d - 1 : -1]
+    del chain  # before the gather, which allocates as much again
+    # both axes indexed, as [:, gray]'s result is not C-contiguous and each
+    # row is reshaped in place as a boundary (take would copy gray, read-only)
+    return sums[np.arange(len(block))[:, None], gray]
 
 
 # Most center slots per column that column_evaluate takes (2^cap boundary).
 COLUMN_ROW_CAP = 16
+
+# Most chain entries (2^(m+1) per corner column and trial) built in one block
+# of corner columns: 2^(cap/2), a few KiB of temporaries.  Blocks cut the
+# per-column numpy calls of short lattices without adding to the peak memory
+# of tall ones: above 7 rows one chain alone passes this, and the corner
+# columns are built one at a time.
+CORNER_BLOCK_ENTRIES = 1 << (COLUMN_ROW_CAP // 2)
 
 
 def _column_shape(g: ClusterGraph) -> tuple[int, int]:
@@ -516,7 +634,13 @@ def _column_sum(m: int, n: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     plus, minus = cc + sc, cc - sc
     shapes = [(-1, 2, 1 << i) + trail for i in range(m)]
 
-    boundary = _corner_diagonal(pairs[0], gray)
+    # corner columns a block at a time, the block's chains (2^(m+1) entries
+    # per column and trial) within CORNER_BLOCK_ENTRIES; one column at a
+    # time when a single chain is larger
+    block = max(1, CORNER_BLOCK_ENTRIES // (pairs[0, 0].size << m))
+    diagonals = _corner_diagonals(pairs[:block], gray)
+    # the first column's diagonal is the initial boundary, in place
+    boundary = diagonals[0]
     spare = np.empty_like(boundary)
     for j in range(n):
         # center (i, j) maps entry w to alpha*b[w] + beta*b[w ^ 2^i]; the two
@@ -528,7 +652,10 @@ def _column_sum(m: int, n: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
             v *= alpha
             out += v
             boundary, spare = spare, boundary
-        boundary *= _corner_diagonal(pairs[j + 1], gray)
+        if (j + 1) % block == 0:
+            diagonals = None  # dropped before the next block is built
+            diagonals = _corner_diagonals(pairs[j + 1 : j + 1 + block], gray)
+        boundary *= diagonals[(j + 1) % block]
     # each trial's sum over one contiguous row, as for one projection
     return np.ascontiguousarray(boundary.T).sum(axis=-1)
 

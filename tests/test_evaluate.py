@@ -1,5 +1,7 @@
 """The four evaluation routes against closed forms and the dense oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from latticeproj.evaluate import (
     _contract,
     column_evaluate,
     cross_chain_recursion,
+    frontier_plan,
     lattice_width_profile,
     line_amplitude,
     line_recursion,
@@ -168,6 +171,58 @@ def test_frontier_matches_word_sweep(g):
         report = sweep_evaluate(poly)
         assert abs(report.amplitude - ref) <= 1e-12 * abs(ref), ordering
         assert report.max_live_terms == 2 ** width, ordering
+        check_absorption(poly)
+        if width <= WORD_SWEEP_WIDTH:
+            counters = (report.mul_count, report.add_count)
+            assert counters == replayed_counters(frontier_plan(poly)), ordering
+
+
+def replayed_counters(plan):
+    """(mul, add) of the plan replayed on real arrays: each step's multiply
+    costs the entries of the frontier it yields, each absorbed entry one
+    multiply of the reduceat, each retirement the entries it folds away, and
+    the normalization one multiply."""
+    frontier = np.ones((1,) * plan.width)
+    mul = len(plan.qubit) - len(plan.starts) + 1
+    add = 0
+    for _, shape, retire in plan.steps:
+        frontier = frontier * np.ones(shape)
+        mul += frontier.size
+        if retire:
+            before = frontier.size
+            frontier = frontier.sum(axis=retire, keepdims=True)
+            add += before - frontier.size
+    return mul, add
+
+
+def check_absorption(poly):
+    """The plan's steps are the factors that retire a slot or that no later
+    factor covers (touches all their slots); every other factor rides on a
+    step that covers it."""
+    plan = frontier_plan(poly)
+    slots = [f.touched_slots() for f in poly.factors]
+    retiring = {last for _, last in poly.activity.values()}
+    survivors = [
+        pos for pos, own in enumerate(slots)
+        if pos in retiring or not any(own <= later for later in slots[pos + 1:])
+    ]
+    assert len(plan.steps) == len(survivors)
+    # each survivor entry's run lists the survivor's qubit, then those it absorbed
+    slots_of = {f.qubit: own for f, own in zip(poly.factors, slots)}
+    runs = np.split(plan.qubit, plan.starts[1:])
+    assert {run[0] for run in runs} == {poly.factors[pos].qubit for pos in survivors}
+    assert set(np.concatenate(runs).tolist()) == set(slots_of)
+    for survivor, *absorbed in runs:
+        assert all(slots_of[q] <= slots_of[survivor] for q in absorbed)
+
+
+def test_plan_builds_past_numpys_dimension_limit():
+    # the as-built order of lattice:9x9 opens more frontier axes than a numpy
+    # array has dimensions; its plan maps entries by bit arithmetic all the same
+    g = build_lattice(9, 9)
+    poly = build_polynomial(g, random_spec(g.n, 0))
+    assert frontier_plan(poly).width > 64
+    check_absorption(poly)
 
 
 @pytest.mark.parametrize("g", [g for _, g in FRONTIER_GRAPHS],
@@ -352,6 +407,22 @@ def test_column_at_the_row_cap():
     spec = random_spec(g.n, 4)
     ref = compute_amplitude(g, spec, "sweep").amplitude
     assert abs(column_evaluate(g, spec).amplitude - ref) <= 1e-12 * abs(ref)
+
+
+def test_column_peak_memory_on_a_tall_lattice():
+    # 12 rows: a 2^12-entry boundary, its spare, and one corner column's
+    # 2^13-entry chain and its diagonal at a time stay within 0.42 MiB;
+    # building several such corner columns at once would pass it
+    g = build_lattice(12, 40)
+    spec = random_spec(g.n, 0)
+    column_evaluate(g, spec)  # warm the layout cache and numpy's
+    tracemalloc.start()
+    try:
+        column_evaluate(g, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.42 * 2**20
 
 
 def test_column_errors():
