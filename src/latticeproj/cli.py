@@ -424,8 +424,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, BadSetting, TooLarge, OSError) as exc:
-        # a bad environment setting, a circuit over compile's wire cap or a
-        # path that cannot be read or written is usage
+        # a bad environment setting, a size over an engine's cap or a path
+        # that cannot be read or written is usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

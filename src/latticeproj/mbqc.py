@@ -9,15 +9,17 @@ J. ACM 2007), so it runs on the sweep's contraction core: every qubit owns
 a slot, bras are C/S weights, and the input and output slots stay open
 (see _pattern_plan).  Memory is 2^(live frontier), not 2^n.
 
-Every compiled pattern carries its declared gate semantics as an explicit
-matrix (logical wires ordered as the pattern's inputs, first wire = most
-significant bit); equivalence checks are up to one nonzero scalar, since
-post-selection makes norms non-physical.  A composite's semantics is the
-ordered product of its stages' gates, each applied on its own wire axes
-of the running 2^w x 2^w matrix: O(2^k 4^w) for a k-wire stage, never a
-Kronecker-embedded 2^w x 2^w copy of it.  A w-wire semantics matrix holds
-as many entries as a 2w-qubit statevector, so compose refuses more than
-half the statevector cap of wires.
+Every compiled pattern declares its gate semantics as a matrix (logical
+wires ordered as the pattern's inputs, first wire = most significant bit);
+equivalence checks are up to one nonzero scalar, since post-selection makes
+norms non-physical.  A composite's semantics is the ordered product of its
+stages' gates, each applied on its own wire axes of the running 2^w x 2^w
+matrix: O(2^k 4^w) for a k-wire stage, never a Kronecker-embedded 2^w x 2^w
+copy of it.  compose builds only the graph, the wiring and the angles, so
+compiling takes time linear in the circuit at any wire count; the product
+is built on the first read of ``semantics``.  A w-wire semantics matrix
+holds as many entries as a 2w-qubit statevector, so that read refuses more
+than half the statevector cap of wires.
 
 Notes on the CPhase pattern (square with two diagonal tails, measurement
 angles +theta/4 and -theta/4): with the control qubit left untouched, any
@@ -94,29 +96,64 @@ def rotation_projector_to_spec(theta: float) -> tuple[float, float]:
 # patterns
 
 
-@dataclass
 class MeasurementPattern:
-    """Graph + fixed projectors + input/output designation + declared gate."""
+    """Graph + fixed projectors + input/output designation + declared gate.
 
-    graph: ClusterGraph
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-    measurements: dict[int, float]
-    semantics: np.ndarray
-    name: str = ""
+    ``semantics`` is the declared gate, a (2^outputs, 2^inputs) matrix
+    checked against those dimensions here.  A composite (see compose)
+    passes ``stages`` instead: its stage patterns, each with the wire
+    positions it acts on.  Its semantics is then built on the first read,
+    from the stages' own ``semantics`` read at that time, and kept; two
+    threads racing on that first read at worst build it twice.  That read
+    raises TooLarge, before anything is allocated, when twice the wire
+    count exceeds oracle.statevector_cap().
+    """
 
-    def __post_init__(self) -> None:
-        qubits = set(range(self.graph.n))
-        measured = set(self.measurements)
-        if measured & set(self.outputs):
+    def __init__(
+        self,
+        graph: ClusterGraph,
+        inputs: tuple[int, ...],
+        outputs: tuple[int, ...],
+        measurements: dict[int, float],
+        semantics: Optional[np.ndarray] = None,
+        name: str = "",
+        *,
+        stages: Sequence[tuple[MeasurementPattern, tuple[int, ...]]] = (),
+    ) -> None:
+        self.graph = graph
+        self.inputs = inputs
+        self.outputs = outputs
+        self.measurements = measurements
+        self.name = name
+        self._semantics = semantics
+        self._stages = tuple(stages)
+        for role, qs in (("input", inputs), ("output", outputs)):
+            if len(set(qs)) != len(qs):
+                raise QubitCollision(f"{role} qubits {qs} list a qubit twice")
+        qubits = set(range(graph.n))
+        measured = set(measurements)
+        if measured & set(outputs):
             raise SizeMismatch("output qubits must not carry projectors")
-        if measured | set(self.outputs) != qubits:
+        if measured | set(outputs) != qubits:
             raise SizeMismatch("measured and output qubits must cover the pattern")
-        if not set(self.inputs) <= qubits:
+        if not set(inputs) <= qubits:
             raise SizeMismatch("input qubits must belong to the graph")
-        dim = 1 << len(self.inputs)
-        if self.semantics.shape != (1 << len(self.outputs), dim):
+        if (semantics is None) == (not self._stages):
+            raise TypeError("a pattern takes either declared semantics or its stages")
+        if semantics is not None and semantics.shape != (1 << len(outputs), 1 << len(inputs)):
             raise SizeMismatch("declared semantics has the wrong dimensions")
+
+    @property
+    def semantics(self) -> np.ndarray:
+        if self._semantics is None:
+            self._semantics = _stage_product(self._stages, len(self.inputs))
+        return self._semantics
+
+    def __repr__(self) -> str:
+        return (
+            f"MeasurementPattern({self.name!r}, {self.graph!r}, "
+            f"inputs={self.inputs}, outputs={self.outputs})"
+        )
 
 
 @dataclass(frozen=True)
@@ -126,14 +163,27 @@ class Gate:
     angle: Optional[float] = None
 
 
+# The stages' fixed graphs, built once (ClusterGraph is frozen).
+_LINE_2 = build_from_edges(2, [(0, 1)])
+_LINE_4 = build_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+# two 5-qubit wires bridged at their middles
+_I_SHAPE = build_from_edges(
+    10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9), (2, 7)]
+)
+# Square 1-2-3-4 with tails 0-1 and 3-5 on the diagonal corners; the target
+# flows 0 -> 1 -> 4 -> 3 -> 5, the control is corner 2.
+_CPHASE_CORE = build_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (3, 5)])
+# the core plus a two-qubit wire 2 -> 6 -> 7 on the control
+_CPHASE_EXACT = build_from_edges(8, _CPHASE_CORE.sorted_edges() + [(2, 6), (6, 7)])
+
+
 def compile_z_rotation(theta: float) -> MeasurementPattern:
     """Single-qubit teleportation: 2-qubit line, input measured at theta.
 
     The output qubit carries H R_Z(theta) |psi>, up to a nonzero scalar.
     """
-    graph = build_from_edges(2, [(0, 1)])
     return MeasurementPattern(
-        graph=graph,
+        graph=_LINE_2,
         inputs=(0,),
         outputs=(1,),
         measurements={0: theta},
@@ -147,9 +197,8 @@ def compile_rotation(theta: float, zeta: float, xi: float) -> MeasurementPattern
 
     The fourth qubit carries H R_Z(xi) R_X(zeta) R_Z(theta) |psi>.
     """
-    graph = build_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     return MeasurementPattern(
-        graph=graph,
+        graph=_LINE_4,
         inputs=(0,),
         outputs=(3,),
         measurements={0: theta, 1: zeta, 2: xi},
@@ -167,10 +216,8 @@ def compile_cnot() -> MeasurementPattern:
     result, so the outputs carry exactly CZ |psi>|phi> - the CNOT of the
     figure with its control in the X basis.
     """
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9), (2, 7)]
-    graph = build_from_edges(10, edges)
     return MeasurementPattern(
-        graph=graph,
+        graph=_I_SHAPE,
         inputs=(0, 5),
         outputs=(4, 9),
         measurements={q: 0.0 for q in (0, 1, 2, 3, 5, 6, 7, 8)},
@@ -179,12 +226,8 @@ def compile_cnot() -> MeasurementPattern:
     )
 
 
-def _cphase_core(theta: float) -> tuple[ClusterGraph, dict[int, float]]:
-    # Square 1-2-3-4 with tails 0-1 and 3-5 on the diagonal corners; the
-    # target flows 0 -> 1 -> 4 -> 3 -> 5, the control is corner 2.
-    graph = build_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (3, 5)])
-    measurements = {0: theta / 4.0, 1: 0.0, 4: -theta / 4.0, 3: 0.0}
-    return graph, measurements
+def _cphase_core_angles(theta: float) -> dict[int, float]:
+    return {0: theta / 4.0, 1: 0.0, 4: -theta / 4.0, 3: 0.0}
 
 
 def compile_cphase(theta: float) -> MeasurementPattern:
@@ -198,14 +241,13 @@ def compile_cphase(theta: float) -> MeasurementPattern:
     docstring.  At theta = pi this is the CZ gate up to that recorded
     phase (see compile_cphase_exact for the fully corrected variant).
     """
-    graph, measurements = _cphase_core(theta)
     half = np.exp(-0.5j * theta)
     semantics = np.diag([1.0, 1.0, half, np.conj(half)]).astype(complex)
     return MeasurementPattern(
-        graph=graph,
+        graph=_CPHASE_CORE,
         inputs=(2, 0),
         outputs=(2, 5),
-        measurements=measurements,
+        measurements=_cphase_core_angles(theta),
         semantics=semantics,
         name=f"cphase({theta:g})",
     )
@@ -219,15 +261,12 @@ def compile_cphase_exact(theta: float) -> MeasurementPattern:
     declared semantics into e^{-i theta/4} CPhase(theta): the gate exactly,
     up to a true global phase.
     """
-    graph, measurements = _cphase_core(theta)
-    edges = list(graph.sorted_edges()) + [(2, 6), (6, 7)]
-    graph = build_from_edges(8, edges)
-    measurements = dict(measurements)
+    measurements = _cphase_core_angles(theta)
     measurements[2] = theta / 4.0
     measurements[6] = 0.0
     semantics = np.exp(-0.25j * theta) * cphase_matrix(theta)
     return MeasurementPattern(
-        graph=graph,
+        graph=_CPHASE_EXACT,
         inputs=(2, 0),
         outputs=(7, 5),
         measurements=measurements,
@@ -262,6 +301,27 @@ def _apply_on_wires(mat: np.ndarray, positions: Sequence[int], total: np.ndarray
     return np.moveaxis(out, range(k), positions).reshape(total.shape)
 
 
+def _stage_product(
+    stages: Sequence[tuple[MeasurementPattern, tuple[int, ...]]], width: int
+) -> np.ndarray:
+    """Ordered product of the stages' semantics on ``width`` wires.
+
+    Raises TooLarge, before anything is allocated, when twice the wire count
+    exceeds oracle.statevector_cap().
+    """
+    cap = statevector_cap()
+    if 2 * width > cap:
+        raise TooLarge(
+            f"{width} wires need a dense semantics matrix as large as a "
+            f"{2 * width}-qubit statevector, above the cap of {cap} "
+            f"(set {STATEVEC_CAP_ENV} to raise it)"
+        )
+    total = np.eye(1 << width, dtype=complex)
+    for pattern, positions in stages:
+        total = _apply_on_wires(pattern.semantics, positions, total)
+    return total
+
+
 def compose(
     patterns: Sequence[MeasurementPattern],
     wiring: Sequence[Sequence[int]],
@@ -270,32 +330,27 @@ def compose(
 
     ``wiring[k]`` lists the wires stage k acts on, matching its input (and
     output) order.  A stage's input qubits are identified with the wires'
-    current end qubits; its outputs become the new ends.  The composite's
-    declared semantics is the ordered product of the stages' semantics, on
-    the sorted wire set (first wire = most significant bit); each stage's
-    2^k x 2^k matrix acts on its k wire axes of the running product, at
-    O(2^k 4^w) per stage on w wires.  Raises TooLarge, before anything is
-    allocated, when twice the wire count exceeds oracle.statevector_cap().
+    current end qubits; its outputs become the new ends.  The graph is built
+    straight from the mapped edges, which are checked for duplicates here.
+    The composite's declared semantics is the ordered product of the
+    stages' semantics, on the sorted wire set (first wire = most significant
+    bit); each stage's 2^k x 2^k matrix acts on its k wire axes of the
+    running product, at O(2^k 4^w) per stage on w wires.  That product is
+    built on the first read of ``semantics``, not here, and the wire cap
+    (see MeasurementPattern) is checked there too.
     """
     if len(patterns) != len(wiring):
         raise ArityMismatch("one wire tuple is needed per pattern")
     all_wires = sorted({w for ws in wiring for w in ws})
     if not all_wires:
         raise ArityMismatch("composition needs at least one wire")
-    cap = statevector_cap()
-    if 2 * len(all_wires) > cap:
-        raise TooLarge(
-            f"{len(all_wires)} wires need a dense semantics matrix as large as a "
-            f"{2 * len(all_wires)}-qubit statevector, above the cap of {cap} "
-            f"(set {STATEVEC_CAP_ENV} to raise it)"
-        )
     wire_pos = {w: i for i, w in enumerate(all_wires)}
 
     current: dict[int, int] = {}
     first_qubit: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
     measurements: dict[int, float] = {}
-    total = np.eye(1 << len(all_wires), dtype=complex)
+    stages: list[tuple[MeasurementPattern, tuple[int, ...]]] = []
     next_id = 0
 
     for stage, (pattern, wires) in enumerate(zip(patterns, wiring)):
@@ -321,7 +376,8 @@ def compose(
             if w not in current:
                 first_qubit[w] = mapping[pattern.inputs[i]]
         for a, b in pattern.graph.sorted_edges():
-            e = tuple(sorted((mapping[a], mapping[b])))
+            a, b = mapping[a], mapping[b]
+            e = (a, b) if a < b else (b, a)
             if e in edges:
                 raise QubitCollision(f"stage {stage} duplicates edge {e}")
             edges.add(e)
@@ -332,16 +388,17 @@ def compose(
             measurements[target] = angle
         for i, w in enumerate(wires):
             current[w] = mapping[pattern.outputs[i]]
-        total = _apply_on_wires(pattern.semantics, [wire_pos[w] for w in wires], total)
+        stages.append((pattern, tuple(wire_pos[w] for w in wires)))
 
-    graph = build_from_edges(max(next_id, 1), sorted(edges))
+    # stage inputs and outputs are distinct qubits, so the mapping is
+    # injective: every mapped edge joins two distinct qubits below next_id
     return MeasurementPattern(
-        graph=graph,
+        graph=ClusterGraph(max(next_id, 1), frozenset(edges)),
         inputs=tuple(first_qubit[w] for w in all_wires),
         outputs=tuple(current[w] for w in all_wires),
         measurements=measurements,
-        semantics=total,
         name="composite",
+        stages=stages,
     )
 
 
@@ -516,8 +573,8 @@ def compile_circuit(gates: Sequence[Gate]) -> MeasurementPattern:
     the inherent leading Hadamard in its declared semantics), CZ uses the
     I-shape, CNOT wraps it in Hadamard teleports on the target, CPHASE uses
     the square-with-tails pattern.  The composite's declared semantics is
-    the product of the stage semantics; consult it for the exact gate
-    realized, residual Hadamards included.
+    the product of the stage semantics, built on its first read; consult it
+    for the exact gate realized, residual Hadamards included.
     """
     if not gates:
         raise CircuitParseError("no gates", 0)

@@ -8,7 +8,9 @@ literal term-by-term contraction on the package's letter algebra; it is the
 reference for the package's dense frontier, which shares none of its code.
 The per-edge mask statevector (edge_mask_statevector) is the reference for
 the package's doubling build of the same vector, and the Kronecker-embedded
-product (kron_semantics) the reference for compose's wire-axis product.
+product (kron_semantics) the reference for compose's wire-axis product, and
+the gate-by-gate circuit state (circuit_plus_state) the reference for
+patterns too wide for any 2^w x 2^w matrix.
 The per-target parity loop (loop_direct_sum) is the reference for the
 package's bit-counting direct sum, and the Python-product fold
 (product_fold) the reference for the numpy Kronecker half-bras of
@@ -149,6 +151,44 @@ def kron_semantics(stages, wiring):
             pattern.semantics, [wire_pos[w] for w in wires], len(all_wires)
         ) @ total
     return total
+
+
+def declared_gate_matrix(gate):
+    """The matrix compile_circuit declares for one gate, residual Hadamards included.
+
+    The teleporting primitives leave a Hadamard on their wire (H R_Z, H R_X,
+    and H for the theta = 0 teleport); CZ and CNOT are exact; CPHASE carries
+    the control-branch phase of the square pattern.
+    """
+    from latticeproj import mbqc
+
+    theta = gate.angle
+    return {
+        "RZ": lambda: mbqc.HADAMARD @ mbqc.rz_matrix(theta),
+        "RX": lambda: mbqc.HADAMARD @ mbqc.rx_matrix(theta),
+        "H": lambda: mbqc.HADAMARD,
+        "CZ": lambda: mbqc.CZ_MATRIX,
+        "CNOT": lambda: mbqc.CNOT_MATRIX,
+        "CPHASE": lambda: np.diag([1.0, 1.0, np.exp(-0.5j * theta), np.exp(0.5j * theta)]),
+    }[gate.kind]()
+
+
+def circuit_plus_state(gates):
+    """|+>^w with each gate's declared matrix applied in turn, as a 2^w vector.
+
+    The wires are sorted, first wire = most significant bit, as in compose.
+    A k-wire gate is a tensordot on its k axes, O(2^k 2^w), so no 2^w x 2^w
+    matrix is ever formed.
+    """
+    wires = sorted({q for gate in gates for q in gate.qubits})
+    axis = {w: i for i, w in enumerate(wires)}
+    state = np.full((2,) * len(wires), 2.0 ** (-len(wires) / 2), dtype=complex)
+    for gate in gates:
+        k = len(gate.qubits)
+        mat = declared_gate_matrix(gate).reshape((2,) * (2 * k))
+        axes = [axis[q] for q in gate.qubits]
+        state = np.moveaxis(np.tensordot(mat, state, (range(k, 2 * k), axes)), range(k), axes)
+    return state.reshape(-1)
 
 
 def branches(poly, factor):

@@ -1,17 +1,21 @@
 """End-to-end runs of the command-line surface."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import latticeproj
+from latticeproj import mbqc
 from latticeproj.cli import main
+from latticeproj.errors import TooLarge
 from latticeproj.factorize import load_angles
 from latticeproj.graph import load_graph
 
@@ -377,20 +381,96 @@ def test_compile_prints_the_circuits_wire_labels(capsys, tmp_path):
     ]
 
 
-def test_compile_wire_cap_exits_2(capsys, tmp_path, monkeypatch):
-    # a w-wire semantics matrix is as large as a 2w-qubit statevector
+def test_compile_past_the_semantics_cap_exits_0(capsys, tmp_path, monkeypatch):
+    # a w-wire semantics matrix is as large as a 2w-qubit statevector; its
+    # cap applies on the first read of the semantics, which compile never makes
     monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "6")
     wide = tmp_path / "wide.txt"
     wide.write_text("CZ 0 1\nCZ 2 3\n")
-    code, _, err = run_cli(capsys, "compile", "--circuit", str(wide), "--out", str(tmp_path / "w"))
-    assert code == 2
-    assert "4 wires" in err and "LATTICEPROJ_STATEVEC_CAP" in err
-    assert not (tmp_path / "w.graph").exists()
-    narrow = tmp_path / "narrow.txt"
-    narrow.write_text("CZ 0 1\nRZ 2 0.5\n")
-    code, _, _ = run_cli(capsys, "compile", "--circuit", str(narrow), "--out", str(tmp_path / "n"))
+    code, _, _ = run_cli(capsys, "compile", "--circuit", str(wide), "--out", str(tmp_path / "w"))
     assert code == 0
-    assert (tmp_path / "n.graph").exists()
+    assert load_graph(tmp_path / "w.graph").n == 20
+    pattern = mbqc.compile_circuit(mbqc.parse_circuit(wide.read_text()))
+    with monkeypatch.context() as m:
+        # refused before the product starts
+        m.setattr(mbqc, "_apply_on_wires", None)
+        with pytest.raises(TooLarge, match="4 wires.*LATTICEPROJ_STATEVEC_CAP"):
+            pattern.semantics
+    narrow = mbqc.compile_circuit(mbqc.parse_circuit("CZ 0 1\nRZ 2 0.5\n"))
+    assert narrow.semantics.shape == (8, 8)
+
+
+def _chain(gate, wires):
+    return "".join(f"{gate} {w} {w + 1}\n" for w in range(wires - 1))
+
+
+# perfbench's mbqc-verify draws this five-wire chain first at seed 71
+CPHASE_CHAIN_71 = (
+    "CPHASE 0 1 1.5922450947124074\n"
+    "CPHASE 1 2 3.314624261100249\n"
+    "CPHASE 2 3 4.781419564901903\n"
+    "CPHASE 3 4 3.9883213817271375\n"
+)
+
+
+@pytest.mark.parametrize("text", [CPHASE_CHAIN_71, _chain("CZ", 12)], ids=["chain-5", "cz-12"])
+def test_compile_never_builds_the_semantics(capsys, tmp_path, monkeypatch, text):
+    def refuse(*args):
+        raise AssertionError("compile built the dense semantics")
+
+    monkeypatch.setattr(mbqc, "_apply_on_wires", refuse)
+    circuit = tmp_path / "c.txt"
+    circuit.write_text(text)
+    code, _, err = run_cli(capsys, "compile", "--circuit", str(circuit), "--out", str(tmp_path / "p"))
+    assert (code, err) == (0, "")
+
+
+# md5 of (.graph, .angles) as compile wrote them before the semantics went
+# lazy; the graph's header names the circuit file, so the names are pinned too
+GOLDEN_COMPILES = {
+    "chain71.txt": (
+        CPHASE_CHAIN_71,
+        "c084d184b37cdb6cbe13598681bd9bfc",
+        "f74d65c5fd9c55976a3a806bfb457da1",
+    ),
+    "mixed.txt": (
+        "H 0\nRZ 1 0.375\nRX 2 1.25\nCZ 0 1\nCNOT 1 2\nCPHASE 2 3 2.5\nH 3\n"
+        "RX 0 0.75\nCNOT 3 0\n",
+        "c62460413b364083eb9eef859d32236c",
+        "620c6bd8ad8dbc167bfcb95199993966",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COMPILES)
+def test_compile_outputs_match_recorded_digests(capsys, tmp_path, name):
+    text, graph_md5, angles_md5 = GOLDEN_COMPILES[name]
+    circuit = tmp_path / name
+    circuit.write_text(text)
+    code, _, _ = run_cli(capsys, "compile", "--circuit", str(circuit), "--out", str(tmp_path / "p"))
+    assert code == 0
+    digests = [hashlib.md5((tmp_path / f"p{s}").read_bytes()).hexdigest() for s in (".graph", ".angles")]
+    assert digests == [graph_md5, angles_md5]
+
+
+def test_forty_wire_ladder_compiles_and_projects_within_a_second(capsys, tmp_path):
+    # 434 qubits; the sweep's frontier on the compiled pattern is 3 slots wide
+    lines = []
+    for w in range(39):
+        if w % 10 == 0:
+            lines.append(f"RZ {w} {0.1 + w / 40}")
+        lines.append(f"CNOT {w} {w + 1}")
+    circuit = tmp_path / "ladder.txt"
+    circuit.write_text("\n".join(lines) + "\n")
+    prefix = str(tmp_path / "p")
+    start = time.perf_counter()
+    code, _, _ = run_cli(capsys, "compile", "--circuit", str(circuit), "--out", prefix)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "project", "--graph", f"{prefix}.graph", "--angles", f"{prefix}.angles")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert complex(*map(float, out.split())) != 0
+    assert elapsed < 1.0
 
 
 def test_compile_over_a_longer_pair_writes_what_a_fresh_compile_does(capsys, tmp_path):

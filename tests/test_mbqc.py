@@ -12,7 +12,8 @@ from latticeproj.errors import (
     ZeroBranch,
 )
 from latticeproj.graph import build_from_edges
-from latticeproj.engines import compute_amplitude
+from latticeproj import mbqc
+from latticeproj.engines import compute_amplitude, compute_amplitudes
 from latticeproj.mbqc import (
     _pattern_plan,
     CNOT_MATRIX,
@@ -39,7 +40,7 @@ from latticeproj.mbqc import (
     simulate_pattern,
 )
 
-from helpers import align_residual, dense_pattern_action, kron_semantics
+from helpers import align_residual, circuit_plus_state, dense_pattern_action, kron_semantics
 
 
 def assert_realizes(pattern, target=None, tol=1e-9):
@@ -177,6 +178,42 @@ def test_compose_error_cases():
         compose([p], [])
 
 
+@pytest.mark.parametrize("inputs,outputs", [((0, 0), (1,)), ((0,), (1, 1))])
+def test_repeated_input_or_output_qubit_is_a_collision(inputs, outputs):
+    with pytest.raises(QubitCollision):
+        MeasurementPattern(
+            graph=build_from_edges(2, [(0, 1)]),
+            inputs=inputs,
+            outputs=outputs,
+            measurements={0: 0.3},
+            semantics=np.zeros((1 << len(outputs), 1 << len(inputs)), dtype=complex),
+        )
+
+
+def test_composite_semantics_is_built_on_the_first_read_and_kept(monkeypatch):
+    calls = []
+    apply_on_wires = mbqc._apply_on_wires
+
+    def counted(*args):
+        calls.append(args[1])
+        return apply_on_wires(*args)
+
+    monkeypatch.setattr(mbqc, "_apply_on_wires", counted)
+    pattern = compile_circuit(parse_circuit("CNOT 0 1\nRZ 1 0.5\nH 0\n"))
+    assert calls == []
+    first = pattern.semantics
+    assert len(calls) == 5  # H, CZ, H on the target, then RZ and H
+    assert pattern.semantics is first
+    assert len(calls) == 5
+
+
+def test_pattern_takes_semantics_or_stages_not_both():
+    with pytest.raises(TypeError):
+        MeasurementPattern(
+            graph=build_from_edges(1, []), inputs=(0,), outputs=(0,), measurements={}
+        )
+
+
 def _declared_stage(semantics):
     """A wire-only stage on k = log2(dim) wires declaring an arbitrary matrix."""
     k = semantics.shape[0].bit_length() - 1
@@ -241,6 +278,43 @@ def test_compose_ten_wire_cz_chain_at_the_cap(monkeypatch):
     bits = (x[:, None] >> (width - 1 - np.arange(width))) & 1
     signs = (-1.0) ** (bits[:, :-1] * bits[:, 1:]).sum(axis=1)
     assert np.array_equal(pattern.semantics, np.diag(signs).astype(complex))
+
+
+def _cnot_ladder(width, seed):
+    """CNOT ladder down ``width`` wires, an RZ on four of them and a CPHASE."""
+    rng = np.random.default_rng(seed)
+    rz_wires = set(np.linspace(0, width - 2, 4).astype(int).tolist())
+    lines = []
+    for w in range(width - 1):
+        if w in rz_wires:
+            lines.append(f"RZ {w} {float(rng.uniform(0, 2 * np.pi))!r}")
+        lines.append(f"CNOT {w} {w + 1}")
+        if w == width // 2:
+            lines.append(f"CPHASE {w - 1} {w + 1} {float(rng.uniform(0, 2 * np.pi))!r}")
+    return parse_circuit("\n".join(lines))
+
+
+def test_wide_ladder_projects_to_the_declared_circuit_state():
+    # no 2^w x 2^w matrix: the sweep's amplitude at several output bras,
+    # with the phase rule of pattern_projection_spec, against the declared
+    # gates applied to |+>^16, up to the pattern's one post-selection scalar
+    gates = _cnot_ladder(16, seed=4)
+    pattern = compile_circuit(gates)
+    state = circuit_plus_state(gates).reshape((2,) * 16)
+    rng = np.random.default_rng(5)
+    specs, phases, references = [], [], []
+    for _ in range(6):
+        out_thetas = dict(zip(pattern.outputs, rng.uniform(0, 2 * np.pi, 16).tolist()))
+        specs.append(pattern_projection_spec(pattern, out_thetas))
+        phases.append(np.exp(-1j * sum(pattern_rotation_angles(pattern, out_thetas))))
+        projected = state
+        for q in pattern.outputs:
+            projected = np.tensordot(rotation_bra(out_thetas[q]), projected, (0, 0))
+        references.append(complex(projected))
+    amplitudes = np.array(phases) * compute_amplitudes(pattern.graph, specs, "sweep")
+    residual, scalar = align_residual(amplitudes, references)
+    assert residual <= 1e-10 * np.linalg.norm(amplitudes)
+    assert abs(scalar) > 0
 
 
 # ---------------------------------------------------------------------------
