@@ -33,7 +33,6 @@ from .evaluate import (
     column_evaluate,
     cross_chain_recursion,
     lattice_width_profile,
-    line_amplitude,
     line_recursion,
     sweep_batch,
     sweep_evaluate,

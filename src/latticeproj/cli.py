@@ -177,21 +177,26 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 def run_verify(
     g: ClusterGraph, engines: Sequence[str], trials: int, seed: int
-) -> tuple[list[dict], float]:
-    """Per-trial amplitudes for every engine plus the worst relative delta.
+) -> tuple[list[dict], float, int]:
+    """Per-trial amplitudes for every engine, the worst relative delta and
+    the number of trials whose every amplitude is exactly zero.
 
     Trial t draws its projection from seed + t.  Each engine is checked
     against the graph once and asked for all T amplitudes in one
     ``evaluate_batch`` pass (chunked within its cap; see engines).
     A trial's relative delta is its largest pairwise |a - b| over its
-    largest |amplitude| (0 when every amplitude is exactly zero), so an
-    engine that returns 0 against a non-zero amplitude reads 1.0 however
-    small the amplitudes are.  The CSV's max_abs_delta stays absolute.
+    largest |amplitude|, so an engine that returns 0 against a non-zero
+    amplitude reads 1.0 however small the amplitudes are.  Random angles
+    give an exact zero amplitude only on a set of measure zero, so a trial
+    where every engine returns 0 has underflowed the double range; it is
+    counted apart (its relative delta is 0) and fails verification.  The
+    CSV's max_abs_delta stays absolute.
     """
     specs = [ProjectionSpec.random(g.n, np.random.default_rng(seed + t)) for t in range(trials)]
     batches = {e: compute_amplitudes(g, specs, e) for e in engines}
     rows = []
     worst = 0.0
+    zeros = 0
     for trial in range(trials):
         amps = {e: batches[e][trial] for e in engines}
         values = list(amps.values())
@@ -200,7 +205,10 @@ def run_verify(
             default=0.0,
         )
         scale = max((abs(a) for a in values), default=0.0)
-        worst = max(worst, delta / scale if scale else 0.0)
+        if scale:
+            worst = max(worst, delta / scale)
+        else:
+            zeros += 1
         row: dict = {"trial": trial, "seed": seed + trial}
         for e in engines:
             key = e.replace("-", "_")
@@ -208,7 +216,7 @@ def run_verify(
             row[f"{key}_im"] = repr(amps[e].imag)
         row["max_abs_delta"] = repr(delta)
         rows.append(row)
-    return rows, worst
+    return rows, worst, zeros
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -230,16 +238,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("verification needs at least two engines")
 
     with _output(args.output) as out:
-        rows, worst = run_verify(g, engines, args.trials, args.seed)
+        rows, worst, zeros = run_verify(g, engines, args.trials, args.seed)
         _write_csv(out, rows)
+    failures = []
     if worst > args.tolerance:
-        print(
-            f"FAIL: max relative engine delta {worst:.3e} exceeds tolerance "
-            f"{args.tolerance:.3e}",
-            file=sys.stderr,
+        failures.append(
+            f"max relative engine delta {worst:.3e} exceeds tolerance {args.tolerance:.3e}"
         )
-        return 1
-    return 0
+    if zeros:
+        failures.append(
+            f"every engine returned exactly 0 on {zeros} of {len(rows)} trials: "
+            "the amplitude is below the double range"
+        )
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------

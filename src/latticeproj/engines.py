@@ -42,11 +42,12 @@ from .errors import (
 from .evaluate import (
     COLUMN_ROW_CAP,
     EvalReport,
+    _column_shape,
     column_batch,
     column_evaluate,
     cross_chain_recursion,
     frontier_plan,
-    line_amplitude,
+    line_recursion,
     sweep_batch,
     sweep_evaluate,
 )
@@ -185,10 +186,11 @@ def _sweep_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[compl
 
 
 def _column_misfit(g: ClusterGraph) -> Optional[LatticeProjError]:
-    shape = graph_family(g).lattice
-    if shape is None:
-        return NotALattice("column needs a canonical cross lattice")
-    return _over_cap(shape[0], COLUMN_ROW_CAP, "rows", ColumnTooWide)
+    try:
+        _column_shape(g)
+    except (NotALattice, ColumnTooWide) as error:
+        return error
+    return None
 
 
 def _column_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
@@ -229,7 +231,7 @@ ENGINES: dict[str, Engine] = {
     "line-recursion": Engine(
         lambda g: None if graph_family(g).line
         else LatticeProjError("line-recursion needs a canonical line graph"),
-        lambda g, spec: line_amplitude(spec),
+        lambda g, spec: line_recursion(spec),
     ),
     "cross-recursion": Engine(
         lambda g: None if graph_family(g).cross_chain is not None

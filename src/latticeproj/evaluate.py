@@ -16,8 +16,8 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
                          built once per factor order (FrontierPlan).
   * line_recursion       the two-scalar recursion for line graphs,
                          O(n) adds and multiplies, counted exactly.
-  * cross_chain_recursion  leaf pairs merged, then a two-scalar recursion
-                         along the chain of crosses.
+  * cross_chain_recursion  the same line recursion, run over the chain of
+                         crosses with each leaf pair merged into one node.
   * column_evaluate      lattices of crosses: a boundary vector of {I,Z}-word
                          coefficients over one center column, carried
                          column to column by one diagonal per corner column
@@ -390,71 +390,48 @@ def sweep_batch(poly: FactorizedPolynomial, specs: Sequence[ProjectionSpec]) -> 
 
 
 # ---------------------------------------------------------------------------
-# line recursion
+# line and cross-chain recursions
+
+
+def _line_sum(c: Sequence[complex], s: Sequence[complex]) -> complex:
+    """The unnormalized amplitude of a line whose node k has the bra (c[k], s[k]).
+
+    p and q sum the signed bra products over the nodes so far, with the
+    last node at 0 and at 1; each later node takes them to
+    (c[k](p+q), s[k](p-q)), the edge's sign flipping the terms whose
+    previous node is 1.
+    """
+    p, q = c[0], s[0]
+    for ck, sk in zip(c[1:], s[1:]):
+        p, q = ck * (p + q), sk * (p - q)
+    return p + q
 
 
 def line_recursion(spec: ProjectionSpec) -> EvalReport:
-    """Two-scalar recursion for the n-qubit line, n >= 3.
+    """Two-scalar recursion for the n-qubit line, any n >= 1.
 
-    Stage k holds the traces of the P/Q pair after absorbing qubits up to
-    k+1; each stage costs exactly 2 multiplies and 2 adds.  Counter totals
-    are exactly affine: mul_count = add_count = 2n - 1 (head, n-3 stages,
-    tail, final normalization).
+    Each node after the first costs 2 multiplies and 2 adds, the final sum
+    one add and the normalization one multiply: mul_count = add_count =
+    2n - 1.
     """
     n = spec.n
-    if n < 3:
-        raise TooSmall(f"line recursion needs n >= 3, got {n}; use line_amplitude")
-    c, s = spec.c, spec.s
-    mul = add = 0
-
-    trp, trq = c[1] * (c[0] + s[0]), s[1] * (c[0] - s[0])
-    mul += 2
-    add += 2
-    for k in range(2, n - 1):
-        trp, trq = c[k] * (trp + trq), s[k] * (trp - trq)
-        mul += 2
-        add += 2
-
-    raw = (c[n - 1] + s[n - 1]) * trp + (c[n - 1] - s[n - 1]) * trq
-    mul += 2
-    add += 3
-    amplitude = (2.0 ** (-n / 2.0)) * raw
-    mul += 1
-    return EvalReport(amplitude=complex(amplitude), max_live_terms=2, add_count=add, mul_count=mul)
-
-
-def line_amplitude(spec: ProjectionSpec) -> EvalReport:
-    """Line amplitude for any n >= 1: closed forms below n = 3, recursion above."""
-    n = spec.n
-    c, s = spec.c, spec.s
-    if n == 1:
-        raw = c[0] + s[0]
-        return EvalReport(complex(raw / np.sqrt(2.0)), 2, 1, 1)
-    if n == 2:
-        raw = c[0] * (c[1] + s[1]) + s[0] * (c[1] - s[1])
-        return EvalReport(complex(0.5 * raw), 2, 3, 3)
-    return line_recursion(spec)
-
-
-# ---------------------------------------------------------------------------
-# cross-chain recursion
+    raw = _line_sum(spec.c.tolist(), spec.s.tolist())
+    return EvalReport(complex((2.0 ** (-n / 2.0)) * raw), 2, 2 * n - 1, 2 * n - 1)
 
 
 def cross_chain_recursion(spec: ProjectionSpec) -> EvalReport:
-    """O(k) recursion for the canonical chain of k crosses (3k+2 qubits).
+    """The line recursion over the canonical chain of k crosses (3k+2 qubits).
 
-    Leaf pairs merge into single binomials first:
-        Ct_i = C_a C_b + S_a S_b,   St_i = C_a S_b + S_a C_b
-    for pair i = leaves (2i, 2i+1).  Center j contributes the traces
-    t+ = C + S and t- = C - S of its U/D binomial.  The boundary pair
-    (p, q) then follows
+    The two leaves of pair i (qubits 2i, 2i+1) have the same neighbours,
+    centers i-1 and i where they exist, so those see only the leaves'
+    parity, and the pair merges into one node with the bra
 
-        p_j = Ct_j p_{j-1} t+_j + St_j q_{j-1} t-_j
-        q_j = Ct_j p_{j-1} t-_j + St_j q_{j-1} t+_j
+        Ct_i = C_a C_b + S_a S_b,   St_i = C_a S_b + S_a C_b.
 
-    seeded with p_{-1} = q_{-1} = 1; the final pair of leaves closes the
-    chain with Ct_k p + St_k q.  The head and tail are not spelled out by
-    the recursion itself; this form is locked in by the oracle tests.
+    The chain is then the line pair 0, center 0, pair 1, ..., center k-1,
+    pair k (center j is qubit 2k+2+j) of 2k+1 nodes, normalized by
+    2^(-(3k+2)/2).  The merges cost 4 multiplies and 2 adds per pair, so
+    mul_count = 8k + 5 and add_count = 6k + 3.
     """
     n = spec.n
     if n < 5:
@@ -463,33 +440,16 @@ def cross_chain_recursion(spec: ProjectionSpec) -> EvalReport:
         raise SizeMismatch(f"cross chain sizes are 3k+2, got {n}")
     k = (n - 2) // 3
     c, s = spec.c, spec.s
-    mul = add = 0
-
-    ct = np.empty(k + 1, dtype=complex)
-    st = np.empty(k + 1, dtype=complex)
-    for i in range(k + 1):
-        a, b = 2 * i, 2 * i + 1
-        ct[i] = c[a] * c[b] + s[a] * s[b]
-        st[i] = c[a] * s[b] + s[a] * c[b]
-        mul += 4
-        add += 2
-
-    p = q = 1.0 + 0.0j
-    for j in range(k):
-        center = 2 * k + 2 + j
-        tp = c[center] + s[center]
-        tm = c[center] - s[center]
-        add += 2
-        p, q = ct[j] * p * tp + st[j] * q * tm, ct[j] * p * tm + st[j] * q * tp
-        mul += 8
-        add += 2
-
-    raw = ct[k] * p + st[k] * q
-    mul += 2
-    add += 1
-    amplitude = (2.0 ** (-n / 2.0)) * raw
-    mul += 1
-    return EvalReport(amplitude=complex(amplitude), max_live_terms=2, add_count=add, mul_count=mul)
+    leaves = 2 * k + 2
+    ca, cb, sa, sb = c[0:leaves:2], c[1:leaves:2], s[0:leaves:2], s[1:leaves:2]
+    nodes_c = np.empty(2 * k + 1, dtype=complex)
+    nodes_s = np.empty(2 * k + 1, dtype=complex)
+    nodes_c[0::2] = ca * cb + sa * sb
+    nodes_s[0::2] = ca * sb + sa * cb
+    nodes_c[1::2] = c[leaves:]
+    nodes_s[1::2] = s[leaves:]
+    raw = _line_sum(nodes_c.tolist(), nodes_s.tolist())
+    return EvalReport(complex((2.0 ** (-n / 2.0)) * raw), 2, 6 * k + 3, 8 * k + 5)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +510,7 @@ CORNER_BLOCK_ENTRIES = 1 << (COLUMN_ROW_CAP // 2)
 
 
 def _column_shape(g: ClusterGraph) -> tuple[int, int]:
+    """The lattice's (rows, columns); the column engine's fit test (see engines)."""
     shape = graph_family(g).lattice
     if shape is None:
         raise NotALattice("column evaluator needs a canonical cross lattice")

@@ -259,6 +259,24 @@ def test_bench_line_scaling_counts_double(capsys):
         assert abs(muls[256] / muls[128] - 2.0) <= 0.2
 
 
+def test_verify_cross64_sweep_against_cross_recursion(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--builder", "cross:64",
+        "--engines", "sweep,cross-recursion", "--trials", "31",
+    )
+    assert code == 0, err
+
+
+def test_verify_fails_when_every_amplitude_underflows(capsys):
+    # line:4096 amplitudes are near 2^-2048, below the smallest double
+    code, out, err = run_cli(capsys, "verify", "--builder", "line:4096", "--trials", "2")
+    assert code == 1
+    assert "2 of 2 trials" in err and "below the double range" in err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2
+    assert all(float(r["line_recursion_re"]) == 0.0 for r in rows)
+
+
 def test_verify_failure_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--builder", "line:5", "--trials", "2",

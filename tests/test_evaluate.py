@@ -30,7 +30,6 @@ from latticeproj.evaluate import (
     cross_chain_recursion,
     frontier_plan,
     lattice_width_profile,
-    line_amplitude,
     line_recursion,
     sweep_evaluate,
 )
@@ -269,21 +268,16 @@ def test_line_recursion_matches_sweep_and_oracle():
             assert abs(amp - project_statevector(sv, spec)) < 1e-10
 
 
-def test_line_recursion_too_small():
-    with pytest.raises(TooSmall):
-        line_recursion(ProjectionSpec.constant(2, 0.1, 0.2))
-
-
-def test_line_amplitude_closed_forms():
+def test_line_recursion_closed_forms():
     spec1 = random_spec(1, 5)
-    assert line_amplitude(spec1).amplitude == pytest.approx(
+    assert line_recursion(spec1).amplitude == pytest.approx(
         (spec1.c[0] + spec1.s[0]) / np.sqrt(2.0)
     )
     spec2 = random_spec(2, 6)
     expected = 0.5 * (
         spec2.c[0] * (spec2.c[1] + spec2.s[1]) + spec2.s[0] * (spec2.c[1] - spec2.s[1])
     )
-    assert line_amplitude(spec2).amplitude == pytest.approx(expected)
+    assert line_recursion(spec2).amplitude == pytest.approx(expected)
 
 
 def test_line_recursion_counters_exactly_affine():
@@ -342,6 +336,17 @@ def test_cross_recursion_matches_sweep_and_oracle():
             amp = cross_chain_recursion(spec).amplitude
             assert abs(amp - sweep_amp(g, spec)) < 1e-10
             assert abs(amp - project_statevector(sv, spec)) < 1e-10
+
+
+def test_cross_recursion_counters_closed_forms():
+    # k + 1 leaf-pair merges (4 multiplies, 2 adds each), then the line
+    # recursion over 2k + 1 nodes (2 of each per node after the first, a
+    # final add, the normalization multiply)
+    for k in range(1, 65):
+        report = cross_chain_recursion(random_spec(3 * k + 2, k))
+        assert report.mul_count == 8 * k + 5
+        assert report.add_count == 6 * k + 3
+        assert report.max_live_terms == 2
 
 
 def test_cross_recursion_size_errors():

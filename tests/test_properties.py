@@ -5,14 +5,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latticeproj.errors import OddCycle
-from latticeproj.evaluate import column_evaluate, sweep_evaluate
+from latticeproj.evaluate import (
+    column_evaluate,
+    cross_chain_recursion,
+    line_recursion,
+    sweep_evaluate,
+)
 from latticeproj.factorize import (
     ProjectionSpec,
     build_polynomial,
     max_active_slots,
     order_factors,
 )
-from latticeproj.graph import bipartition, build_from_edges, build_lattice
+from latticeproj.graph import (
+    bipartition,
+    build_cross_chain,
+    build_from_edges,
+    build_lattice,
+    build_line,
+)
 from latticeproj.oracle import build_statevector, direct_sum, project_statevector
 
 from helpers import TermSum, branches, brute_amplitude, word_sweep
@@ -113,3 +124,28 @@ def test_column_matches_direct_sum_and_sweep_on_lattices(m, n, seed):
     assert abs(amp - ref) <= 1e-10 * abs(ref)
     poly = order_factors(build_polynomial(g, spec), "row-major")
     assert abs(amp - sweep_evaluate(poly).amplitude) <= 1e-10 * abs(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+)
+@example(n=1, seed=0)
+@example(n=2, seed=0)
+def test_line_recursion_equals_exhaustive_sum(n, seed):
+    spec = ProjectionSpec.random(n, np.random.default_rng(seed))
+    ref = brute_amplitude(build_line(n), spec)
+    assert abs(line_recursion(spec).amplitude - ref) <= 1e-10 * abs(ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+)
+def test_cross_recursion_equals_exhaustive_sum(k, seed):
+    g = build_cross_chain(k)
+    spec = ProjectionSpec.random(g.n, np.random.default_rng(seed))
+    ref = brute_amplitude(g, spec)
+    assert abs(cross_chain_recursion(spec).amplitude - ref) <= 1e-10 * abs(ref)
