@@ -61,6 +61,7 @@ from .graph import (
     detect_lattice,
     detect_line,
     fixture_path,
+    lattice_row_major_order,
     load_graph,
     save_graph,
 )

@@ -13,7 +13,7 @@ lone spec takes ``evaluate``.  The two recursions loop.
 ``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude``,
 ``compute_amplitudes`` and the CLI all read this table.  Direct-sum and the
 family rows read ``graph.graph_family``, detected once per distinct graph;
-the sweep always runs the ``auto`` factor order and reads that order's
+the sweep always runs the worked-out factor order and reads that order's
 frontier width from its cached structure, known before anything is
 allocated.  The oracles keep their own graph-only work: the statevector
 row's vector is built once per graph (``build_statevector`` holds the last
@@ -34,7 +34,6 @@ from .errors import (
     LatticeProjError,
     NotALattice,
     NotBipartite,
-    OddCycle,
     SizeMismatch,
     TooLarge,
     TooManyControls,
@@ -52,7 +51,7 @@ from .evaluate import (
     sweep_evaluate,
 )
 from .factorize import ProjectionSpec, build_polynomial, order_factors
-from .graph import ClusterGraph, assign_slots, graph_family
+from .graph import ClusterGraph, graph_family
 from .oracle import (
     DIRECT_SUM_CONTROL_CAP,
     build_statevector,
@@ -69,15 +68,10 @@ SWEEP_WIDTH_CAP = 24
 
 @lru_cache(maxsize=64)
 def _sweep_structure(g: ClusterGraph):
-    # Words, slots, activity, the auto order and the frontier plan depend on
-    # the graph alone; cache them and bind each projection's spec to a
-    # clone.  The all-zero spec here is never evaluated.
-    try:
-        assignment = assign_slots(g, "bipartite")
-    except OddCycle:
-        assignment = assign_slots(g, "greedy-cover")
-    poly = build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0), assignment)
-    poly = order_factors(poly, "auto")
+    # Words, slots, activity, the worked-out order and the frontier plan
+    # depend on the graph alone; cache them and bind each projection's spec
+    # to a clone.  The all-zero spec here is never evaluated.
+    poly = order_factors(build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0)))
     frontier_plan(poly)
     return poly
 
@@ -85,10 +79,11 @@ def _sweep_structure(g: ClusterGraph):
 def sweep_polynomial(g: ClusterGraph, spec: ProjectionSpec):
     """Build the ordered polynomial the sweep engine actually runs.
 
-    The slot assignment is bipartite when the graph allows it, greedy cover
-    otherwise, and the factor order is ``auto`` (the min-frontier search);
-    both are decided once per graph and cached with the structure.  The
-    result is a bind_spec clone of that shared structure.
+    The slot assignment and the factor order are the ones build_polynomial
+    and order_factors work out (bipartite owners when the graph allows it,
+    a greedy cover otherwise; the min-frontier search); both are decided
+    once per graph and cached with the structure.  The result is a
+    bind_spec clone of that shared structure.
     """
     return _sweep_structure(g).bind_spec(spec)
 

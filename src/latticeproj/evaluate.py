@@ -66,7 +66,14 @@ from .factorize import (
     order_factors,
     stack_specs,
 )
-from .graph import ClusterGraph, build_lattice, graph_family, lattice_center, lattice_corner
+from .graph import (
+    ClusterGraph,
+    build_lattice,
+    graph_family,
+    lattice_center,
+    lattice_corner,
+    lattice_row_major_order,
+)
 
 
 @dataclass
@@ -100,9 +107,8 @@ class EvalReport:
 class FrontierPlan:
     """The sweep's axis layout for one factor order; fixed by the words alone.
 
-    The frontier has ``width`` axes; frontier axis a is numpy axis -1-a, so a
-    factor's array needs only as many dimensions as its highest axis, and a
-    leading trial axis (see _contract) passes every axis by.  An
+    The frontier has ``width`` axes; frontier axis a is numpy axis -1-a, so
+    a leading trial axis (see _contract) passes every axis by.  An
     axis of length 2 carries one active slot's diagonal index; an axis of
     length 1 is free (the slot there is I).  Axes are allocated in factor
     order, a retired slot's axis going to the next slot to open.
@@ -124,8 +130,9 @@ class FrontierPlan:
     survivor entry's run for one multiply.reduceat.  ``steps[i]`` is
     (entries, shape, retired axes) of the i-th survivor: the index of its
     reduced entries on the last axis (``[..., start:stop]``), the broadcast
-    shape they take, and the numpy axes summed right after it; ``open_axes``
-    are the final axes of the open (never retired) slots.  The counters are
+    shape they take over all ``width`` axes, and the numpy axes summed right
+    after it; ``open_axes`` are the final axes of the open (never retired)
+    slots.  The counters are
     those of EvalReport, fixed by the layout; the peak frontier size is at
     most 2^width.
     """
@@ -299,7 +306,8 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
         live.difference_update(retired_axes[pos])
         add += frontier - (frontier >> len(retired_axes[pos]))
         retire = tuple(-1 - axis for axis in retired_axes[pos])
-        steps.append(((..., slice(stop, stop + size)), layout_at[pos][2], retire))
+        shape = (1,) * (width - len(layout_at[pos][2])) + layout_at[pos][2]
+        steps.append(((..., slice(stop, stop + size)), shape, retire))
         stop += size
 
     offsets = np.cumsum([0] + [c.size for c, _, _ in layout_at[:-1]])
@@ -339,20 +347,15 @@ def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     survivors' (see FrontierPlan); only the survivors touch the frontier.
     c and s are (n,) arrays, or (T, n) for T projections at once.  The T
     frontiers then share a leading axis, which every factor and retirement
-    passes over (their axes count from the end) once each factor's shape is
-    padded to all ``width`` axes; one projection runs with no leading axis
-    and the plan's shapes as they are.
+    passes over, as their axes count from the end; one projection runs with
+    no leading axis.
     """
     values = c.take(plan.qubit, -1) * plan.c_diag + s.take(plan.qubit, -1) * plan.s_diag
     values = np.multiply.reduceat(values, plan.starts, axis=-1)
     lead = c.shape[:-1]
-    steps = plan.steps
-    if lead:
-        steps = [(index, lead + (1,) * (plan.width - len(shape)) + shape, retire)
-                 for index, shape, retire in steps]
     frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
-    for index, shape, retire in steps:
-        frontier = frontier * values[index].reshape(shape)
+    for index, shape, retire in plan.steps:
+        frontier = frontier * values[index].reshape(lead + shape)
         if retire:
             frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
     return frontier
@@ -634,7 +637,7 @@ def lattice_width_profile(
         g = build_lattice(height, width)
         rng = np.random.default_rng([seed, height, width])
         spec = ProjectionSpec.random(g.n, rng)
-        poly = order_factors(build_polynomial(g, spec), "row-major")
+        poly = order_factors(build_polynomial(g, spec), lattice_row_major_order(height, width))
         report = sweep_evaluate(poly)
         rows.append(
             {

@@ -27,16 +27,7 @@ import numpy as np
 
 from .algebra import Letter, TensorWord
 from .errors import InvalidPermutation, SizeMismatch
-from .graph import (
-    ClusterGraph,
-    SlotAssignment,
-    adjacency,
-    assign_slots,
-    graph_family,
-    lattice_center,
-    lattice_corner,
-    rewrite,
-)
+from .graph import ClusterGraph, SlotAssignment, adjacency, assign_slots, data_lines, rewrite
 
 
 class ProjectionSpec:
@@ -206,38 +197,25 @@ class FactorizedPolynomial:
 def build_polynomial(
     g: ClusterGraph,
     spec: ProjectionSpec,
-    assignment: Union[SlotAssignment, str, None] = None,
+    assignment: Optional[SlotAssignment] = None,
 ) -> FactorizedPolynomial:
     """Polynomial with factors in qubit-index order (the as-built order).
 
-    ``assignment`` may be a ready SlotAssignment or a strategy name for
-    graph.assign_slots; None means the bipartite strategy.
+    ``assignment`` None takes graph.assign_slots(g): the bipartition's
+    controls own the slots, or a greedy vertex cover when the graph has an
+    odd cycle.
     """
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
     if assignment is None:
-        assignment = assign_slots(g, "bipartite")
-    elif isinstance(assignment, str):
-        assignment = assign_slots(g, assignment)
+        assignment = assign_slots(g)
     adj = adjacency(g)
     factors = [_factor_from_adjacency(p, assignment, adj) for p in range(g.n)]
     return FactorizedPolynomial(g, assignment, factors, spec)
 
 
 # ---------------------------------------------------------------------------
-# factor ordering strategies
-
-
-def _lattice_row_major_order(shape: tuple[int, int]) -> list[int]:
-    # Sweep the lattice by rows, interleaving each center row right after
-    # the corner row above it so slots retire one row behind the frontier.
-    m, n = shape
-    order: list[int] = []
-    for r in range(m + 1):
-        order.extend(lattice_corner(m, n, r, c) for c in range(n + 1))
-        if r < m:
-            order.extend(lattice_center(m, n, r, j) for j in range(n))
-    return order
+# factor ordering
 
 
 # Passes of the min-frontier search; each starts from one minimum-degree qubit.
@@ -341,38 +319,23 @@ def _min_frontier_order(poly: FactorizedPolynomial) -> list[int]:
 
 
 def order_factors(
-    poly: FactorizedPolynomial,
-    strategy: str = "as-built",
-    permutation: Optional[Sequence[int]] = None,
+    poly: FactorizedPolynomial, qubits: Optional[Sequence[int]] = None
 ) -> FactorizedPolynomial:
     """Reorder the factors; the amplitude is invariant, the boundary is not.
 
-    Strategies: ``auto`` (the narrowest of the as-built order and up to
-    AUTO_STARTS greedy min-frontier passes over the factor/slot incidence,
-    one per minimum-degree start qubit; any graph), ``as-built``
-    (qubit-index order), ``row-major`` (lattices: interleave corner and
-    center rows; other graphs: index order), ``custom`` (explicit
-    permutation of qubit indices).  Width means max_active_slots, which
-    bounds the sweep's live terms by 2^width.
+    ``qubits`` is the new order, a permutation of the qubit indices (else
+    InvalidPermutation).  None works one out for any graph: the narrowest
+    of the as-built order and up to AUTO_STARTS greedy min-frontier passes
+    over the factor/slot incidence, one per minimum-degree start qubit.
+    Width means max_active_slots, which bounds the sweep's live terms by
+    2^width.
     """
-    if strategy == "auto":
+    if qubits is None:
         qubits = _min_frontier_order(poly)
-    elif strategy == "as-built":
-        qubits = list(range(poly.graph.n))
-    elif strategy == "row-major":
-        shape = graph_family(poly.graph).lattice
-        if shape is None:
-            qubits = list(range(poly.graph.n))
-        else:
-            qubits = _lattice_row_major_order(shape)
-    elif strategy == "custom":
-        if permutation is None:
-            raise InvalidPermutation("custom ordering needs an explicit permutation")
-        if sorted(permutation) != list(range(poly.graph.n)):
-            raise InvalidPermutation("custom order must be a permutation of the qubits")
-        qubits = list(permutation)
     else:
-        raise ValueError(f"unknown ordering strategy {strategy!r}")
+        qubits = list(qubits)
+        if sorted(qubits) != list(range(poly.graph.n)):
+            raise InvalidPermutation("factor order must be a permutation of the qubits")
     if qubits == [f.qubit for f in poly.factors]:
         return poly
     # a new polynomial, so activity is recomputed for the new order
@@ -394,11 +357,7 @@ def max_active_slots(poly: FactorizedPolynomial) -> int:
 def parse_angles_text(text: str) -> ProjectionSpec:
     thetas: list[float] = []
     phis: list[float] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for _, line, fields in data_lines(text):
         if len(fields) != 2:
             raise SizeMismatch(f"angle lines carry 'theta phi', got {line!r}")
         thetas.append(float(fields[0]))

@@ -151,8 +151,19 @@ def lattice_center(m: int, n: int, i: int, j: int) -> int:
     return (m + 1) * (n + 1) + i * n + j
 
 
+def lattice_row_major_order(m: int, n: int) -> list[int]:
+    """The m x n lattice's qubits by rows, each center row right after the
+    corner row above it, so slots retire one row behind the frontier."""
+    order: list[int] = []
+    for r in range(m + 1):
+        order.extend(lattice_corner(m, n, r, c) for c in range(n + 1))
+        if r < m:
+            order.extend(lattice_center(m, n, r, j) for j in range(n))
+    return order
+
+
 # ---------------------------------------------------------------------------
-# family detection (read through graph_family by the engines and orderings)
+# family detection (read through graph_family by the engines and assign_slots)
 
 
 def detect_line(g: ClusterGraph) -> bool:
@@ -255,27 +266,18 @@ def _greedy_cover(g: ClusterGraph) -> frozenset[int]:
     return frozenset(cover)
 
 
-def assign_slots(g: ClusterGraph, strategy: str = "bipartite") -> SlotAssignment:
-    """Pick owner qubits (a vertex cover) and assign every edge to an owner.
+def assign_slots(g: ClusterGraph, owners: Optional[Iterable[int]] = None) -> SlotAssignment:
+    """Assign every edge to an owner qubit; the owners get dense slot ids.
 
-    Strategies:
-      * ``bipartite``   owners = controls of the bipartition (raises OddCycle
-                        on non-bipartite graphs);
-      * ``all-but-last``  owners = all qubits but the last, the per-edge scheme
-                        used for line factorizations;
-      * ``greedy-cover`` greedy vertex cover, works on any graph.
-
-    When both endpoints of an edge own slots, the lower index wins.
+    ``owners`` must be a vertex cover of g, else ValueError.  None takes the
+    controls of the bipartition (graph_family's, computed once per graph),
+    or a greedy vertex cover when the graph has an odd cycle.  When both
+    endpoints of an edge own slots, the lower index wins.
     """
-    if strategy == "bipartite":
-        owners = bipartition(g).controls
-    elif strategy == "all-but-last":
-        owners = frozenset(range(g.n - 1))
-    elif strategy == "greedy-cover":
-        owners = _greedy_cover(g)
-    else:
-        raise ValueError(f"unknown slot strategy {strategy!r}")
-
+    if owners is None:
+        b = graph_family(g).bipartition
+        owners = b.controls if b is not None else _greedy_cover(g)
+    owners = frozenset(owners)
     edge_owner: dict[Edge, int] = {}
     for a, b in g.edges:
         a_owns, b_owns = a in owners, b in owners
@@ -290,22 +292,26 @@ def assign_slots(g: ClusterGraph, strategy: str = "bipartite") -> SlotAssignment
                 f"owner set is not a vertex cover: edge ({a}, {b}) uncovered"
             )
     slot_of = {q: i for i, q in enumerate(sorted(owners))}
-    return SlotAssignment(owners=frozenset(owners), slot_of=slot_of, edge_owner=edge_owner)
+    return SlotAssignment(owners=owners, slot_of=slot_of, edge_owner=edge_owner)
 
 
 # ---------------------------------------------------------------------------
-# graph file format: line 1 = qubit count, then one "a b" edge per line.
-# '#' starts a comment anywhere on a line.
+# text formats: '#' starts a comment anywhere on a line; blank lines are skipped.
+# graph file: line 1 = qubit count, then one "a b" edge per line.
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number from 1, text, whitespace fields) of each line holding data."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
 
 
 def parse_graph_text(text: str) -> ClusterGraph:
     n: Optional[int] = None
     pairs: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for _, line, fields in data_lines(text):
         if n is None:
             if len(fields) != 1:
                 raise InvalidSize(f"first data line must be the qubit count, got {line!r}")

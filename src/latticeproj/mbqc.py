@@ -50,7 +50,7 @@ from .errors import (
 )
 from .evaluate import FrontierPlan, _build_plan, _contract
 from .factorize import ProjectionSpec, build_polynomial
-from .graph import ClusterGraph, SlotAssignment, build_from_edges
+from .graph import ClusterGraph, assign_slots, build_from_edges, data_lines
 from .oracle import STATEVEC_CAP_ENV, statevector_cap
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -138,6 +138,8 @@ class MeasurementPattern:
             raise SizeMismatch("measured and output qubits must cover the pattern")
         if not set(inputs) <= qubits:
             raise SizeMismatch("input qubits must belong to the graph")
+        if not all(math.isfinite(angle) for angle in measurements.values()):
+            raise ValueError("measurement angles must be finite")
         if (semantics is None) == (not self._stages):
             raise TypeError("a pattern takes either declared semantics or its stages")
         if semantics is not None and semantics.shape != (1 << len(outputs), 1 << len(inputs)):
@@ -418,10 +420,8 @@ def _pattern_plan(graph: ClusterGraph, open_slots: tuple[int, ...]) -> FrontierP
     possible).  Fixed by the graph alone, like the sweep's structure.
     """
     n = graph.n
-    owner = {e: e[0] for e in graph.edges}
-    assignment = SlotAssignment(frozenset(range(n)), {q: q for q in range(n)}, owner)
-    poly = build_polynomial(graph, ProjectionSpec.constant(n, 0.0, 0.0), assignment)
-    return _build_plan(poly, open_slots)
+    spec = ProjectionSpec.constant(n, 0.0, 0.0)
+    return _build_plan(build_polynomial(graph, spec, assign_slots(graph, range(n))), open_slots)
 
 
 def _action_core(pattern: MeasurementPattern) -> np.ndarray:
@@ -538,11 +538,7 @@ _GATE_SHAPES = {
 
 def parse_circuit(text: str) -> list[Gate]:
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, _, fields in data_lines(text):
         kind = fields[0].upper()
         if kind not in _GATE_SHAPES:
             raise CircuitParseError(f"unknown gate {fields[0]!r}", lineno)
@@ -558,6 +554,8 @@ def parse_circuit(text: str) -> list[Gate]:
             angle = float(fields[1 + nq]) if has_angle else None
         except ValueError as exc:
             raise CircuitParseError(str(exc), lineno)
+        if angle is not None and not math.isfinite(angle):
+            raise CircuitParseError(f"angle must be finite, got {fields[1 + nq]!r}", lineno)
         if any(q < 0 for q in qubits):
             raise CircuitParseError("qubit indices must be non-negative", lineno)
         if len(set(qubits)) != len(qubits):

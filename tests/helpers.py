@@ -26,7 +26,7 @@ import numpy as np
 from latticeproj.algebra import EMPTY_WORD, Letter, ZERO, word_mul
 from latticeproj.errors import NonScalarResidue, RetirementBeforeOwner
 from latticeproj.evaluate import EvalReport
-from latticeproj.graph import adjacency
+from latticeproj.graph import adjacency, graph_family, lattice_row_major_order
 
 # the four diagonal letters as explicit matrices, keyed by tag name
 LETTER_MATS = {
@@ -203,6 +203,15 @@ def align_residual(measured, target):
     target = np.asarray(target, dtype=complex)
     s = np.vdot(target, measured) / np.vdot(target, target)
     return float(np.linalg.norm(measured - s * target)), s
+
+
+def named_orders(g):
+    """Explicit factor orders by name: as-built, and row-major on a lattice."""
+    orders = {"as-built": list(range(g.n))}
+    shape = graph_family(g).lattice
+    if shape is not None:
+        orders["row-major"] = lattice_row_major_order(*shape)
+    return orders
 
 
 def random_spec(n, seed):

@@ -511,6 +511,15 @@ def test_compile_over_a_longer_pair_writes_what_a_fresh_compile_does(capsys, tmp
     assert Path(f"{prefix}.graph").stat().st_size < old_size
 
 
+def test_compile_rejects_a_non_finite_angle(capsys, tmp_path):
+    circuit = tmp_path / "nan.txt"
+    circuit.write_text("RZ 0 nan\nCZ 0 1\n")
+    code, _, err = run_cli(capsys, "compile", "--circuit", str(circuit), "--out", str(tmp_path / "p"))
+    assert code == 2
+    assert "line 1: angle must be finite" in err
+    assert not list(tmp_path.glob("p.*"))
+
+
 def test_compile_leaves_no_half_pair_when_an_output_cannot_be_opened(capsys, tmp_path):
     circuit = tmp_path / "cz.txt"
     circuit.write_text("CZ 0 1\n")

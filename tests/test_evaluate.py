@@ -40,21 +40,23 @@ from latticeproj.factorize import (
     order_factors,
 )
 from latticeproj.graph import (
+    assign_slots,
     build_cross_chain,
     build_from_edges,
     build_lattice,
     build_line,
     fixture_path,
+    lattice_row_major_order,
     load_graph,
 )
 from latticeproj.oracle import build_statevector, project_statevector
 
-from helpers import random_spec, word_sweep
+from helpers import named_orders, random_spec, word_sweep
 
 
-def sweep_amp(g, spec, ordering="as-built", strategy=None):
-    poly = build_polynomial(g, spec, strategy)
-    return sweep_evaluate(order_factors(poly, ordering)).amplitude
+def sweep_amp(g, spec, assignment=None):
+    """The sweep's amplitude with the factors in their as-built order."""
+    return sweep_evaluate(build_polynomial(g, spec, assignment)).amplitude
 
 
 def oracle_amp(g, spec):
@@ -103,7 +105,7 @@ def test_sweep_all_but_last_assignment_agrees():
     for seed in range(5):
         spec = random_spec(6, seed)
         assert abs(
-            sweep_amp(g, spec, strategy="all-but-last") - sweep_amp(g, spec)
+            sweep_amp(g, spec, assign_slots(g, range(g.n - 1))) - sweep_amp(g, spec)
         ) < 1e-12
 
 
@@ -131,7 +133,7 @@ def test_sweep_retirement_guards():
     with pytest.raises(RetirementBeforeOwner):
         sweep_evaluate(poly)
     # reversed order plus a lying owner position: the I branch is caught live
-    poly = order_factors(build_polynomial(g, spec), "custom", [1, 0])
+    poly = order_factors(build_polynomial(g, spec), [1, 0])
     poly.activity[0] = (0, 0)
     poly.owner_position[0] = 0
     with pytest.raises(RetirementBeforeOwner):
@@ -160,10 +162,10 @@ WORD_SWEEP_WIDTH = 12
 @pytest.mark.parametrize("g", [g for _, g in FRONTIER_GRAPHS],
                          ids=[name for name, _ in FRONTIER_GRAPHS])
 def test_frontier_matches_word_sweep(g):
-    orderings = ["auto", "as-built", "row-major"]
+    orderings = {"auto": None, **named_orders(g)}
     spec = random_spec(g.n, 70)
-    for ordering in orderings:
-        poly = order_factors(sweep_polynomial(g, spec), ordering)
+    for ordering, qubits in orderings.items():
+        poly = order_factors(sweep_polynomial(g, spec), qubits)
         width = max_active_slots(poly)
         reference = poly if width <= WORD_SWEEP_WIDTH else sweep_polynomial(g, spec)
         ref = word_sweep(reference).amplitude
@@ -373,7 +375,8 @@ def test_column_matches_sweep_and_oracle(shape):
     for seed in range(5):
         spec = random_spec(g.n, seed)
         amp = column_evaluate(g, spec).amplitude
-        assert abs(amp - sweep_amp(g, spec, ordering="row-major")) < 1e-10
+        row_major = order_factors(build_polynomial(g, spec), lattice_row_major_order(*shape))
+        assert abs(amp - sweep_evaluate(row_major).amplitude) < 1e-10
         assert abs(amp - project_statevector(sv, spec)) < 1e-10
 
 
@@ -449,7 +452,7 @@ def test_permutation_invariance_tight():
         rng = np.random.default_rng(2)
         for _ in range(6):
             perm = list(rng.permutation(g.n))
-            poly = order_factors(build_polynomial(g, spec), "custom", perm)
+            poly = order_factors(build_polynomial(g, spec), perm)
             assert abs(sweep_evaluate(poly).amplitude - base) < 1e-12
 
 
@@ -460,7 +463,8 @@ def test_auto_order_matches_as_built_sweep(g):
     for seed in range(3):
         spec = random_spec(g.n, 40 + seed)
         ref = sweep_amp(g, spec)
-        assert abs(sweep_amp(g, spec, "auto") - ref) <= 1e-12 * abs(ref)
+        auto = sweep_evaluate(order_factors(build_polynomial(g, spec))).amplitude
+        assert abs(auto - ref) <= 1e-12 * abs(ref)
 
 
 def test_auto_sweep_on_long_lattice_matches_column():

@@ -1,4 +1,4 @@
-"""Factor construction, ordering strategies, and the soundness of the trace form."""
+"""Factor construction, factor orders, and the soundness of the trace form."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from latticeproj.factorize import (
     parse_angles_text,
 )
 from latticeproj.graph import (
+    _greedy_cover,
     assign_slots,
     build_cross_chain,
     build_from_edges,
@@ -25,7 +26,7 @@ from latticeproj.graph import (
 from latticeproj.evaluate import sweep_evaluate
 from latticeproj.oracle import build_statevector, project_statevector
 
-from helpers import branches, random_spec, word_to_diag
+from helpers import branches, named_orders, random_spec, word_to_diag
 
 
 def test_coeffs_examples():
@@ -53,7 +54,7 @@ def test_spec_random_ranges():
 
 def test_factor_bell_owner():
     g = build_line(2)
-    a = assign_slots(g, "bipartite")
+    a = assign_slots(g)
     spec = random_spec(2, 1)
     poly = build_polynomial(g, spec, a)
     f = poly.factors[0]
@@ -67,7 +68,7 @@ def test_factor_bell_owner():
 
 def test_factor_ghz_leaf():
     g = build_cross_chain(1)
-    a = assign_slots(g, "bipartite")
+    a = assign_slots(g)
     f = build_polynomial(g, random_spec(5, 2), a).factors[0]
     assert f.c_word == EMPTY_WORD
     assert f.s_word == TensorWord([(a.slot_of[4], Letter.Z)])
@@ -75,7 +76,7 @@ def test_factor_ghz_leaf():
 
 def test_factor_shared_leaf_touches_both_centers():
     g = build_cross_chain(2)
-    a = assign_slots(g, "bipartite")
+    a = assign_slots(g)
     f = build_polynomial(g, random_spec(8, 3), a).factors[2]
     slots = {a.slot_of[6], a.slot_of[7]}
     assert f.c_word == EMPTY_WORD
@@ -84,7 +85,7 @@ def test_factor_shared_leaf_touches_both_centers():
 
 def test_all_but_last_factor_carries_z_and_d():
     g = build_line(4)
-    a = assign_slots(g, "all-but-last")
+    a = assign_slots(g, range(g.n - 1))
     f = build_polynomial(g, random_spec(4, 4), a).factors[1]
     assert dict(f.c_word.entries) == {1: Letter.U}
     assert dict(f.s_word.entries) == {0: Letter.Z, 1: Letter.D}
@@ -134,16 +135,14 @@ def test_order_invariance_on_line6():
     rng = np.random.default_rng(0)
     for _ in range(5):
         perm = list(rng.permutation(6))
-        poly = order_factors(build_polynomial(g, spec), "custom", perm)
+        poly = order_factors(build_polynomial(g, spec), perm)
         assert abs(sweep_evaluate(poly).amplitude - base) < 1e-12
 
 
 def test_order_factors_errors():
     poly = build_polynomial(build_line(3), random_spec(3, 7))
     with pytest.raises(InvalidPermutation):
-        order_factors(poly, "custom", [0, 0, 1])
-    with pytest.raises(ValueError):
-        order_factors(poly, "no-such-strategy")
+        order_factors(poly, [0, 0, 1])
 
 
 def test_max_active_slots_examples():
@@ -161,10 +160,10 @@ def test_max_active_slots_examples():
     # the endpoint sweep equals a count of the intervals over every position
     rng = np.random.default_rng(15)
     for g in (build_lattice(2, 3), five, build_line(9), build_from_edges(4, [])):
-        poly = build_polynomial(g, random_spec(g.n, 16), "greedy-cover")
+        poly = build_polynomial(g, random_spec(g.n, 16), assign_slots(g, _greedy_cover(g)))
         for _ in range(5):
             perm = [int(q) for q in rng.permutation(g.n)]
-            ordered = order_factors(poly, "custom", perm)
+            ordered = order_factors(poly, perm)
             per_position = max(
                 sum(lo <= pos <= hi for lo, hi in ordered.activity.values())
                 for pos in range(g.n)
@@ -174,8 +173,8 @@ def test_max_active_slots_examples():
 
 def _named_widths(poly):
     return {
-        strategy: max_active_slots(order_factors(poly, strategy))
-        for strategy in ("as-built", "row-major")
+        name: max_active_slots(order_factors(poly, qubits))
+        for name, qubits in named_orders(poly.graph).items()
     }
 
 
@@ -189,7 +188,7 @@ FIXTURES = sorted(p.name for p in fixture_path("line_4.graph").parent.glob("*.gr
 ])
 def test_auto_order_is_no_wider_than_named_strategies(g):
     poly = build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0))
-    auto = max_active_slots(order_factors(poly, "auto"))
+    auto = max_active_slots(order_factors(poly))
     widths = _named_widths(poly)
     assert all(auto <= w for w in widths.values()), (auto, widths)
 
@@ -199,7 +198,7 @@ def test_auto_order_width_does_not_grow_with_lattice_length():
     for shape in ((3, 10), (3, 30)):
         g = build_lattice(*shape)
         poly = build_polynomial(g, ProjectionSpec.constant(g.n, 0.0, 0.0))
-        widths[shape] = max_active_slots(order_factors(poly, "auto"))
+        widths[shape] = max_active_slots(order_factors(poly))
     assert widths[(3, 10)] <= 5
     assert widths[(3, 30)] <= 6
 
@@ -207,9 +206,9 @@ def test_auto_order_width_does_not_grow_with_lattice_length():
 def test_auto_order_ignores_the_input_order():
     g = load_graph(fixture_path("fivecross_17.graph"))
     poly = build_polynomial(g, random_spec(g.n, 18))
-    shuffled = order_factors(poly, "custom", list(range(g.n))[::-1])
-    a = [f.qubit for f in order_factors(poly, "auto").factors]
-    b = [f.qubit for f in order_factors(shuffled, "auto").factors]
+    shuffled = order_factors(poly, list(range(g.n))[::-1])
+    a = [f.qubit for f in order_factors(poly).factors]
+    b = [f.qubit for f in order_factors(shuffled).factors]
     assert a == b
 
 

@@ -18,6 +18,7 @@ from latticeproj.errors import (
     SelfLoop,
 )
 from latticeproj.graph import (
+    _greedy_cover,
     adjacency,
     assign_slots,
     bipartition,
@@ -115,7 +116,7 @@ def test_bipartition_rejects_odd_cycle():
 
 def test_assign_slots_bipartite_bell():
     g = build_line(2)
-    a = assign_slots(g, "bipartite")
+    a = assign_slots(g)
     assert a.owners == frozenset({0})
     assert a.edge_owner == {(0, 1): 0}
     assert a.slot_of == {0: 0}
@@ -123,23 +124,38 @@ def test_assign_slots_bipartite_bell():
 
 def test_assign_slots_all_but_last():
     g = build_line(4)
-    a = assign_slots(g, "all-but-last")
+    a = assign_slots(g, range(g.n - 1))
     assert a.owners == frozenset({0, 1, 2})
     for k in range(3):
         assert a.edge_owner[(k, k + 1)] == k
 
 
+def test_assign_slots_every_qubit_owns():
+    # each qubit's slot is its own index and the lower endpoint owns each edge
+    g = build_lattice(2, 2)
+    a = assign_slots(g, range(g.n))
+    assert a.slot_of == {q: q for q in range(g.n)}
+    assert a.edge_owner == {e: e[0] for e in g.edges}
+
+
+def test_assign_slots_rejects_a_non_cover():
+    with pytest.raises(ValueError, match="not a vertex cover"):
+        assign_slots(build_line(3), [0])
+
+
 def test_assign_slots_single_cross():
     g = build_cross_chain(1)
-    a = assign_slots(g, "bipartite")
+    a = assign_slots(g)
     assert a.owners == frozenset({4})
     assert set(a.edge_owner.values()) == {4}
     assert a.slot_count == 1
 
 
 def test_assign_slots_greedy_cover_on_triangle():
+    # with an odd cycle the worked-out owners are the greedy cover
     g = build_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    a = assign_slots(g, "greedy-cover")
+    a = assign_slots(g)
+    assert a.owners == _greedy_cover(g)
     for e, owner in a.edge_owner.items():
         assert owner in e and owner in a.owners
 
@@ -150,14 +166,9 @@ def test_cover_property_on_random_graphs(seed):
     n = int(rng.integers(4, 12))
     pairs = {tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(2 * n)}
     g = build_from_edges(n, sorted(pairs))
-    strategies = ["greedy-cover", "all-but-last"]
-    try:
-        bipartition(g)
-        strategies.append("bipartite")
-    except OddCycle:
-        pass
-    for strategy in strategies:
-        a = assign_slots(g, strategy)
+    # None: the bipartition's controls, or the greedy cover on an odd cycle
+    for owners in (_greedy_cover(g), range(n - 1), None):
+        a = assign_slots(g, owners)
         assert sorted(a.slot_of.values()) == list(range(len(a.owners)))
         for e, owner in a.edge_owner.items():
             assert owner in e and owner in a.owners
@@ -168,7 +179,7 @@ def test_cover_property_on_random_graphs(seed):
 def test_bipartite_slot_count_is_min_color_class():
     for g in (build_line(7), build_cross_chain(2), build_lattice(2, 2)):
         b = bipartition(g)
-        a = assign_slots(g, "bipartite")
+        a = assign_slots(g)
         assert a.slot_count == min(len(b.controls), len(b.targets))
 
 

@@ -585,6 +585,24 @@ def test_parse_circuit_rejects(bad):
         parse_circuit(bad)
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "1e999"])
+def test_parse_circuit_rejects_non_finite_angles(angle):
+    with pytest.raises(CircuitParseError, match="^line 2: angle must be finite") as exc:
+        parse_circuit(f"CZ 0 1\nRZ 0 {angle}\n")
+    assert exc.value.lineno == 2
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+def test_pattern_rejects_non_finite_measurement_angles(angle):
+    with pytest.raises(ValueError, match="must be finite"):
+        MeasurementPattern(
+            build_from_edges(2, [(0, 1)]), (0,), (1,), {0: angle}, semantics=np.eye(2),
+        )
+    # the declared R_Z(angle) is NaN, which numpy warns about
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+        compile_circuit([Gate("RZ", (0,), angle)])
+
+
 def test_compile_circuit_cnot_is_exact():
     pattern = compile_circuit(parse_circuit("CNOT 0 1\n"))
     np.testing.assert_allclose(pattern.semantics, CNOT_MATRIX, atol=1e-12)

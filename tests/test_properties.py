@@ -18,11 +18,14 @@ from latticeproj.factorize import (
     order_factors,
 )
 from latticeproj.graph import (
+    _greedy_cover,
+    assign_slots,
     bipartition,
     build_cross_chain,
     build_from_edges,
     build_lattice,
     build_line,
+    lattice_row_major_order,
 )
 from latticeproj.oracle import build_statevector, direct_sum, project_statevector
 
@@ -46,13 +49,8 @@ def graph_and_spec(draw, max_qubits=7):
 @given(case=graph_and_spec())
 def test_sweep_equals_exhaustive_sum_on_random_graphs(case):
     g, spec = case
-    strategy = "greedy-cover"
-    try:
-        bipartition(g)
-        strategy = "bipartite"
-    except OddCycle:
-        pass
-    amp = sweep_evaluate(build_polynomial(g, spec, strategy)).amplitude
+    # bipartite owners when g allows them, else a greedy cover
+    amp = sweep_evaluate(build_polynomial(g, spec)).amplitude
     assert amp == pytest.approx(brute_amplitude(g, spec), abs=1e-10)
     assert abs(amp) <= 1.0 + 1e-9
 
@@ -61,12 +59,12 @@ def test_sweep_equals_exhaustive_sum_on_random_graphs(case):
 @given(case=graph_and_spec(), data=st.data())
 def test_sweep_is_permutation_invariant(case, data):
     g, spec = case
-    poly = build_polynomial(g, spec, "greedy-cover")
+    poly = build_polynomial(g, spec, assign_slots(g, _greedy_cover(g)))
     base = sweep_evaluate(poly).amplitude
     perm = data.draw(st.permutations(range(g.n)))
-    amp = sweep_evaluate(order_factors(poly, "custom", list(perm))).amplitude
+    amp = sweep_evaluate(order_factors(poly, perm)).amplitude
     assert abs(amp - base) <= 1e-12
-    auto = sweep_evaluate(order_factors(poly, "auto")).amplitude
+    auto = sweep_evaluate(order_factors(poly)).amplitude
     assert abs(auto - base) <= 1e-12
     assert auto == pytest.approx(brute_amplitude(g, spec), abs=1e-10)
 
@@ -74,11 +72,11 @@ def test_sweep_is_permutation_invariant(case, data):
 @settings(max_examples=40, deadline=None)
 @given(case=graph_and_spec(), data=st.data())
 def test_frontier_matches_word_sweep_on_random_graphs(case, data):
-    # greedy-cover takes odd cycles too
+    # a greedy cover takes odd cycles too
     g, spec = case
-    poly = build_polynomial(g, spec, "greedy-cover")
+    poly = build_polynomial(g, spec, assign_slots(g, _greedy_cover(g)))
     perm = data.draw(st.permutations(range(g.n)))
-    for ordered in (poly, order_factors(poly, "custom", list(perm)), order_factors(poly, "auto")):
+    for ordered in (poly, order_factors(poly, perm), order_factors(poly)):
         ref = word_sweep(ordered).amplitude
         report = sweep_evaluate(ordered)
         assert abs(report.amplitude - ref) <= 1e-12 * abs(ref)
@@ -102,7 +100,7 @@ def test_oracles_agree_on_random_bipartite_graphs(case):
 def test_sweep_term_sums_never_keep_zero_coefficients(case):
     g, spec = case
     state = TermSum()
-    poly = build_polynomial(g, spec, "greedy-cover")
+    poly = build_polynomial(g, spec, assign_slots(g, _greedy_cover(g)))
     for factor in poly.factors:
         state.multiply_factor(branches(poly, factor))
         assert all(c != 0 for c in state.terms.values())
@@ -122,7 +120,7 @@ def test_column_matches_direct_sum_and_sweep_on_lattices(m, n, seed):
     amp = column_evaluate(g, spec).amplitude
     ref = direct_sum(g, bipartition(g), spec)
     assert abs(amp - ref) <= 1e-10 * abs(ref)
-    poly = order_factors(build_polynomial(g, spec), "row-major")
+    poly = order_factors(build_polynomial(g, spec), lattice_row_major_order(m, n))
     assert abs(amp - sweep_evaluate(poly).amplitude) <= 1e-10 * abs(ref)
 
 
