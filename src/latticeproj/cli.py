@@ -35,8 +35,10 @@ from .graph import (
     build_cross_chain,
     build_lattice,
     build_line,
+    check_qubit_count,
     fixture_path,
     format_graph_text,
+    graph_family,
     load_graph,
     rewrite,
 )
@@ -68,23 +70,39 @@ def _fmt_float(v: float) -> str:
     return s
 
 
+def _build(builder: str) -> ClusterGraph:
+    """The ``--builder`` graph; its qubit count is checked against
+    graph.GRAPH_QUBIT_CAP before anything is built."""
+    kind, _, rest = builder.partition(":")
+    if kind == "line":
+        sizes = (int(rest),)
+        qubits, build = sizes[0], build_line
+    elif kind == "cross":
+        sizes = (int(rest),)
+        qubits, build = 3 * sizes[0] + 2, build_cross_chain
+    elif kind == "lattice":
+        m, _, n = rest.partition("x")
+        rows, cols = sizes = (int(m), int(n))
+        qubits, build = (rows + 1) * (cols + 1) + rows * cols, build_lattice
+    else:
+        raise ConfigError(f"unknown builder {kind!r} (use line:N, cross:K, lattice:MxN)")
+    if min(sizes) >= 1:  # the builder itself rejects a size below 1
+        check_qubit_count(qubits)
+    return build(*sizes)
+
+
 def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
+    """The graph's name and the graph, as the instance graph_family holds
+    for it, so every graph-keyed cache after this finds it by identity."""
     if args.builder and args.graph:
         raise ConfigError("give either --builder or --graph, not both")
     if args.builder:
-        kind, _, rest = args.builder.partition(":")
+        name = args.builder
         try:
-            if kind == "line":
-                return args.builder, build_line(int(rest))
-            if kind == "cross":
-                return args.builder, build_cross_chain(int(rest))
-            if kind == "lattice":
-                m, _, n = rest.partition("x")
-                return args.builder, build_lattice(int(m), int(n))
+            g = _build(name)
         except (ValueError, LatticeProjError) as exc:
-            raise ConfigError(f"bad --builder {args.builder!r}: {exc}")
-        raise ConfigError(f"unknown builder {kind!r} (use line:N, cross:K, lattice:MxN)")
-    if args.graph:
+            raise ConfigError(f"bad --builder {name!r}: {exc}")
+    elif args.graph:
         path = Path(args.graph)
         if not path.exists():
             packaged = fixture_path(path.name)
@@ -92,11 +110,14 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
                 path = packaged
             else:
                 raise ConfigError(f"graph file {args.graph!r} not found")
+        name = path.name
         try:
-            return path.name, load_graph(path)
+            g = load_graph(path)
         except (ValueError, LatticeProjError) as exc:
             raise ConfigError(f"bad graph file {path}: {exc}")
-    raise ConfigError("a graph is required (--builder or --graph)")
+    else:
+        raise ConfigError("a graph is required (--builder or --graph)")
+    return name, graph_family(g).graph
 
 
 def _check_seed(seed: int) -> None:

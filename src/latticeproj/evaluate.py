@@ -21,14 +21,16 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
   * column_evaluate      lattices of crosses: a boundary vector of {I,Z}-word
                          coefficients over one center column, carried
                          column to column by one diagonal per corner column
-                         and a 2x2 map per center.
+                         and one dense 2^k x 2^k map per block of up to
+                         CENTER_BLOCK centers (the Kronecker product of
+                         their 2x2 maps), applied as a matrix product.
 
 The frontier loop, _contract, is the one contraction core: mbqc.py runs
 patterns through it with every qubit owning its slot, bras as C/S weights
 and the input and output slots left open (never retired).  sweep_batch and
 column_batch run T projections in one pass of the same loops, the trial
-axis leading the frontier and trailing the column boundary; each trial's
-amplitude is bitwise the one-projection result.
+axis leading the frontier and the column boundary; each trial's amplitude
+is bitwise the one-projection result.
 
 The paper's literal word-dict contraction (a map from tensor word to
 coefficient, multiplied term by term) is kept as the test suite's reference,
@@ -87,14 +89,13 @@ class EvalReport:
     of its survivor it is multiplied into, and every retirement one add per
     entry it folds away (the factors' own c*diag + s*diag entries are not
     counted); for the recursions and the column evaluator they are the
-    recursion steps and boundary updates.  On an m x n lattice, with
-    d = 2^m, the column evaluator's come to mul_count = (2m+1) n d + 1 and
-    add_count = m n d + d - 1 (the corner diagonals' own entries are not
-    counted).  max_live_terms is the peak size of the live coefficient
-    container: for the sweep 2^max_active_slots, the frontier were every
-    factor multiplied in at its own position (absorbed factors can leave
-    the actual frontier narrower), 2 scalars for the recursions, the
-    boundary vector length d for the column evaluator.
+    recursion steps and boundary updates (column_evaluate gives the column
+    evaluator's closed forms; its maps' and corner diagonals' own entries
+    are not counted).  max_live_terms is the peak size of the live
+    coefficient container: for the sweep 2^max_active_slots, the frontier
+    were every factor multiplied in at its own position (absorbed factors
+    can leave the actual frontier narrower), 2 scalars for the recursions,
+    the boundary vector length d for the column evaluator.
     """
 
     amplitude: complex
@@ -460,13 +461,15 @@ def cross_chain_recursion(spec: ProjectionSpec) -> EvalReport:
 
 
 @lru_cache(maxsize=16)
-def _column_layout(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Qubit indices and the word permutation of the m x n lattice.
+def _column_layout(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Qubit indices, the word permutation and the center blocks of the m x n lattice.
 
-    Returns (corners, centers, gray): corners[c, r] is corner (r, c),
+    Returns (corners, centers, gray, blocks): corners[c, r] is corner (r, c),
     centers[j, i] is center (i, j), and gray[w] is the corner assignment
-    y < 2^m whose word y ^ (y >> 1) is w.  Read-only, as every caller of
-    the shape shares them.
+    y < 2^m whose word y ^ (y >> 1) is w.  blocks holds (lo, xor) for each
+    run of up to CENTER_BLOCK centers lo..lo+k-1 of a column, xor[a, b] =
+    a ^ b over a, b < 2^k.  Read-only, as every caller of the shape shares
+    them.
     """
     corners = np.array(
         [[lattice_corner(m, n, r, c) for r in range(m + 1)] for c in range(n + 1)]
@@ -475,30 +478,49 @@ def _column_layout(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = np.arange(1 << m)
     gray = np.empty_like(y)
     gray[y ^ (y >> 1)] = y
-    for arr in (corners, centers, gray):
+    blocks = []
+    for lo in range(0, m, CENTER_BLOCK):
+        w = np.arange(1 << min(CENTER_BLOCK, m - lo))
+        blocks.append((lo, w[:, None] ^ w))
+    for arr in (corners, centers, gray) + tuple(xor for _, xor in blocks):
         arr.setflags(write=False)
-    return corners, centers, gray
+    return corners, centers, gray, tuple(blocks)
 
 
 def _corner_diagonals(block: np.ndarray, gray: np.ndarray) -> np.ndarray:
-    """The diagonals over the words of B corner columns, (B, d) or (B, d, T).
+    """The diagonals over the words of B corner columns, lead + (B, d).
 
-    block[b, r] is corner r's (C, S) in the b-th column as a (2, 1) or
-    (2, 1, T) column.  The chain X of all m+1 corners, corner 0 least
-    significant, holds C_m W[y] at y and S_m W[2^m-1-y] at 2^(m+1)-1-y, so
-    D = X[y] + X[2^(m+1)-1-y].
+    block[..., b, r, :] is corner r's (C, S) in the b-th column.  The chain
+    X of all m+1 corners, corner 0 least significant, holds C_m W[y] at y
+    and S_m W[2^m-1-y] at 2^(m+1)-1-y, so D = X[y] + X[2^(m+1)-1-y].
     """
-    shape = (len(block), 1, -1) + block.shape[4:]
-    chain = block[:, 0]
-    for r in range(1, block.shape[1]):
-        chain = block[:, r] * chain.reshape(shape)
-    chain = chain.reshape(shape[:1] + shape[2:])
+    chain = block[..., 0, :]
+    for r in range(1, block.shape[-2]):
+        chain = block[..., r, :, None] * chain[..., None, :]
+        chain = chain.reshape(chain.shape[:-2] + (2 << r,))
     d = len(gray)
-    sums = chain[:, :d] + chain[:, : d - 1 : -1]
+    sums = chain[..., :d] + chain[..., : d - 1 : -1]
     del chain  # before the gather, which allocates as much again
-    # both axes indexed, as [:, gray]'s result is not C-contiguous and each
-    # row is reshaped in place as a boundary (take would copy gray, read-only)
-    return sums[np.arange(len(block))[:, None], gray]
+    # take, whose result is C-contiguous (sums[..., gray] would give the
+    # index axis the largest stride), so a batch's diagonal multiplies row
+    # by row as one projection's does
+    return sums.take(gray, axis=-1)
+
+
+def _center_maps(signs: np.ndarray, lo: int, xor: np.ndarray) -> np.ndarray:
+    """The dense maps of one center block in each column, lead + (columns, 2^k, 2^k).
+
+    signs[..., j, i, :] is center (i, j)'s (C+S, C-S), the 2x2 map
+    [[C+S, C-S], [C-S, C+S]] on its slot, whose entry (a, b) is the pair's
+    entry a ^ b.  The Kronecker product of the maps of centers lo..lo+k-1
+    is therefore M[a, b] = K[a ^ b], K the Kronecker chain of their pairs,
+    center lo least significant; M is symmetric.
+    """
+    chain = signs[..., lo, :]
+    for i in range(lo + 1, lo + len(xor).bit_length() - 1):
+        chain = signs[..., i, :, None] * chain[..., None, :]
+        chain = chain.reshape(chain.shape[:-2] + (2 << (i - lo),))
+    return chain.take(xor, axis=-1)
 
 
 # Most center slots per column that column_evaluate takes (2^cap boundary).
@@ -508,8 +530,16 @@ COLUMN_ROW_CAP = 16
 # of corner columns: 2^(cap/2), a few KiB of temporaries.  Blocks cut the
 # per-column numpy calls of short lattices without adding to the peak memory
 # of tall ones: above 7 rows one chain alone passes this, and the corner
-# columns are built one at a time.
+# columns are built one at a time.  The center maps of the same columns are
+# built with them.
 CORNER_BLOCK_ENTRIES = 1 << (COLUMN_ROW_CAP // 2)
+
+# Most centers of a column applied as one dense map.  A block of k centers
+# costs one matrix product with its 2^k x 2^k map, d 2^k multiplies, where
+# k 2x2 maps applied one by one cost 2kd multiplies but k times the numpy
+# calls; on 2 vCPUs (numpy 2.4, OpenBLAS) blocks of 3 beat the one-by-one
+# maps on every lattice from 3x10 to 16x4.
+CENTER_BLOCK = 3
 
 
 def _column_shape(g: ClusterGraph) -> tuple[int, int]:
@@ -548,33 +578,38 @@ def column_evaluate(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     boundary is summed.  A center factor C U + S D = ((C+S) I + (C-S) Z)/2
     acts on its slot as the 2x2 map [[C+S, C-S], [C-S, C+S]]: twice the
     factor's map, the 2 being trace(I) of the slot, which the next corner
-    column retires.  Every center's C+S and C-S is read before the loop.
+    column retires.  A column's centers are applied in blocks of up to
+    CENTER_BLOCK, each block's k maps as their one 2^k x 2^k Kronecker
+    product (see _center_maps) in one matrix product on the boundary.
 
-    Counters: each center slot costs 2d multiplies and d adds, each corner
-    column after the first d multiplies and the final sum d-1 adds, plus
-    the normalization multiply, so mul_count = (2m+1) n d + 1 and
-    add_count = m n d + d - 1.  The diagonals' own entries are not counted,
-    as the sweep does not count its factors' entries.  max_live_terms = d.
-    The lattice shape is read from graph.graph_family, so it is detected
-    once per graph.
+    Counters: each block of k centers costs d 2^k multiplies and
+    d (2^k - 1) adds, each corner column after the first d multiplies and
+    the final sum d-1 adds, plus the normalization multiply.  With a
+    column's blocks k_1, ..., k_b (3s and then m mod 3, if not 0):
+    mul_count = n d (2^k_1 + ... + 2^k_b + 1) + 1 and
+    add_count = n d (2^k_1 + ... + 2^k_b - b) + d - 1.  The maps' and
+    diagonals' own entries are not counted, as the sweep does not count
+    its factors' entries.  max_live_terms = d.  The lattice shape is read
+    from graph.graph_family, so it is detected once per graph.
     """
     m, n = _column_shape(g)
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
     dim = 1 << m
+    sizes = [len(xor) for _, xor in _column_layout(m, n)[3]]
     amplitude = (2.0 ** (-g.n / 2.0)) * _column_sum(m, n, spec.c, spec.s)
     return EvalReport(
         amplitude=complex(amplitude),
         max_live_terms=dim,
-        add_count=m * n * dim + dim - 1,
-        mul_count=(2 * m + 1) * n * dim + 1,
+        add_count=n * dim * (sum(sizes) - len(sizes)) + dim - 1,
+        mul_count=n * dim * (sum(sizes) + 1) + 1,
     )
 
 
 def column_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> np.ndarray:
     """column_evaluate's amplitude under each of T specs, as a (T,) array.
 
-    The same column loop on a (d, T) boundary; each trial's amplitude is
+    The same column loop on a (T, d) boundary; each trial's amplitude is
     bitwise the one column_evaluate gives.
     """
     m, n = _column_shape(g)
@@ -585,43 +620,53 @@ def _column_sum(m: int, n: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The summed final boundary of the m x n lattice, for C/S arrays of one
     projection (one entry per qubit) or of T projections (T rows).
 
-    T projections put their trial axis last on the boundary, (d, T), so a
-    center's (T,) coefficients broadcast over it as one projection's
-    scalars do.
+    T projections lead the boundary with their trial axis, (T, d), so each
+    trial's every product is the very call one projection makes: its
+    diagonal multiply runs over one contiguous row, and its map products
+    are BLAS calls of the same shapes, stacked over the trials.
     """
-    corners, centers, gray = _column_layout(m, n)
-    trail = c.shape[:-1]
-    pairs = np.empty(corners.shape + (2, 1) + trail, dtype=complex)
-    pairs[:, :, 0, 0] = c.T[corners]
-    pairs[:, :, 1, 0] = s.T[corners]
-    cc, sc = c.T[centers], s.T[centers]
-    plus, minus = cc + sc, cc - sc
-    shapes = [(-1, 2, 1 << i) + trail for i in range(m)]
+    corners, centers, gray, blocks = _column_layout(m, n)
+    lead = c.shape[:-1]
+    pairs = np.empty(lead + corners.shape + (2,), dtype=complex)
+    pairs[..., 0] = c[..., corners]
+    pairs[..., 1] = s[..., corners]
+    cc, sc = c[..., centers], s[..., centers]
+    signs = np.empty(lead + centers.shape + (2,), dtype=complex)
+    signs[..., 0] = cc + sc
+    signs[..., 1] = cc - sc
 
-    # corner columns a block at a time, the block's chains (2^(m+1) entries
-    # per column and trial) within CORNER_BLOCK_ENTRIES; one column at a
-    # time when a single chain is larger
-    block = max(1, CORNER_BLOCK_ENTRIES // (pairs[0, 0].size << m))
-    diagonals = _corner_diagonals(pairs[:block], gray)
-    # the first column's diagonal is the initial boundary, in place
-    boundary = diagonals[0]
-    spare = np.empty_like(boundary)
-    for j in range(n):
-        # center (i, j) maps entry w to alpha*b[w] + beta*b[w ^ 2^i]; the two
-        # buffers take turns, so no slot allocates
-        for shape, alpha, beta in zip(shapes, plus[j], minus[j]):
-            v = boundary.reshape(shape)
-            out = spare.reshape(shape)
-            np.multiply(v[:, ::-1], beta, out=out)
-            v *= alpha
-            out += v
+    # a block of columns at a time: corner column j's diagonal, then center
+    # column j's maps; the block's chains (2^(m+1) entries per corner column
+    # and trial) within CORNER_BLOCK_ENTRIES, one column at a time when a
+    # single chain is larger
+    trials = c.size // c.shape[-1]
+    block = max(1, CORNER_BLOCK_ENTRIES // (trials << (m + 1)))
+    boundary = spare = diagonals = maps = None
+    for j in range(n + 1):
+        if j % block == 0:
+            diagonals = maps = None  # dropped before the next block is built
+            diagonals = _corner_diagonals(pairs[..., j : j + block, :, :], gray)
+            maps = [_center_maps(signs[..., j : j + block, :, :], lo, xor) for lo, xor in blocks]
+        if boundary is None:
+            # a contiguous copy: a batch's diagonal strides over the block
+            boundary = diagonals[..., 0, :].copy()
+            spare = np.empty_like(boundary)
+        else:
+            boundary *= diagonals[..., j % block, :]
+        if j == n:
+            break
+        # the two buffers take turns as each product's output, so no block
+        # allocates
+        for (lo, xor), block_maps in zip(blocks, maps):
+            mat = block_maps[..., j % block, :, :]
+            if lo:
+                shape = lead + (-1, len(xor), 1 << lo)
+                np.matmul(mat[..., None, :, :], boundary.reshape(shape), out=spare.reshape(shape))
+            else:  # b M^T for the boundary as rows of 2^k, M being symmetric
+                shape = lead + (-1, len(xor))
+                np.matmul(boundary.reshape(shape), mat, out=spare.reshape(shape))
             boundary, spare = spare, boundary
-        if (j + 1) % block == 0:
-            diagonals = None  # dropped before the next block is built
-            diagonals = _corner_diagonals(pairs[j + 1 : j + 1 + block], gray)
-        boundary *= diagonals[(j + 1) % block]
-    # each trial's sum over one contiguous row, as for one projection
-    return np.ascontiguousarray(boundary.T).sum(axis=-1)
+    return boundary.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ assigned to an owner endpoint, whose slot then tracks the edge's CZ phase.
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 from contextlib import contextmanager
@@ -27,9 +28,23 @@ from .errors import (
     InvalidSize,
     OddCycle,
     SelfLoop,
+    TooLarge,
 )
 
 Edge = tuple[int, int]
+
+# Most qubits a graph file may declare, and a CLI --builder may ask for.
+# Family detection, the slot assignment and the factorized polynomial hold
+# a few Python objects per qubit and edge, so a size far past this would
+# exhaust the memory of a typical machine before any check of an engine's
+# own cap ran.
+GRAPH_QUBIT_CAP = 1 << 16
+
+
+def check_qubit_count(n: int) -> None:
+    """Raise TooLarge when a graph of ``n`` qubits passes GRAPH_QUBIT_CAP."""
+    if n > GRAPH_QUBIT_CAP:
+        raise TooLarge(f"graph of {n} qubits, above the cap of {GRAPH_QUBIT_CAP} qubits")
 
 
 def _norm_edge(a: int, b: int) -> Edge:
@@ -163,11 +178,12 @@ def lattice_row_major_order(m: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# family detection (read through graph_family by the engines and assign_slots)
+# family detection (read through graph_family by the engines and assign_slots);
+# each detection compares edge counts before it builds a canonical graph
 
 
 def detect_line(g: ClusterGraph) -> bool:
-    return g.edges == build_line(g.n).edges if g.n >= 1 else False
+    return len(g.edges) == g.n - 1 and g.edges == build_line(g.n).edges
 
 
 def detect_cross_chain(g: ClusterGraph) -> Optional[int]:
@@ -175,21 +191,28 @@ def detect_cross_chain(g: ClusterGraph) -> Optional[int]:
     if g.n < 5 or (g.n - 2) % 3 != 0:
         return None
     k = (g.n - 2) // 3
+    if len(g.edges) != 4 * k:
+        return None
     return k if g.edges == build_cross_chain(k).edges else None
 
 
 def detect_lattice(g: ClusterGraph) -> Optional[tuple[int, int]]:
-    """Return (m, n) if g is exactly the canonical m x n cross lattice."""
-    for m in range(1, g.n):
-        num = g.n - m - 1
-        den = 2 * m + 1
-        if num < den:
-            break
-        if num % den:
-            continue
-        n = num // den
-        if g.edges == build_lattice(m, n).edges:
-            return (m, n)
+    """Return (m, n) if g is exactly the canonical m x n cross lattice.
+
+    The m x n lattice has 4mn edges and 2mn + m + n + 1 qubits, so the
+    counts fix mn and m + n: m and n are the two roots of
+    x^2 - (m + n) x + mn, and only those two shapes are built.
+    """
+    product, rest = divmod(len(g.edges), 4)
+    total = g.n - 1 - 2 * product
+    disc = total * total - 4 * product
+    if rest or product < 1 or total < 2 or disc < 0:
+        return None
+    small = (total - math.isqrt(disc)) // 2
+    for m in sorted({small, total - small}):
+        # integer roots with product >= 1 and sum >= 2 are both at least 1
+        if m * (total - m) == product and g.edges == build_lattice(m, total - m).edges:
+            return (m, total - m)
     return None
 
 
@@ -229,12 +252,19 @@ def bipartition(g: ClusterGraph) -> Bipartition:
 
 
 class Family(NamedTuple):
-    """The families a graph belongs to, in canonical indexing, and its 2-coloring."""
+    """The families a graph belongs to, in canonical indexing, and its 2-coloring.
+
+    ``graph`` is the instance the detections ran on.  Every graph equal to
+    it gets this Family and so that instance: a caller that goes on with
+    it (as the CLI does) finds it by identity in every graph-keyed cache,
+    with no comparison of edge sets.
+    """
 
     line: bool
     cross_chain: Optional[int]
     lattice: Optional[tuple[int, int]]
     bipartition: Optional[Bipartition]  # None on a graph with an odd cycle
+    graph: ClusterGraph
 
 
 @lru_cache(maxsize=64)
@@ -244,7 +274,7 @@ def graph_family(g: ClusterGraph) -> Family:
         b = bipartition(g)
     except OddCycle:
         b = None
-    return Family(detect_line(g), detect_cross_chain(g), detect_lattice(g), b)
+    return Family(detect_line(g), detect_cross_chain(g), detect_lattice(g), b, g)
 
 
 def _greedy_cover(g: ClusterGraph) -> frozenset[int]:
@@ -316,6 +346,7 @@ def parse_graph_text(text: str) -> ClusterGraph:
             if len(fields) != 1:
                 raise InvalidSize(f"first data line must be the qubit count, got {line!r}")
             n = int(fields[0])
+            check_qubit_count(n)
             continue
         if len(fields) != 2:
             raise InvalidSize(f"edge lines carry two indices, got {line!r}")

@@ -179,11 +179,19 @@ _CPHASE_CORE = build_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (3, 
 _CPHASE_EXACT = build_from_edges(8, _CPHASE_CORE.sorted_edges() + [(2, 6), (6, 7)])
 
 
+def _check_finite(*angles: float) -> None:
+    """The pattern's own check, made before a constructor builds its
+    semantics, which numpy would warn about for a non-finite angle."""
+    if not all(math.isfinite(angle) for angle in angles):
+        raise ValueError("measurement angles must be finite")
+
+
 def compile_z_rotation(theta: float) -> MeasurementPattern:
     """Single-qubit teleportation: 2-qubit line, input measured at theta.
 
     The output qubit carries H R_Z(theta) |psi>, up to a nonzero scalar.
     """
+    _check_finite(theta)
     return MeasurementPattern(
         graph=_LINE_2,
         inputs=(0,),
@@ -199,6 +207,7 @@ def compile_rotation(theta: float, zeta: float, xi: float) -> MeasurementPattern
 
     The fourth qubit carries H R_Z(xi) R_X(zeta) R_Z(theta) |psi>.
     """
+    _check_finite(theta, zeta, xi)
     return MeasurementPattern(
         graph=_LINE_4,
         inputs=(0,),
@@ -243,6 +252,7 @@ def compile_cphase(theta: float) -> MeasurementPattern:
     docstring.  At theta = pi this is the CZ gate up to that recorded
     phase (see compile_cphase_exact for the fully corrected variant).
     """
+    _check_finite(theta)
     half = np.exp(-0.5j * theta)
     semantics = np.diag([1.0, 1.0, half, np.conj(half)]).astype(complex)
     return MeasurementPattern(
@@ -263,6 +273,7 @@ def compile_cphase_exact(theta: float) -> MeasurementPattern:
     declared semantics into e^{-i theta/4} CPhase(theta): the gate exactly,
     up to a true global phase.
     """
+    _check_finite(theta)
     measurements = _cphase_core_angles(theta)
     measurements[2] = theta / 4.0
     measurements[6] = 0.0

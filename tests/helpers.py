@@ -220,6 +220,25 @@ def random_spec(n, seed):
     return ProjectionSpec.random(n, np.random.default_rng(seed))
 
 
+def spec_from_bras(c, s):
+    """A ProjectionSpec whose C and S arrays are exactly ``c`` and ``s``.
+
+    The constructor takes angles, and the cosine and sine of the double
+    nearest pi/4 differ in the last bit, so C = +-S exactly (an X or Y
+    eigenstate's bra) needs this.  The angles match C and S up to rounding.
+    """
+    from latticeproj import ProjectionSpec
+
+    spec = ProjectionSpec.__new__(ProjectionSpec)
+    spec.c = np.array(c, dtype=float)
+    spec.s = np.array(s, dtype=complex)
+    spec.theta = np.arctan2(np.abs(spec.s), spec.c)
+    spec.phi = np.angle(spec.s)
+    for arr in (spec.c, spec.s, spec.theta, spec.phi):
+        arr.setflags(write=False)
+    return spec
+
+
 def dense_pattern_action(pattern):
     """Reference action matrix of a measurement pattern, built densely.
 

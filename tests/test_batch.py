@@ -3,17 +3,25 @@
 import csv
 import io
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latticeproj import engines
 from latticeproj.cli import main
-from latticeproj.engines import ENGINES, Engine, applicable_engines, compute_amplitudes
+from latticeproj.engines import (
+    ENGINES,
+    Engine,
+    applicable_engines,
+    compute_amplitude,
+    compute_amplitudes,
+)
 from latticeproj.errors import LatticeProjError, NotALattice, SizeMismatch
-from latticeproj.evaluate import EvalReport
+from latticeproj.evaluate import EvalReport, column_batch
+from latticeproj.factorize import ProjectionSpec
 from latticeproj.graph import build_cross_chain, build_from_edges, build_lattice, build_line
 
-from helpers import random_spec
+from helpers import random_spec, spec_from_bras
 
 BUILDERS = {"line": build_line, "cross": build_cross_chain, "lattice": build_lattice}
 
@@ -73,6 +81,48 @@ def test_batch_equals_single_on_random_graphs(g, trials, seed):
 def test_batch_equals_single_on_builder_shapes(shape, trials, seed):
     kind, *size = shape
     _check_batches(BUILDERS[kind](*size), trials, seed)
+
+
+# Pauli eigenstates' bras (C, S): C - S is exactly 0 on <+| and C + S on <-|,
+# which zeroes half of a center's 2x2 map
+_R = 0.5**0.5
+PAULI_BRAS = ((1.0, 0.0), (0.0, 1.0), (_R, _R), (_R, -_R), (_R, 1j * _R), (_R, -1j * _R))
+
+
+def _lattice_spec(n, rng, pauli):
+    """Random angles; with ``pauli``, three qubits in four take a Pauli bra."""
+    spec = ProjectionSpec.random(n, rng)
+    if not pauli:
+        return spec
+    c, s = spec.c.copy(), spec.s.copy()
+    for q in np.flatnonzero(rng.random(n) < 0.75):
+        c[q], s[q] = PAULI_BRAS[rng.integers(len(PAULI_BRAS))]
+    return spec_from_bras(c, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 7),  # the column's centers run in blocks of 3: one to three blocks
+    n=st.integers(1, 4),
+    pauli=st.booleans(),
+    seed=st.integers(0, 2**20),
+)
+@example(m=7, n=4, pauli=True, seed=0)
+def test_column_on_lattices_matches_the_sweep_and_batches_bitwise(m, n, pauli, seed):
+    g = build_lattice(m, n)
+    rng = np.random.default_rng(seed)
+    specs = [_lattice_spec(g.n, rng, pauli) for _ in range(7)]
+    column = ENGINES["column"]
+    singles = [column.evaluate(g, spec).amplitude for spec in specs]
+    # 1e-12 relative, |amp| floored at 2^(-N/2), a random projection's typical
+    # size: Pauli bras give exact zeros, which leave the two routes' rounding
+    floor = 2.0 ** (-g.n / 2)
+    for spec, amp in zip(specs, singles):
+        ref = compute_amplitude(g, spec, "sweep").amplitude
+        assert abs(amp - ref) <= 1e-12 * max(abs(ref), floor)
+    for trials in (1, 2, 7):
+        assert column_batch(g, specs[:trials]).tolist() == singles[:trials]
+        assert column.evaluate_batch(g, specs[:trials]) == singles[:trials]
 
 
 # Each batching row's cap and the kernel one pass calls.  The budget is 2^cap

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import latticeproj
-from latticeproj import mbqc
+from latticeproj import cli, graph, mbqc
 from latticeproj.cli import main
 from latticeproj.errors import TooLarge
 from latticeproj.factorize import load_angles
-from latticeproj.graph import load_graph
+from latticeproj.graph import GRAPH_QUBIT_CAP, ClusterGraph, load_graph
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +160,60 @@ def test_column_over_cap_exits_2(capsys, builder):
     )
     assert code == 2
     assert "does not fit" in err
+
+
+def _unreachable(*args):
+    raise AssertionError("a graph past the qubit cap was built")
+
+
+@pytest.mark.parametrize("builder", ["line:99999999999", "cross:99999999999", "lattice:99999x99999"])
+def test_builder_past_the_qubit_cap_exits_2_before_building(capsys, monkeypatch, builder):
+    for name in ("build_line", "build_cross_chain", "build_lattice"):
+        monkeypatch.setattr(cli, name, _unreachable)
+    code, out, err = run_cli(capsys, "project", "--builder", builder, "--random")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"above the cap of {GRAPH_QUBIT_CAP} qubits" in err
+
+
+def test_graph_file_past_the_qubit_cap_exits_2_before_building(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "huge.graph"
+    path.write_text("# a billion qubits and no edges\n1000000000\n")
+    monkeypatch.setattr(graph, "build_from_edges", _unreachable)
+    code, out, err = run_cli(capsys, "project", "--graph", str(path), "--random")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"above the cap of {GRAPH_QUBIT_CAP} qubits" in err
+
+
+def test_qubit_cap_admits_its_own_size(capsys, monkeypatch, tmp_path):
+    # line:14, cross:4 and lattice:1x4 hold 14 qubits each
+    monkeypatch.setattr(graph, "GRAPH_QUBIT_CAP", 14)
+    path = tmp_path / "g.graph"
+    for builder, bigger in (("line:14", "line:15"), ("cross:4", "cross:5"), ("lattice:1x4", "lattice:1x5")):
+        assert run_cli(capsys, "project", "--builder", builder, "--random")[0] == 0
+        code, _, err = run_cli(capsys, "project", "--builder", bigger, "--random")
+        assert code == 2 and "above the cap of 14 qubits" in err
+    for n, expect in ((14, 0), (15, 2)):
+        path.write_text(f"{n}\n0 1\n")
+        assert run_cli(capsys, "project", "--graph", str(path), "--random")[0] == expect
+
+
+def test_verify_compares_graphs_by_value_at_most_once(capsys, monkeypatch):
+    # the CLI goes on with the instance graph_family holds, so after one
+    # comparison every graph-keyed cache finds its graph by identity
+    argv = ["verify", "--builder", "lattice:3x10", "--trials", "1"]
+    assert main(argv) == 0  # every cache now holds an equal graph
+    compared = []
+    equal = ClusterGraph.__eq__
+
+    def counting(a, b):
+        if a is not b:
+            compared.append((a, b))
+        return equal(a, b)
+
+    monkeypatch.setattr(ClusterGraph, "__eq__", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(compared) <= 1
 
 
 def test_sweep_over_width_cap_exits_2(capsys):

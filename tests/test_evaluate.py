@@ -398,10 +398,13 @@ def test_column_counters_closed_forms(shape):
     g = build_lattice(m, n)
     report = column_evaluate(g, random_spec(g.n, 0))
     d = 2 ** m
-    # per center slot 2d multiplies and d adds; per corner column after the
-    # first d multiplies; the final sum d - 1 adds; one normalization multiply
-    assert report.mul_count == m * n * 2 * d + n * d + 1
-    assert report.add_count == m * n * d + d - 1
+    # a column's centers in blocks of 3, then the rest: per block of k
+    # centers d 2^k multiplies and d (2^k - 1) adds; per corner column after
+    # the first d multiplies; the final sum d - 1 adds; one normalization
+    # multiply
+    blocks = [3] * (m // 3) + [m % 3] * (m % 3 > 0)
+    assert report.mul_count == n * sum(d << k for k in blocks) + n * d + 1
+    assert report.add_count == n * sum(d * (2**k - 1) for k in blocks) + d - 1
     assert report.max_live_terms == d
 
 

@@ -17,7 +17,9 @@ from latticeproj.errors import (
     OddCycle,
     SelfLoop,
 )
+from latticeproj import graph
 from latticeproj.graph import (
+    ClusterGraph,
     _greedy_cover,
     adjacency,
     assign_slots,
@@ -94,6 +96,20 @@ def test_family_detection():
     assert detect_lattice(build_line(8)) is None
     # a canonical chain is exactly the k x 1 lattice
     assert detect_lattice(build_cross_chain(2)) == (2, 1)
+
+
+def test_detection_compares_edge_counts_before_building(monkeypatch):
+    # a billion qubits and no edges: every detection's canonical graph of
+    # that size would exhaust memory, so none may be built
+    def unreachable(*args):
+        raise AssertionError("a canonical graph was built")
+
+    for name in ("build_line", "build_cross_chain", "build_lattice"):
+        monkeypatch.setattr(graph, name, unreachable)
+    g = ClusterGraph(10**9 + 1, frozenset())  # 3k + 2 qubits; the 1 x k lattice size
+    assert not detect_line(g)
+    assert detect_cross_chain(g) is None
+    assert detect_lattice(g) is None
 
 
 def test_bipartition_line3():

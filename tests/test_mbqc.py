@@ -1,5 +1,7 @@
 """Compiled measurement patterns against their declared gate matrices."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -601,6 +603,25 @@ def test_pattern_rejects_non_finite_measurement_angles(angle):
     # the declared R_Z(angle) is NaN, which numpy warns about
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
         compile_circuit([Gate("RZ", (0,), angle)])
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("build", [
+    compile_z_rotation,
+    lambda a: compile_rotation(a, 0.0, 0.0),
+    lambda a: compile_rotation(0.0, a, 0.0),
+    lambda a: compile_rotation(0.0, 0.0, a),
+    compile_cphase,
+    compile_cphase_exact,
+    lambda a: compile_circuit([Gate("RZ", (0,), a)]),
+], ids=["z-rotation", "rotation-theta", "rotation-zeta", "rotation-xi", "cphase",
+        "cphase-exact", "circuit"])
+def test_gate_constructors_reject_non_finite_angles_before_any_warning(build, angle):
+    # the angle is checked before the declared semantics is built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            build(angle)
 
 
 def test_compile_circuit_cnot_is_exact():

@@ -2,14 +2,19 @@
 
 perfbench looks its tracer targets up by name at run time and leaves out the
 metric of a name it cannot find, so a renamed function would silently zero a
-per-layer metric.  These tests read perfbench's sources without running them.
+per-layer metric.  Most tests here read perfbench's sources without running
+them; the last runs two commands under its tracer, as a traced benchmark
+run does, so a call that goes round a traced function fails it too.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from latticeproj import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
@@ -77,3 +82,32 @@ def test_perfbench_reads_the_package():
     # the scan above must see the package API it guards
     names = {name for source in SOURCES for _, _, name in _package_names(source)}
     assert {"compile_circuit", "sweep_polynomial", "applicable_engines"} <= names
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_traced_verify_times_every_engine_layer(capsys):
+    # one verify op of the lattice-verify and of the oracle-verify workload
+    tracer = _tracer()
+    tracer.install()
+    try:
+        for index, graph_args in enumerate(
+            (["--builder", "lattice:3x10"], ["--graph", "fivecross_17.graph"])
+        ):
+            tracer.begin_op(index)
+            try:
+                assert cli.main(["verify", *graph_args, "--trials", "1"]) == 0
+            finally:
+                tracer.end_op()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    lattice, fivecross = tracer.per_op_self_s([1.0, 1.0])
+    for metric in ("evaluate.column_ms", "evaluate.sweep_ms", "graph.build_ms"):
+        assert lattice[metric] > 0, metric
+    assert fivecross["oracle.project_ms"] > 0
