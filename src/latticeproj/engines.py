@@ -12,13 +12,15 @@ itself, 2^24 direct-sum terms or sweep entries, a 2^16 column boundary); a
 lone spec takes ``evaluate``.  The two recursions loop.
 ``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude``,
 ``compute_amplitudes`` and the CLI all read this table.  Direct-sum and the
-family rows read ``graph.graph_family``, detected once per distinct graph;
-the sweep always runs the worked-out factor order and reads that order's
-frontier width from its cached structure, known before anything is
-allocated.  The oracles keep their own graph-only work: the statevector
-row's vector is built once per graph (``build_statevector`` holds the last
-graph's, and reads the cap on every call), and direct-sum's partition checks
-and target masks once per (graph, bipartition).
+family rows read ``graph.graph_family``, detected once per distinct graph
+(a chain of k crosses is the k x 1 lattice there, so cross-recursion fits
+every lattice one column wide); the sweep always runs the worked-out
+factor order and reads that order's frontier width from its cached
+structure, known before anything is allocated.  The oracles keep their own
+graph-only work: the statevector row's vector is built once per graph
+(``build_statevector`` holds the last graph's, and reads the cap on every
+call), and direct-sum's partition checks and target masks once per (graph,
+bipartition).
 """
 
 from __future__ import annotations
@@ -229,8 +231,8 @@ ENGINES: dict[str, Engine] = {
         lambda g, spec: line_recursion(spec),
     ),
     "cross-recursion": Engine(
-        lambda g: None if graph_family(g).cross_chain is not None
-        else LatticeProjError("cross-recursion needs a canonical cross chain"),
+        lambda g: None if (graph_family(g).lattice or (0, 0))[1] == 1
+        else LatticeProjError("cross-recursion needs a canonical cross chain, a k x 1 lattice"),
         lambda g, spec: cross_chain_recursion(spec),
     ),
     # column_evaluate is looked up per call, as _column_batch looks it up

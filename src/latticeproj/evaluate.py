@@ -613,6 +613,8 @@ def column_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> np.ndarray
     bitwise the one column_evaluate gives.
     """
     m, n = _column_shape(g)
+    if not specs:
+        return np.zeros(0, dtype=complex)
     return (2.0 ** (-g.n / 2.0)) * _column_sum(m, n, *stack_specs(specs, g.n))
 
 

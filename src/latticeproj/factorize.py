@@ -43,9 +43,9 @@ class ProjectionSpec:
     def __init__(self, theta: Sequence[float], phi: Sequence[float]):
         theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
         phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-        if theta_arr.ndim != 1 or theta_arr.shape != phi_arr.shape:
+        if theta_arr.ndim != 1 or theta_arr.shape != phi_arr.shape or not theta_arr.size:
             raise SizeMismatch(
-                f"theta and phi must be equal-length 1-d arrays, "
+                f"theta and phi must be equal-length, non-empty 1-d arrays, "
                 f"got {theta_arr.shape} and {phi_arr.shape}"
             )
         if not (np.isfinite(theta_arr).all() and np.isfinite(phi_arr).all()):

@@ -2,9 +2,9 @@
 
 A cluster state is |+>^n with a CZ gate applied across every edge, so the
 graph (vertex count + undirected edge set) is the whole topology.  Built
-graphs use a canonical indexing: for cross chains, leaves first (pairs in
-chain order) then centers; for lattices of crosses, corner qubits row-major
-first, then center qubits row-major.
+lattices of crosses use a canonical indexing: corner qubits row-major first,
+then center qubits row-major.  A chain of k crosses is the k x 1 lattice,
+so its leaf pairs are the corner rows and its centers follow them.
 
 Trace slots are owned by qubits forming a vertex cover: every edge is
 assigned to an owner endpoint, whose slot then tracks the edge's CZ phase.
@@ -124,20 +124,12 @@ def build_line(n: int) -> ClusterGraph:
 
 
 def build_cross_chain(k: int) -> ClusterGraph:
-    """Chain of k crosses (3k+2 qubits): adjacent crosses share a leaf pair.
+    """Chain of k crosses (3k+2 qubits): the k x 1 lattice, build_lattice(k, 1).
 
-    Leaves are 0..2k+1 in chain order (pair i is leaves 2i, 2i+1); centers
-    are 2k+2..3k+1.  Center j joins leaves 2j, 2j+1, 2j+2, 2j+3.
+    Leaf pair i is the corner row i, leaves 2i and 2i+1; center j is 2k+2+j
+    and joins leaves 2j, 2j+1, 2j+2, 2j+3.
     """
-    if k < 1:
-        raise InvalidSize(f"cross chain needs k >= 1, got {k}")
-    n = 3 * k + 2
-    edges = set()
-    for j in range(k):
-        center = 2 * k + 2 + j
-        for leaf in (2 * j, 2 * j + 1, 2 * j + 2, 2 * j + 3):
-            edges.add(_norm_edge(center, leaf))
-    return ClusterGraph(n, frozenset(edges))
+    return build_lattice(k, 1)
 
 
 def build_lattice(m: int, n: int) -> ClusterGraph:
@@ -187,13 +179,9 @@ def detect_line(g: ClusterGraph) -> bool:
 
 
 def detect_cross_chain(g: ClusterGraph) -> Optional[int]:
-    """Return k if g is exactly the canonical k-cross chain, else None."""
-    if g.n < 5 or (g.n - 2) % 3 != 0:
-        return None
-    k = (g.n - 2) // 3
-    if len(g.edges) != 4 * k:
-        return None
-    return k if g.edges == build_cross_chain(k).edges else None
+    """Return k if g is exactly the canonical k-cross chain, the k x 1 lattice, else None."""
+    shape = detect_lattice(g)
+    return shape[0] if shape is not None and shape[1] == 1 else None
 
 
 def detect_lattice(g: ClusterGraph) -> Optional[tuple[int, int]]:
@@ -254,6 +242,9 @@ def bipartition(g: ClusterGraph) -> Bipartition:
 class Family(NamedTuple):
     """The families a graph belongs to, in canonical indexing, and its 2-coloring.
 
+    A chain of k crosses is the k x 1 lattice, so it has no field of its own:
+    ``lattice == (k, 1)`` says the graph is that chain.
+
     ``graph`` is the instance the detections ran on.  Every graph equal to
     it gets this Family and so that instance: a caller that goes on with
     it (as the CLI does) finds it by identity in every graph-keyed cache,
@@ -261,7 +252,6 @@ class Family(NamedTuple):
     """
 
     line: bool
-    cross_chain: Optional[int]
     lattice: Optional[tuple[int, int]]
     bipartition: Optional[Bipartition]  # None on a graph with an odd cycle
     graph: ClusterGraph
@@ -269,12 +259,13 @@ class Family(NamedTuple):
 
 @lru_cache(maxsize=64)
 def graph_family(g: ClusterGraph) -> Family:
-    """Every family detection and the bipartition, run once per distinct graph."""
+    """The line and lattice detections and the bipartition, run once per
+    distinct graph; a cross chain is found as a lattice of one column."""
     try:
         b = bipartition(g)
     except OddCycle:
         b = None
-    return Family(detect_line(g), detect_cross_chain(g), detect_lattice(g), b, g)
+    return Family(detect_line(g), detect_lattice(g), b, g)
 
 
 def _greedy_cover(g: ClusterGraph) -> frozenset[int]:

@@ -537,29 +537,40 @@ def pattern_rotation_angles(
 # circuit DSL: one gate per line, e.g. "RZ 0 0.5", "CZ 0 1", "CPHASE 0 1 3.14"
 
 
-_GATE_SHAPES = {
-    "RZ": (1, True),
-    "RX": (1, True),
-    "H": (1, False),
-    "CZ": (2, False),
-    "CNOT": (2, False),
-    "CPHASE": (2, True),
+# Each gate kind: its operand count, whether it takes an angle, and its
+# stages, each a pattern built from the gate's angle (None for a kind with
+# no angle) and the operand positions it acts on.  RZ/RX/H ride the
+# teleportation primitives (each carries the inherent leading Hadamard in its
+# declared semantics), CZ uses the I-shape, CNOT wraps it in Hadamard
+# teleports on the target, CPHASE uses the square-with-tails pattern.
+_GATES = {
+    "RZ": (1, True, [(compile_z_rotation, (0,))]),
+    "RX": (1, True, [(lambda angle: compile_rotation(0.0, angle, 0.0), (0,))]),
+    "H": (1, False, [(lambda _: compile_z_rotation(0.0), (0,))]),
+    "CZ": (2, False, [(lambda _: compile_cnot(), (0, 1))]),
+    "CNOT": (2, False, [
+        (lambda _: compile_z_rotation(0.0), (1,)),
+        (lambda _: compile_cnot(), (0, 1)),
+        (lambda _: compile_z_rotation(0.0), (1,)),
+    ]),
+    "CPHASE": (2, True, [(compile_cphase, (0, 1))]),
 }
+
+
+def _operands(kind: str) -> str:
+    nq, has_angle, _ = _GATES[kind]
+    return f"{kind} takes {nq} qubit(s) and {'an' if has_angle else 'no'} angle"
 
 
 def parse_circuit(text: str) -> list[Gate]:
     gates: list[Gate] = []
     for lineno, _, fields in data_lines(text):
         kind = fields[0].upper()
-        if kind not in _GATE_SHAPES:
+        if kind not in _GATES:
             raise CircuitParseError(f"unknown gate {fields[0]!r}", lineno)
-        nq, has_angle = _GATE_SHAPES[kind]
-        want = 1 + nq + (1 if has_angle else 0)
-        if len(fields) != want:
-            raise CircuitParseError(
-                f"{kind} takes {nq} qubit(s){' and an angle' if has_angle else ''}",
-                lineno,
-            )
+        nq, has_angle, _ = _GATES[kind]
+        if len(fields) != 1 + nq + has_angle:
+            raise CircuitParseError(_operands(kind), lineno)
         try:
             qubits = tuple(int(f) for f in fields[1 : 1 + nq])
             angle = float(fields[1 + nq]) if has_angle else None
@@ -576,40 +587,25 @@ def parse_circuit(text: str) -> list[Gate]:
 
 
 def compile_circuit(gates: Sequence[Gate]) -> MeasurementPattern:
-    """Map each gate to its pattern and compose along the circuit's wires.
+    """Map each gate to its stage patterns in _GATES and compose them along
+    the circuit's wires.
 
-    Gate patterns: RZ/RX/H ride the teleportation primitives (each carries
-    the inherent leading Hadamard in its declared semantics), CZ uses the
-    I-shape, CNOT wraps it in Hadamard teleports on the target, CPHASE uses
-    the square-with-tails pattern.  The composite's declared semantics is
-    the product of the stage semantics, built on its first read; consult it
-    for the exact gate realized, residual Hadamards included.
+    Each gate's operand count, and whether it carries an angle, must match
+    its kind's row, else ArityMismatch.  The composite's declared semantics
+    is the product of the stage semantics, built on its first read; consult
+    it for the exact gate realized, residual Hadamards included.
     """
     if not gates:
         raise CircuitParseError("no gates", 0)
     stages: list[MeasurementPattern] = []
     wiring: list[tuple[int, ...]] = []
-
-    def add(pattern: MeasurementPattern, wires: tuple[int, ...]) -> None:
-        stages.append(pattern)
-        wiring.append(wires)
-
     for gate in gates:
-        if gate.kind == "RZ":
-            add(compile_z_rotation(gate.angle), gate.qubits)
-        elif gate.kind == "RX":
-            add(compile_rotation(0.0, gate.angle, 0.0), gate.qubits)
-        elif gate.kind == "H":
-            add(compile_z_rotation(0.0), gate.qubits)
-        elif gate.kind == "CZ":
-            add(compile_cnot(), gate.qubits)
-        elif gate.kind == "CNOT":
-            target = (gate.qubits[1],)
-            add(compile_z_rotation(0.0), target)
-            add(compile_cnot(), gate.qubits)
-            add(compile_z_rotation(0.0), target)
-        elif gate.kind == "CPHASE":
-            add(compile_cphase(gate.angle), gate.qubits)
-        else:  # pragma: no cover - parse_circuit guards this
+        if gate.kind not in _GATES:
             raise CircuitParseError(f"unknown gate {gate.kind}", 0)
+        nq, has_angle, kind_stages = _GATES[gate.kind]
+        if len(gate.qubits) != nq or (gate.angle is not None) != has_angle:
+            raise ArityMismatch(f"{_operands(gate.kind)}, got {gate}")
+        for build, positions in kind_stages:
+            stages.append(build(gate.angle))
+            wiring.append(tuple(gate.qubits[i] for i in positions))
     return compose(stages, wiring)

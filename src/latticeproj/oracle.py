@@ -157,6 +157,8 @@ def project_statevector_batch(sv: StateVector, specs: Sequence[ProjectionSpec]) 
     products, and the (T, 2^h) rows then meet their high half-bras row by
     row.  Beside the shared vector it holds T times one spec's bras.
     """
+    if not specs:
+        return np.zeros(0, dtype=complex)
     return _fold(sv.amplitudes, *stack_specs(specs, sv.n))
 
 
@@ -246,6 +248,8 @@ def direct_sum_batch(g: ClusterGraph, b: Bipartition, specs: Sequence[Projection
     The same sum on a (T, 2^k) coefficient array: each target's factor is
     picked per trial, and the index and parity arrays (2^k) are shared.
     """
+    if not specs:
+        return np.zeros(0, dtype=complex)
     return _direct_sum(g, b, *stack_specs(specs, g.n))
 
 

@@ -378,7 +378,7 @@ def test_verify_writes_file(capsys, tmp_path):
         "--output", str(out),
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 2
 
 
@@ -397,7 +397,7 @@ def test_bench_fig10_small(capsys, tmp_path):
         capsys, "bench", "--suite", "fig10", "--trials", "3", "--output", str(out)
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 9
     assert {r["engine"] for r in rows} == {"statevector", "sweep", "line-recursion"}
 

@@ -26,11 +26,13 @@ from latticeproj.errors import (
 from latticeproj.evaluate import (
     _build_plan,
     _contract,
+    column_batch,
     column_evaluate,
     cross_chain_recursion,
     frontier_plan,
     lattice_width_profile,
     line_recursion,
+    sweep_batch,
     sweep_evaluate,
 )
 from latticeproj.factorize import (
@@ -49,7 +51,12 @@ from latticeproj.graph import (
     lattice_row_major_order,
     load_graph,
 )
-from latticeproj.oracle import build_statevector, project_statevector
+from latticeproj.oracle import (
+    build_statevector,
+    direct_sum_batch,
+    project_statevector,
+    project_statevector_batch,
+)
 
 from helpers import named_orders, random_spec, word_sweep
 
@@ -546,6 +553,28 @@ def test_applicable_engines_are_exactly_those_that_return(g):
         returned.append(engine)
         assert abs(amp - ref) <= 1e-9, engine
     assert returned == applicable
+
+
+@pytest.mark.parametrize("shape,fits", [
+    ((1, 1), True), ((2, 1), True), ((9, 1), True), ((1, 2), False), ((1, 5), False), ((2, 2), False),
+])
+def test_cross_recursion_fits_exactly_the_one_column_lattices(shape, fits):
+    # a chain of k crosses is the k x 1 lattice; its transpose is no chain
+    assert ("cross-recursion" in applicable_engines(build_lattice(*shape))) == fits
+
+
+EMPTY_BATCHES = {
+    "sweep": lambda g: sweep_batch(sweep_polynomial(g, random_spec(g.n, 0)), []),
+    "column": lambda g: column_batch(g, []),
+    "statevector": lambda g: project_statevector_batch(build_statevector(g), []),
+    "direct-sum": lambda g: direct_sum_batch(g, graph.graph_family(g).bipartition, []),
+}
+
+
+@pytest.mark.parametrize("batch", EMPTY_BATCHES.values(), ids=EMPTY_BATCHES)
+def test_batch_of_no_specs_is_empty(batch):
+    out = batch(build_lattice(2, 2))
+    assert out.shape == (0,) and out.dtype == complex
 
 
 def test_sweep_width_cap():

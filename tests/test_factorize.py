@@ -46,6 +46,15 @@ def test_spec_validation():
         ProjectionSpec([np.nan], [0.0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ProjectionSpec([], []), lambda: ProjectionSpec.constant(0, 0.1, 0.2),
+], ids=["empty", "constant"])
+def test_spec_of_no_qubits_is_refused(make):
+    # a graph holds at least one qubit, so a projection does too
+    with pytest.raises(SizeMismatch, match="non-empty"):
+        make()
+
+
 def test_spec_random_ranges():
     spec = ProjectionSpec.random(200, np.random.default_rng(0))
     assert spec.theta.min() >= 0.0 and spec.theta.max() < 2 * np.pi

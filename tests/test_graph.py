@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latticeproj
 from latticeproj.factorize import ProjectionSpec, format_angles_text, save_angles
@@ -110,6 +111,52 @@ def test_detection_compares_edge_counts_before_building(monkeypatch):
     assert not detect_line(g)
     assert detect_cross_chain(g) is None
     assert detect_lattice(g) is None
+
+
+def test_cross_chain_is_the_k_by_1_lattice():
+    for k in range(1, 65):
+        assert build_cross_chain(k) == build_lattice(k, 1)
+
+
+@st.composite
+def near_canonical_graphs(draw):
+    """A random graph, or a lattice or cross chain with one edge dropped,
+    added or moved (or left as it is)."""
+    kind = draw(st.sampled_from(["random", "lattice", "chain"]))
+    if kind == "random":
+        n = draw(st.integers(1, 20))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = {tuple(sorted(e)) for e in draw(st.sets(pairs, max_size=3 * n)) if e[0] != e[1]}
+        return ClusterGraph(n, frozenset(edges))
+    if kind == "lattice":
+        g = build_lattice(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    else:
+        g = build_cross_chain(draw(st.integers(1, 8)))
+    edges = set(g.edges)
+    change = draw(st.sampled_from(["none", "drop", "add", "move"]))
+    if change in ("drop", "move"):
+        edges.discard(draw(st.sampled_from(sorted(edges))))
+    if change in ("add", "move"):
+        absent = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if (a, b) not in g.edges]
+        edges.add(draw(st.sampled_from(absent)))
+    return ClusterGraph(g.n, frozenset(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=near_canonical_graphs())
+def test_detect_cross_chain_is_the_one_column_lattice(g):
+    shape = detect_lattice(g)
+    expected = shape[0] if shape is not None and shape[1] == 1 else None
+    assert detect_cross_chain(g) == expected
+
+
+def test_graph_family_never_builds_a_cross_chain(monkeypatch):
+    built, build = [], graph.build_cross_chain
+    monkeypatch.setattr(graph, "build_cross_chain", lambda k: built.append(k) or build(k))
+    graph.graph_family.cache_clear()
+    for k in (1, 2, 7, 30):
+        assert graph.graph_family(build_lattice(k, 1)).lattice == (k, 1)
+    assert built == []
 
 
 def test_bipartition_line3():

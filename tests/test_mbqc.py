@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from latticeproj.errors import (
     ArityMismatch,
     CircuitParseError,
+    LatticeProjError,
     QubitCollision,
     SizeMismatch,
     ZeroBranch,
@@ -42,7 +43,13 @@ from latticeproj.mbqc import (
     simulate_pattern,
 )
 
-from helpers import align_residual, circuit_plus_state, dense_pattern_action, kron_semantics
+from helpers import (
+    align_residual,
+    circuit_plus_state,
+    declared_gate_matrix,
+    dense_pattern_action,
+    kron_semantics,
+)
 
 
 def assert_realizes(pattern, target=None, tol=1e-9):
@@ -622,6 +629,34 @@ def test_gate_constructors_reject_non_finite_angles_before_any_warning(build, an
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite"):
             build(angle)
+
+
+@pytest.mark.parametrize("kind", sorted(mbqc._GATES))
+def test_every_gate_kind_parses_and_compiles(kind):
+    operands, takes_angle, _ = mbqc._GATES[kind]
+    line = " ".join([kind.lower()] + [str(q) for q in range(operands)] + ["0.7"] * takes_angle)
+    (gate,) = parse_circuit(line)
+    assert gate == Gate(kind, tuple(range(operands)), 0.7 if takes_angle else None)
+    pattern = compile_circuit([gate])
+    np.testing.assert_allclose(pattern.semantics, declared_gate_matrix(gate), atol=1e-12)
+    assert_realizes(pattern)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too-few", "too-many"])
+@pytest.mark.parametrize("kind", sorted(mbqc._GATES))
+def test_library_gate_with_the_wrong_operand_count_is_refused(kind, extra):
+    operands, takes_angle, _ = mbqc._GATES[kind]
+    gate = Gate(kind, tuple(range(operands + extra)), 0.7 if takes_angle else None)
+    with pytest.raises(ArityMismatch):
+        compile_circuit([gate])
+
+
+@pytest.mark.parametrize("gate", [
+    Gate("RZ", (0,)), Gate("RX", (0,)), Gate("CPHASE", (0, 1)), Gate("H", (0,), 0.5),
+], ids=str)
+def test_library_gate_without_its_angle_or_with_a_stray_one_is_refused(gate):
+    with pytest.raises(LatticeProjError, match="angle"):
+        compile_circuit([gate])
 
 
 def test_compile_circuit_cnot_is_exact():
