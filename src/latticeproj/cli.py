@@ -132,6 +132,8 @@ def _check_trials(trials: int) -> None:
 
 
 def _resolve_angles(args: argparse.Namespace, n: int) -> ProjectionSpec:
+    if args.random and args.angles:
+        raise ConfigError("give either --angles or --random, not both")
     if args.random:
         _check_seed(args.seed)
         rng = np.random.default_rng(args.seed)

@@ -13,7 +13,8 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
                          by entry, so only the other factors are broadcast
                          multiplies on the frontier.  The live tensor holds
                          at most 2^(active slots) entries.  The axis plan is
-                         built once per factor order (FrontierPlan).
+                         built once per factor order (FrontierPlan), each
+                         step's c/s table read off the bits of its entries.
   * line_recursion       the two-scalar recursion for line graphs,
                          O(n) adds and multiplies, counted exactly.
   * cross_chain_recursion  the same line recursion, run over the chain of
@@ -122,20 +123,20 @@ class FrontierPlan:
     before its last touch, so each entry of the survivor is multiplied by
     the absorbed factor's entry on the same diagonal indices.
 
-    ``c_diag`` and ``s_diag`` hold the factors' c-word and s-word diagonal
-    entries in that gathered layout: survivor by survivor, each of its
-    entries (over its axes, the highest axis most significant) followed by
-    the absorbed factors' entries mapped onto it, in factor order; ``qubit``
-    maps every entry to its factor's qubit, so the spec's C/S arrays expand
-    onto the entries with one fancy index, and ``starts`` opens each
-    survivor entry's run for one multiply.reduceat.  ``steps[i]`` is
+    ``c_diag`` and ``s_diag`` hold the steps' c and s tables in turn.  A
+    step's group is its own factor followed by those absorbed into it, in
+    factor order; its table is read off the bits of its entry indices (one
+    bit per axis, the highest axis the most significant), entry by entry,
+    the group's factors in turn within each entry (see _group_table).
+    ``qubit`` maps every value to its factor's qubit, so the spec's C/S
+    arrays expand onto the tables with one fancy index, and ``starts``
+    opens each entry's run for one multiply.reduceat.  ``steps[i]`` is
     (entries, shape, retired axes) of the i-th survivor: the index of its
     reduced entries on the last axis (``[..., start:stop]``), the broadcast
-    shape they take over all ``width`` axes, and the numpy axes summed right
-    after it; ``open_axes`` are the final axes of the open (never retired)
-    slots.  The counters are
-    those of EvalReport, fixed by the layout; the peak frontier size is at
-    most 2^width.
+    shape they take over all ``width`` axes, and the numpy axes summed
+    right after it; ``open_axes`` are the final axes of the open (never
+    retired) slots.  The counters are those of EvalReport, fixed by the
+    layout; the peak frontier size is at most 2^width.
     """
 
     width: int
@@ -149,34 +150,27 @@ class FrontierPlan:
     open_axes: tuple[int, ...] = ()
 
 
-def _factor_layout(
-    entries: tuple[tuple[int, Letter, Letter], ...]
+def _group_table(
+    group: tuple[tuple[tuple[int, Letter, Letter], ...], ...], width: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """c/s diagonals and broadcast shape of (axis, c letter, s letter) entries.
+    """c/s table and broadcast shape of a step's group.
 
-    ``entries`` run from the highest axis down, the numpy axis order.
+    ``group`` holds each factor's (axis, c letter, s letter) entries, the
+    highest axis first, the step's own factor leading.  Each factor's value
+    at an entry is the product of its letters' diagonals at the entry's bit
+    on each axis.
     """
-    c = s = np.ones(1)
-    shape = [1] * (entries[0][0] + 1 if entries else 0)
-    for axis, c_letter, s_letter in entries:
-        c = np.kron(c, letter_matrix(c_letter).diagonal())
-        s = np.kron(s, letter_matrix(s_letter).diagonal())
-        shape[-1 - axis] = 2
-    return c, s, tuple(shape)
-
-
-def _entry_map(axes: tuple[int, ...], sub: tuple[int, ...]) -> np.ndarray:
-    """For each entry of a factor on ``axes``, the entry of one on ``sub`` (a subset).
-
-    Both run from the highest axis down, the first axis the most significant
-    bit of an entry's index; the map is bit arithmetic on those indices, so
-    it needs no array with as many dimensions as the axes.
-    """
-    index = np.arange(1 << len(axes))
-    out = np.zeros_like(index)
-    for axis in sub:
-        out = (out << 1) | ((index >> (len(axes) - 1 - axes.index(axis))) & 1)
-    return out
+    axes = [axis for axis, _, _ in group[0]]
+    entry = np.arange(1 << len(axes))
+    bit = {axis: (entry >> (len(axes) - 1 - i)) & 1 for i, axis in enumerate(axes)}
+    c = np.ones((len(group), len(entry)))
+    s = np.ones_like(c)
+    for row, entries in enumerate(group):
+        for axis, c_letter, s_letter in entries:
+            c[row] *= letter_matrix(c_letter).diagonal()[bit[axis]]
+            s[row] *= letter_matrix(s_letter).diagonal()[bit[axis]]
+    shape = tuple(2 if axis in axes else 1 for axis in reversed(range(width)))
+    return c.T.reshape(-1), s.T.reshape(-1), shape
 
 
 def _survivors(slots: Sequence[frozenset[int]], retire_at: Sequence[list[int]]) -> list[int]:
@@ -212,9 +206,7 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
     retire_at: list[list[int]] = [[] for _ in poly.factors]
     for slot, (_, last) in poly.activity.items():
         if poly.owner_position[slot] > last:
-            raise RetirementBeforeOwner(
-                f"slot {slot} owner sits after the slot's last touch"
-            )
+            raise RetirementBeforeOwner(f"slot {slot} owner sits after the slot's last touch")
         if slot not in open_slots:
             retire_at[last].append(slot)
 
@@ -222,104 +214,77 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
     axis_of: dict[int, int] = {}
     free: list[int] = []
     owned: set[int] = set()
-    layouts: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = {}
     width = 0
-    layout_at = []
-    axes_at: list[tuple[int, ...]] = []
-    slot_sets: list[frozenset[int]] = []
+    entries_at: list[tuple[tuple[int, Letter, Letter], ...]] = []
     retired_axes: list[list[int]] = []
     for pos, factor in enumerate(poly.factors):
         c_of = dict(factor.c_word.entries)
         # slots of the s word, then those of the c word alone (s holds I)
         touched = [(slot, c_of.pop(slot, I), s) for slot, s in factor.s_word.entries]
         touched += [(slot, c, I) for slot, c in c_of.items()]
-        entries = []
-        for slot, c_letter, s_letter in touched:
-            axis = axis_of.get(slot)
-            if axis is None:
+        for slot, c_letter, _ in touched:
+            if slot not in axis_of:
                 # a slot touched after its retirement gets an axis again
                 # and is left unretired at the end
-                if free:
-                    axis = free.pop()
-                else:
-                    axis = width
-                    width += 1
-                axis_of[slot] = axis
+                axis_of[slot] = free.pop() if free else width
+                width = max(width, axis_of[slot] + 1)
             if c_letter is U:
                 owned.add(slot)
-            entries.append((axis, c_letter, s_letter))
-        entries.sort(reverse=True)
-        key = tuple(entries)
-        layout = layouts.get(key)
-        if layout is None:
-            layout = layouts[key] = _factor_layout(key)
-        layout_at.append(layout)
-        axes_at.append(tuple(axis for axis, _, _ in key))
-        slot_sets.append(frozenset(slot for slot, _, _ in touched))
+        entries = [(axis_of[slot], c, s) for slot, c, s in touched]
+        entries_at.append(tuple(sorted(entries, reverse=True)))
 
-        retired = []
         for slot in retire_at[pos]:
             if slot not in owned:
                 raise RetirementBeforeOwner(
                     f"slot {slot} retired while a live term still holds I there"
                 )
-            axis = axis_of.pop(slot)
-            free.append(axis)
-            retired.append(axis)
-        retired_axes.append(retired)
+        retired_axes.append([axis_of.pop(slot) for slot in retire_at[pos]])
+        free.extend(retired_axes[-1])
     residue = set(axis_of).difference(open_slots)
     if residue:
         raise NonScalarResidue(f"sweep left slots {sorted(residue)} unretired")
 
-    root = _survivors(slot_sets, retire_at)
-    absorbed: list[list[int]] = [[] for _ in root]
+    root = _survivors([f.touched_slots() for f in poly.factors], retire_at)
+    groups: list[list[int]] = [[pos] for pos in range(len(root))]
     for pos, survivor in enumerate(root):
         if survivor != pos:
-            absorbed[survivor].append(pos)
-    # each survivor entry's run, as (factor, entry of that factor) pairs:
-    # the entry indices come from one template per (survivor axes, absorbed
-    # axes), the factors from a list, so the loop makes no array
-    templates: dict[tuple, np.ndarray] = {}
-    entry_parts: list[np.ndarray] = []
-    factor_of: list[int] = []
-    starts: list[int] = []
+            groups[survivor].append(pos)
+    # one table per distinct group; rows holds each value's factor position
+    tables: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = {}
+    parts = []
+    rows: list[int] = []
     steps = []
     live: set[int] = set()
     add = mul = stop = 0
-    for pos, axes in enumerate(axes_at):
+    for pos, members in enumerate(groups):
         if root[pos] != pos:
             continue
-        members = [pos] + absorbed[pos]
-        key = (axes,) + tuple(axes_at[sub] for sub in absorbed[pos])
-        template = templates.get(key)
-        if template is None:
-            runs = [_entry_map(axes, sub) for sub in key]
-            template = templates[key] = np.stack(runs, axis=-1).reshape(-1)
-        entry_parts.append(template)
-        size = 1 << len(axes)
-        starts.extend(range(len(factor_of), len(factor_of) + len(members) * size, len(members)))
-        factor_of.extend(members * size)
+        group = tuple([entries_at[member] for member in members])
+        table = tables.get(group)
+        if table is None:
+            table = tables[group] = _group_table(group, width)
+        parts.append(table)
+        size = 1 << len(group[0])
+        rows.extend(members * size)
 
         # the frontier holds the axes multiplied in and not yet summed
-        live.update(axes)
+        live.update([axis for axis, _, _ in group[0]])
         frontier = 1 << len(live)
-        mul += frontier + size * len(absorbed[pos])
+        mul += frontier + size * (len(members) - 1)
         live.difference_update(retired_axes[pos])
         add += frontier - (frontier >> len(retired_axes[pos]))
         retire = tuple(-1 - axis for axis in retired_axes[pos])
-        shape = (1,) * (width - len(layout_at[pos][2])) + layout_at[pos][2]
-        steps.append(((..., slice(stop, stop + size)), shape, retire))
+        steps.append(((..., slice(stop, stop + size)), table[2], retire))
         stop += size
 
-    offsets = np.cumsum([0] + [c.size for c, _, _ in layout_at[:-1]])
-    rows = np.array(factor_of)
-    index = offsets[rows] + np.concatenate(entry_parts)
+    factor_at = np.array(rows)
     return FrontierPlan(
         width=width,
-        qubit=np.array([f.qubit for f in poly.factors])[rows],
-        c_diag=np.concatenate([c for c, _, _ in layout_at])[index],
-        s_diag=np.concatenate([s for _, s, _ in layout_at])[index],
-        starts=np.array(starts),
+        qubit=np.array([f.qubit for f in poly.factors])[factor_at],
+        c_diag=np.concatenate([c for c, _, _ in parts]),
+        s_diag=np.concatenate([s for _, s, _ in parts]),
+        # each entry's run opens with its survivor's value
+        starts=np.flatnonzero(np.array(root)[factor_at] == factor_at),
         steps=tuple(steps),
         add_count=add,
         mul_count=mul + 1,

@@ -189,7 +189,9 @@ def detect_lattice(g: ClusterGraph) -> Optional[tuple[int, int]]:
 
     The m x n lattice has 4mn edges and 2mn + m + n + 1 qubits, so the
     counts fix mn and m + n: m and n are the two roots of
-    x^2 - (m + n) x + mn, and only those two shapes are built.
+    x^2 - (m + n) x + mn.  A shape is built only when its first center,
+    (m+1)(n+1), joins its corners (1, 0) and (1, 1), n+1 and n+2; a
+    lattice's transposed shape fails that check, so a lattice builds one.
     """
     product, rest = divmod(len(g.edges), 4)
     total = g.n - 1 - 2 * product
@@ -199,8 +201,11 @@ def detect_lattice(g: ClusterGraph) -> Optional[tuple[int, int]]:
     small = (total - math.isqrt(disc)) // 2
     for m in sorted({small, total - small}):
         # integer roots with product >= 1 and sum >= 2 are both at least 1
-        if m * (total - m) == product and g.edges == build_lattice(m, total - m).edges:
-            return (m, total - m)
+        n = total - m
+        center = (m + 1) * (n + 1)
+        joined = {(n + 1, center), (n + 2, center)} <= g.edges
+        if m * n == product and joined and g.edges == build_lattice(m, n).edges:
+            return (m, n)
     return None
 
 

@@ -98,6 +98,17 @@ def test_config_errors_exit_2(capsys, tmp_path, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("angles", ["all:0,0", "/nonexistent"])
+def test_project_refuses_angles_with_random(capsys, angles):
+    # --random would draw its own angles and drop the given ones
+    code, out, err = run_cli(
+        capsys, "project", "--builder", "line:3", "--angles", angles, "--random"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: give either --angles or --random, not both\n"
+
+
 def test_bad_statevector_cap_setting_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "abc")
     code, out, err = run_cli(capsys, "verify", "--builder", "line:5", "--trials", "1")

@@ -1,6 +1,8 @@
 """The four evaluation routes against closed forms and the dense oracle."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +249,104 @@ def test_open_slots_sum_to_the_sweep(g):
         assert frontier.size == 2 ** len(open_slots)
         amp = 2.0 ** (-g.n / 2.0) * frontier.sum()
         assert abs(amp - ref) <= 1e-12 * abs(ref), open_slots
+
+
+# Each plan of scripts/plan_digest.py's small corpus, as that script prints it.
+RECORDED_DIGESTS = """\
+cross_2.graph as-built 4c686be6f287f18a
+cross_2.graph worked-out 4c686be6f287f18a
+cross_2.graph row-major 47f2ade4fd7310f4
+cross_3.graph as-built 8348c2dac77afa14
+cross_3.graph worked-out a7579e48fb2199da
+cross_3.graph row-major a32bb62134146f6e
+fig10_a4.graph as-built 8e5c5cd5572aec96
+fig10_a4.graph worked-out 8e5c5cd5572aec96
+fig10_b7.graph as-built 69936a04c7d81960
+fig10_b7.graph worked-out 69936a04c7d81960
+fig10_c12.graph as-built 3d76f4371bb4a8c7
+fig10_c12.graph worked-out 3d76f4371bb4a8c7
+fivecross_17.graph as-built d7813afd207c4629
+fivecross_17.graph worked-out bf5d1d40e7755535
+lattice_2x2.graph as-built 4036045f7395ecf6
+lattice_2x2.graph worked-out 4036045f7395ecf6
+lattice_3x3.graph as-built 9dbbe9760865a4af
+lattice_3x3.graph worked-out 9dbbe9760865a4af
+lattice_3x4.graph as-built 83de598145344462
+lattice_3x4.graph worked-out 1c34cdc9450be571
+line_10.graph as-built 1289a5290335a2e8
+line_10.graph worked-out 1289a5290335a2e8
+line_4.graph as-built 8e5c5cd5572aec96
+line_4.graph worked-out 8e5c5cd5572aec96
+lattice:1x1 as-built eba4c6555dd665bd
+lattice:1x1 worked-out eba4c6555dd665bd
+lattice:1x1 row-major 5b2e2369ce5cd815
+lattice:1x2 as-built b696290ae04f57d8
+lattice:1x2 worked-out b696290ae04f57d8
+lattice:1x2 row-major c4c92cd1e50b40c8
+lattice:1x3 as-built 99fa9ff7be13dfc0
+lattice:1x3 worked-out d2438c30434d349b
+lattice:1x3 row-major 3f6760515e54fead
+lattice:1x4 as-built 49c1c7bfa8fca7c0
+lattice:1x4 worked-out b19f49d831f87027
+lattice:1x4 row-major 57f4d7e053c8bf15
+lattice:2x1 as-built 4c686be6f287f18a
+lattice:2x1 worked-out 4c686be6f287f18a
+lattice:2x1 row-major 47f2ade4fd7310f4
+lattice:2x2 as-built bcb4aeacd933f96e
+lattice:2x2 worked-out bcb4aeacd933f96e
+lattice:2x2 row-major 8e72ebaf6ef714f8
+lattice:2x3 as-built e5beb9d81a550abe
+lattice:2x3 worked-out 0b62cdd5b483e9c2
+lattice:2x3 row-major b1baa2512c7605a9
+lattice:2x4 as-built 5d03e54879dd1136
+lattice:2x4 worked-out 18f70029ba583a03
+lattice:2x4 row-major 20c4656904372ad7
+lattice:3x1 as-built 8348c2dac77afa14
+lattice:3x1 worked-out a7579e48fb2199da
+lattice:3x1 row-major a32bb62134146f6e
+lattice:3x2 as-built 8630155eb4ee379b
+lattice:3x2 worked-out 0022f1f2aec3c00c
+lattice:3x2 row-major 6868abd0307f1edf
+lattice:3x3 as-built 0d9395b077829d16
+lattice:3x3 worked-out 5a1469fe9931cdee
+lattice:3x3 row-major 320ed48c4fe0f739
+lattice:3x4 as-built b51011d71491dd44
+lattice:3x4 worked-out 133cc98526bd74dd
+lattice:3x4 row-major fe79856d21bf438b
+lattice:4x1 as-built a320f13792ae9aab
+lattice:4x1 worked-out 4459187da7f50c7e
+lattice:4x1 row-major 9c2f83ab0636b94f
+lattice:4x2 as-built 03f11811d24d56cf
+lattice:4x2 worked-out c22f53de5b80acab
+lattice:4x2 row-major a7cd8632f3afbb33
+lattice:4x3 as-built 1d173d827d5efb80
+lattice:4x3 worked-out 4db172ed6eacc544
+lattice:4x3 row-major bd83f85850260fb7
+lattice:4x4 as-built cdae5f5b6173e69f
+lattice:4x4 worked-out 432556de9a8b3ae2
+lattice:4x4 row-major 42bf22db3a941da6
+line:200 as-built 1fa8dfbe42b56feb
+line:200 worked-out 1fa8dfbe42b56feb
+cross:20 as-built 489e9c8f76b03671
+cross:20 worked-out 8af167ac24387c11
+cross:20 row-major c8a6ec4571012a8c
+cphase-chain:5 open-slots f2836681b56ceaec
+"""
+
+
+def _plan_digest_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "plan_digest.py"
+    spec = importlib.util.spec_from_file_location("plan_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_plans_match_recorded_digests():
+    # every array, step, counter and open axis of each plan is byte for byte
+    # the recorded one
+    lines = list(_plan_digest_script().digest_lines(small=True))
+    assert lines == RECORDED_DIGESTS.splitlines()
 
 
 # ---------------------------------------------------------------------------

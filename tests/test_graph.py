@@ -99,6 +99,16 @@ def test_family_detection():
     assert detect_lattice(build_cross_chain(2)) == (2, 1)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 1), (5, 1), (7, 3), (2, 3), (4, 4), (1364, 1)])
+def test_detect_lattice_builds_only_the_detected_shape(monkeypatch, shape):
+    # the counts also fit the transposed shape, which must not be built
+    g = build_lattice(*shape)
+    built, build = [], graph.build_lattice
+    monkeypatch.setattr(graph, "build_lattice", lambda m, n: built.append((m, n)) or build(m, n))
+    assert detect_lattice(g) == shape
+    assert built == [shape]
+
+
 def test_detection_compares_edge_counts_before_building(monkeypatch):
     # a billion qubits and no edges: every detection's canonical graph of
     # that size would exhaust memory, so none may be built
