@@ -306,6 +306,14 @@ def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
     return poly.plan
 
 
+def _scaled_take(x: np.ndarray, qubit: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """x[..., qubit] * diag, in place in take's copy (a call of its own, so that
+    _contract's c share is freed as soon as it is added in)."""
+    part = x.take(qubit, -1)
+    part *= diag
+    return part
+
+
 def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The unnormalized final frontier, c[q]/s[q] weighting q's words; 2 long on open axes.
 
@@ -314,9 +322,11 @@ def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     c and s are (n,) arrays, or (T, n) for T projections at once.  The T
     frontiers then share a leading axis, which every factor and retirement
     passes over, as their axes count from the end; one projection runs with
-    no leading axis.
+    no leading axis.  The entries' values are built in one complex buffer:
+    s's share, with c's added into it in place.
     """
-    values = c.take(plan.qubit, -1) * plan.c_diag + s.take(plan.qubit, -1) * plan.s_diag
+    values = _scaled_take(s, plan.qubit, plan.s_diag)
+    values += _scaled_take(c, plan.qubit, plan.c_diag)
     values = np.multiply.reduceat(values, plan.starts, axis=-1)
     lead = c.shape[:-1]
     frontier = np.ones(lead + (1,) * plan.width, dtype=complex)

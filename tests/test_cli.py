@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -639,3 +640,58 @@ def test_compile_parse_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "compile", "--circuit", str(bad), "--out", str(tmp_path / "x"))
     assert code == 2
     assert "line 2" in err
+
+
+def _dictwriter_csv(rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_csv_text(rows):
+    buf = io.StringIO()
+    cli._write_csv(buf, rows)
+    return buf.getvalue()
+
+
+def test_csv_bytes_equal_the_csv_modules():
+    awkward = ["", ",", '"', "\r", "\n", "a,b", 'say "hi"', "\r\n", "  lead", " ,", '""', "x\ny"]
+    floats = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1]
+    rows = [
+        {"trial": t, "name, quoted": text, " spaced": 10**20 - t, 'q"': repr(value), "f": value}
+        for t, (text, value) in enumerate(zip(awkward, floats * 2))
+    ]
+    assert _write_csv_text(rows) == _dictwriter_csv(rows)
+    assert _write_csv_text([{"a": 1, "b": ""}]) == "a,b\r\n1,\r\n"
+
+
+def test_verify_csv_equals_the_csv_modules_rendering(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--builder", "lattice:3x10", "--trials", "31", "--seed", "0"
+    )
+    assert code == 0
+    g = graph.build_lattice(3, 10)
+    rows, _, _ = cli.run_verify(g, latticeproj.applicable_engines(g), 31, 0)
+    assert out == _dictwriter_csv(rows)
+
+
+def _op_peak_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "op_peak.py"
+    spec = importlib.util.spec_from_file_location("op_peak", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv,cap_kib", [
+    # one trial: the engines' work, with no 128 KiB csv record buffer
+    (("verify", "--builder", "lattice:3x10", "--trials", "1"), 96),
+    (("verify", "--graph", "fivecross_17.graph", "--trials", "1"), 64),
+    # 31 trials: the sweep's step values in one complex buffer
+    (("verify", "--builder", "lattice:3x10", "--seed", "0"), 1280),
+])
+def test_verify_op_allocation_peak(argv, cap_kib):
+    # as perfbench's peak_alloc_mb takes it: warm, after a full collection
+    assert _op_peak_script().op_peak_kib(list(argv)) < cap_kib
