@@ -1,0 +1,82 @@
+"""Short digests of the CLI's outputs, one line per command of a fixed corpus.
+
+    python3 scripts/output_digest.py
+
+Each line reads ``<exit code> <digest> <command>``: the first 16 hex digits
+of a SHA-256 over what ``latticeproj.cli.main(command)`` wrote to stdout
+and stderr, then the bytes of every file it wrote.  The commands run in
+this process, in a temporary directory that reads ``{tmp}`` in the
+commands and in their stdout and stderr.  Run it in two checkouts and diff
+the outputs to see whether a change left every amplitude, CSV and compiled
+pattern byte for byte the same.
+
+The corpus: ``verify`` on the lattice, fixture, cross-chain and line shapes
+and on a 16-qubit graph with odd cycles (so the statevector checks the
+sweep over its greedy-cover owners), the ``lattice-width`` bench (the one
+suite without wall-clock columns), ``project`` on the line, cross and
+column engines and the sweep, and ``compile`` of a five-wire CPhase chain.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from typing import Iterator
+
+if __name__ == "__main__":
+    # this checkout's package, ahead of an installed copy or PYTHONPATH
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from latticeproj.cli import main as cli_main  # noqa: E402
+
+# a 16-qubit path with chords 0-2, 5-9 and 3-12: odd cycles, so no bipartition
+ODD_CYCLE_GRAPH = "# path plus three chords\n16\n" + "".join(
+    f"{a} {b}\n" for a, b in [(q, q + 1) for q in range(15)] + [(0, 2), (5, 9), (3, 12)]
+)
+CPHASE_CHAIN = "".join(f"CPHASE {w} {w + 1} {0.4 + 0.7 * w!r}\n" for w in range(4))
+
+VERIFY = ("--trials", "31", "--seed", "0")
+PROJECT = ("--random", "--seed", "7")
+CORPUS: tuple[tuple[str, ...], ...] = (
+    ("verify", "--builder", "lattice:3x10", *VERIFY),
+    ("verify", "--builder", "lattice:6x6", *VERIFY),
+    ("verify", "--graph", "fivecross_17.graph", *VERIFY),
+    ("verify", "--builder", "cross:8", *VERIFY),
+    ("verify", "--builder", "line:200", *VERIFY),
+    ("verify", "--graph", "{tmp}/odd16.graph", *VERIFY),
+    ("bench", "--suite", "lattice-width"),
+    ("project", "--builder", "line:4096", *PROJECT, "--engine", "line-recursion"),
+    ("project", "--builder", "line:4096", *PROJECT, "--engine", "sweep"),
+    ("project", "--builder", "cross:64", *PROJECT, "--engine", "cross-recursion"),
+    ("project", "--builder", "lattice:3x10", *PROJECT, "--engine", "column"),
+    ("project", "--builder", "lattice:3x10", *PROJECT, "--engine", "sweep"),
+    ("compile", "--circuit", "{tmp}/cphase5.txt", "--out", "{tmp}/cphase5"),
+)
+
+
+def digest_lines() -> Iterator[str]:
+    """``<exit code> <digest> <command>`` for each command of the corpus."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "odd16.graph").write_text(ODD_CYCLE_GRAPH)
+        (root / "cphase5.txt").write_text(CPHASE_CHAIN)
+        inputs = set(root.iterdir())
+        for command in CORPUS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = cli_main([arg.replace("{tmp}", tmp) for arg in command])
+            text = f"{stdout.getvalue()}\0{stderr.getvalue()}".replace(tmp, "{tmp}")
+            h = hashlib.sha256(text.encode())
+            for written in sorted(set(root.iterdir()) - inputs):
+                h.update(f"\0{written.name}\0".encode() + written.read_bytes())
+                written.unlink()
+            yield f"{code} {h.hexdigest()[:16]} {' '.join(command)}"
+
+
+if __name__ == "__main__":
+    for text in digest_lines():
+        print(text)

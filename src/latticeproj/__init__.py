@@ -88,7 +88,6 @@ from .oracle import (
     direct_sum_batch,
     project_statevector,
     project_statevector_batch,
-    statevector_cap,
 )
 
 __version__ = "0.1.0"

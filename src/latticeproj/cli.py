@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .engines import (
     compute_amplitude,
     compute_amplitudes,
 )
-from .errors import BadSetting, CircuitParseError, LatticeProjError, TooLarge
+from .errors import CircuitParseError, LatticeProjError, TooLarge
 from .evaluate import lattice_width_profile
 from .factorize import ProjectionSpec, load_angles
 from .graph import (
@@ -352,19 +352,19 @@ def bench_line_scaling(trials: int = 25, seed: int = 0) -> list[dict]:
     return bench_points(points, ("line-recursion", "sweep"), trials, seed)
 
 
+# every bench suite by name: (trials, seed) -> CSV rows
+SUITES: dict[str, Callable[[int, int], list[dict]]] = {
+    "fig10": bench_fig10,
+    "line-scaling": bench_line_scaling,
+    "lattice-width": lambda trials, seed: lattice_width_profile(2, range(2, 7), seed),
+}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     _check_trials(args.trials)
     _check_seed(args.seed)
     with _output(args.output) as out:
-        if args.suite == "fig10":
-            rows = bench_fig10(args.trials, args.seed)
-        elif args.suite == "line-scaling":
-            rows = bench_line_scaling(args.trials, args.seed)
-        elif args.suite == "lattice-width":
-            rows = lattice_width_profile(2, range(2, 7), args.seed)
-        else:
-            raise ConfigError(f"unknown suite {args.suite!r}")
-        _write_csv(out, rows)
+        _write_csv(out, SUITES[args.suite](args.trials, args.seed))
     return 0
 
 
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="timing and op-count tables (CSV)")
     p.add_argument("--suite", required=True,
-                   choices=("fig10", "line-scaling", "lattice-width"))
+                   choices=tuple(SUITES))
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="CSV path (default stdout)")
@@ -468,9 +468,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BadSetting, TooLarge, OSError) as exc:
-        # a bad environment setting, a size over an engine's cap or a path
-        # that cannot be read or written is usage
+    except (ConfigError, TooLarge, OSError) as exc:
+        # a size over a cap or a path that cannot be read or written is usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

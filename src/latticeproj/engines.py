@@ -6,10 +6,11 @@ the LatticeProjError that says why not; ``evaluate(g, spec)`` is the
 engine's EvalReport; ``evaluate_batch(g, specs)`` is the list of the specs'
 amplitudes, and a row built without one loops over its ``evaluate``.  The
 statevector, direct-sum, sweep and column rows batch: one pass runs their
-core with a trial axis, in chunks that hold no more live entries than one
-evaluation at the row's cap (the statevector's 2^cap less the vector
-itself, 2^24 direct-sum terms or sweep entries, a 2^16 column boundary); a
-lone spec takes ``evaluate``.  The two recursions loop.
+core with a trial axis, in chunks of at most the row's cap in frontier
+entries (the statevector's 2^cap less the vector itself, 2^24 direct-sum
+terms or sweep entries, a 2^16 column boundary); the sweep's step values go
+uncounted, so a chunk can outgrow one evaluation at the cap.  A lone spec
+takes ``evaluate``; the two recursions loop.
 ``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude``,
 ``compute_amplitudes`` and the CLI all read this table.  Direct-sum and the
 family rows read ``graph.graph_family``, detected once per distinct graph
@@ -18,9 +19,9 @@ every lattice one column wide); the sweep always runs the worked-out
 factor order and reads that order's frontier width from its cached
 structure, known before anything is allocated.  The oracles keep their own
 graph-only work: the statevector row's vector is built once per graph
-(``build_statevector`` holds the last graph's, and reads the cap on every
-call), and direct-sum's partition checks and target masks once per (graph,
-bipartition).
+(``build_statevector`` holds the last graph's, and checks
+``oracle.STATEVEC_CAP`` on every call), and direct-sum's partition checks
+and target masks once per (graph, bipartition).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .evaluate import (
 )
 from .factorize import ProjectionSpec, build_polynomial, order_factors
 from .graph import ClusterGraph, graph_family
+from . import oracle
 from .oracle import (
     DIRECT_SUM_CONTROL_CAP,
     build_statevector,
@@ -61,7 +63,6 @@ from .oracle import (
     direct_sum_batch,
     project_statevector,
     project_statevector_batch,
-    statevector_cap,
 )
 
 # Most frontier axes the sweep allocates: 2^24 complex entries, 256 MiB.
@@ -119,11 +120,11 @@ def _in_chunks(
 ) -> list[complex]:
     """A batching row's amplitudes: ``run`` over consecutive chunks of the specs.
 
-    Each chunk holds at most ``budget`` live entries beside what the graph
-    alone needs, so a batch stays within what one evaluation at the row's
-    cap holds.  A lone spec takes the row's own ``evaluate``, the same core
-    with no trial axis, so a one-trial verify runs (and is traced) as
-    ``project`` is.
+    Each chunk holds at most ``budget`` frontier entries, ``per_spec`` per
+    spec, beside what the graph alone needs; the sweep's step values go
+    uncounted, so a chunk can outgrow one evaluation at the row's cap.  A
+    lone spec takes the row's own ``evaluate``, the same core with no trial
+    axis, so a one-trial verify runs (and is traced) as ``project`` is.
     """
     if len(specs) == 1:
         return [evaluate(g, specs[0]).amplitude]
@@ -143,7 +144,7 @@ def _statevector_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list
     # beside the 2^n vector, each spec holds its two half-bras
     return _in_chunks(
         g, specs, _statevector, lambda chunk: project_statevector_batch(build_statevector(g), chunk),
-        (1 << (g.n - h)) + (1 << h), (1 << statevector_cap()) - (1 << g.n),
+        (1 << (g.n - h)) + (1 << h), (1 << oracle.STATEVEC_CAP) - (1 << g.n),
     )
 
 
@@ -219,7 +220,7 @@ class Engine:
 
 ENGINES: dict[str, Engine] = {
     "statevector": Engine(
-        lambda g: _over_cap(g.n, statevector_cap(), "qubits", TooLarge),
+        lambda g: _over_cap(g.n, oracle.STATEVEC_CAP, "qubits", TooLarge),
         _statevector,
         _statevector_batch,
     ),

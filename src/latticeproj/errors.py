@@ -73,10 +73,6 @@ class TooLarge(LatticeProjError):
     pass
 
 
-class BadSetting(LatticeProjError):
-    """An environment variable holds a value the package cannot use."""
-
-
 class NotBipartite(LatticeProjError):
     pass
 

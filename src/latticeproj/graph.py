@@ -12,6 +12,7 @@ assigned to an owner endpoint, whose slot then tracks the edge's CZ phase.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import stat
@@ -129,6 +130,8 @@ def build_cross_chain(k: int) -> ClusterGraph:
     Leaf pair i is the corner row i, leaves 2i and 2i+1; center j is 2k+2+j
     and joins leaves 2j, 2j+1, 2j+2, 2j+3.
     """
+    if k < 1:
+        raise InvalidSize(f"cross chain needs k >= 1, got {k}")
     return build_lattice(k, 1)
 
 
@@ -274,21 +277,22 @@ def graph_family(g: ClusterGraph) -> Family:
 
 
 def _greedy_cover(g: ClusterGraph) -> frozenset[int]:
-    remaining = set(g.edges)
-    degree = [0] * g.n
-    for a, b in remaining:
-        degree[a] += 1
-        degree[b] += 1
+    # highest remaining degree first, ties to the lowest index; an entry
+    # whose qubit has since lost edges goes back in at its degree now
+    adj = adjacency(g)
+    degree = [len(adj[q]) for q in range(g.n)]
+    heap = sorted((-d, q) for q, d in enumerate(degree) if d)
     cover: set[int] = set()
-    while remaining:
-        # highest current degree, ties to the lowest index
-        q = max(range(g.n), key=lambda v: (degree[v], -v))
-        cover.add(q)
-        for e in [e for e in remaining if q in e]:
-            remaining.discard(e)
-            a, b = e
-            degree[a] -= 1
-            degree[b] -= 1
+    while heap:
+        d, q = heapq.heappop(heap)
+        if -d == degree[q]:
+            cover.add(q)
+            degree[q] = 0
+            for v in adj[q]:
+                if v not in cover:
+                    degree[v] -= 1
+        elif degree[q]:
+            heapq.heappush(heap, (-degree[q], q))
     return frozenset(cover)
 
 

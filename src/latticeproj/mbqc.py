@@ -19,7 +19,7 @@ copy of it.  compose builds only the graph, the wiring and the angles, so
 compiling takes time linear in the circuit at any wire count; the product
 is built on the first read of ``semantics``.  A w-wire semantics matrix
 holds as many entries as a 2w-qubit statevector, so that read refuses more
-than half the statevector cap of wires.
+than half of ``oracle.STATEVEC_CAP`` wires.
 
 Notes on the CPhase pattern (square with two diagonal tails, measurement
 angles +theta/4 and -theta/4): with the control qubit left untouched, any
@@ -51,7 +51,7 @@ from .errors import (
 from .evaluate import FrontierPlan, _build_plan, _contract
 from .factorize import ProjectionSpec, build_polynomial
 from .graph import ClusterGraph, assign_slots, build_from_edges, data_lines
-from .oracle import STATEVEC_CAP_ENV, statevector_cap
+from . import oracle
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -106,7 +106,7 @@ class MeasurementPattern:
     from the stages' own ``semantics`` read at that time, and kept; two
     threads racing on that first read at worst build it twice.  That read
     raises TooLarge, before anything is allocated, when twice the wire
-    count exceeds oracle.statevector_cap().
+    count exceeds oracle.STATEVEC_CAP.
     """
 
     def __init__(
@@ -320,14 +320,12 @@ def _stage_product(
     """Ordered product of the stages' semantics on ``width`` wires.
 
     Raises TooLarge, before anything is allocated, when twice the wire count
-    exceeds oracle.statevector_cap().
+    exceeds oracle.STATEVEC_CAP.
     """
-    cap = statevector_cap()
-    if 2 * width > cap:
+    if 2 * width > (cap := oracle.STATEVEC_CAP):
         raise TooLarge(
             f"{width} wires need a dense semantics matrix as large as a "
-            f"{2 * width}-qubit statevector, above the cap of {cap} "
-            f"(set {STATEVEC_CAP_ENV} to raise it)"
+            f"{2 * width}-qubit statevector, above the cap of {cap}"
         )
     total = np.eye(1 << width, dtype=complex)
     for pattern, positions in stages:

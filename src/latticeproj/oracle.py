@@ -11,8 +11,8 @@ Conventions frozen here and documented loudly:
     ``StateVector`` around it while the graph stays (by value) the same.  A
     different graph drops the held array before its own is built, so at
     most one vector (8 << n bytes) is retained and never two are live.
-    The qubit cap is read on every call, hit or miss.  Threads racing on
-    the slot can at worst build twice.
+    The qubit cap, ``STATEVEC_CAP``, is checked on every call, hit or
+    miss.  Threads racing on the slot can at worst build twice.
   * The projection folds the vector with two half-bras, each a numpy
     Kronecker chain of the (C_p, S_p) pairs (one array multiply per qubit).
     ``project_statevector_batch`` and ``direct_sum_batch`` take T specs in
@@ -29,32 +29,20 @@ Conventions frozen here and documented loudly:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadSetting, NotBipartite, SizeMismatch, TooLarge, TooManyControls
+from .errors import NotBipartite, SizeMismatch, TooLarge, TooManyControls
 from .factorize import ProjectionSpec, stack_specs
 from .graph import Bipartition, ClusterGraph, adjacency
 
-DEFAULT_STATEVEC_CAP = 20
-STATEVEC_CAP_ENV = "LATTICEPROJ_STATEVEC_CAP"
+# Most qubits a dense statevector holds (2^cap float64 amplitudes, 8 MiB).
+STATEVEC_CAP = 20
 # Most control qubits direct_sum takes (a 2^cap-term sum).
 DIRECT_SUM_CONTROL_CAP = 24
-
-
-def statevector_cap() -> int:
-    """Maximum qubit count for dense statevectors (env override allowed)."""
-    raw = os.environ.get(STATEVEC_CAP_ENV)
-    if raw is None:
-        return DEFAULT_STATEVEC_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadSetting(f"{STATEVEC_CAP_ENV} must be an integer, got {raw!r}")
 
 
 @dataclass
@@ -86,11 +74,8 @@ def build_statevector(g: ClusterGraph) -> StateVector:
     (two vectors live for that moment); each gets its own graph's vector.
     """
     global _held
-    if g.n > (cap := statevector_cap()):
-        raise TooLarge(
-            f"statevector for {g.n} qubits exceeds the cap of {cap} "
-            f"(set {STATEVEC_CAP_ENV} to raise it)"
-        )
+    if g.n > STATEVEC_CAP:
+        raise TooLarge(f"statevector for {g.n} qubits exceeds the cap of {STATEVEC_CAP}")
     held = _held
     if held is None or held[0] != g:
         _held = held = None

@@ -12,9 +12,10 @@ product (kron_semantics) the reference for compose's wire-axis product, and
 the gate-by-gate circuit state (circuit_plus_state) the reference for
 patterns too wide for any 2^w x 2^w matrix.
 The per-target parity loop (loop_direct_sum) is the reference for the
-package's bit-counting direct sum, and the Python-product fold
+package's bit-counting direct sum, the Python-product fold
 (product_fold) the reference for the numpy Kronecker half-bras of
-project_statevector.
+project_statevector, and the all-qubit scan (quadratic_greedy_cover) the
+reference for the heap-ordered greedy cover.
 """
 
 from itertools import product
@@ -212,6 +213,26 @@ def named_orders(g):
     if shape is not None:
         orders["row-major"] = lattice_row_major_order(*shape)
     return orders
+
+
+def quadratic_greedy_cover(g):
+    """The greedy vertex cover as a scan: each pick is the max over all qubits."""
+    remaining = set(g.edges)
+    degree = [0] * g.n
+    for a, b in remaining:
+        degree[a] += 1
+        degree[b] += 1
+    cover: set[int] = set()
+    while remaining:
+        # highest current degree, ties to the lowest index
+        q = max(range(g.n), key=lambda v: (degree[v], -v))
+        cover.add(q)
+        for e in [e for e in remaining if q in e]:
+            remaining.discard(e)
+            a, b = e
+            degree[a] -= 1
+            degree[b] -= 1
+    return frozenset(cover)
 
 
 def random_spec(n, seed):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latticeproj import engines
+from latticeproj import engines, oracle
 from latticeproj.cli import main
 from latticeproj.engines import (
     ENGINES,
@@ -170,7 +170,7 @@ def test_lowered_statevector_cap_splits_the_batch_into_chunks(monkeypatch):
     specs = [random_spec(g.n, 80 + t) for t in range(7)]
     whole = ENGINES["statevector"].evaluate_batch(g, specs)
     # 2^7 - 2^6 entries beside the vector, 2^3 + 2^3 per spec: 4 specs a pass
-    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "7")
+    monkeypatch.setattr(oracle, "STATEVEC_CAP", 7)
     calls = _spy(monkeypatch, "project_statevector_batch")
     assert _agree("statevector", ENGINES["statevector"].evaluate_batch(g, specs), whole)
     assert calls == [4, 3]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import latticeproj
-from latticeproj import cli, graph, mbqc
+from latticeproj import cli, graph, mbqc, oracle
 from latticeproj.cli import main
 from latticeproj.errors import TooLarge
 from latticeproj.factorize import load_angles
@@ -110,14 +110,6 @@ def test_project_refuses_angles_with_random(capsys, angles):
     assert err == "error: give either --angles or --random, not both\n"
 
 
-def test_bad_statevector_cap_setting_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "abc")
-    code, out, err = run_cli(capsys, "verify", "--builder", "line:5", "--trials", "1")
-    assert code == 2
-    assert "LATTICEPROJ_STATEVEC_CAP" in err and "engine error" not in err
-    assert out == ""
-
-
 @pytest.mark.parametrize("message", ["", "Unable to allocate 64.0 GiB"])
 def test_memory_error_exits_2_without_traceback(capsys, monkeypatch, message):
     # stands in for a statevector within the cap that the machine cannot hold
@@ -185,6 +177,13 @@ def test_builder_past_the_qubit_cap_exits_2_before_building(capsys, monkeypatch,
     code, out, err = run_cli(capsys, "project", "--builder", builder, "--random")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and f"above the cap of {GRAPH_QUBIT_CAP} qubits" in err
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_cross_chain_below_one_cross_names_the_chain(capsys, k):
+    code, out, err = run_cli(capsys, "project", "--builder", f"cross:{k}", "--random")
+    assert code == 2 and out == ""
+    assert err == f"error: bad --builder 'cross:{k}': cross chain needs k >= 1, got {k}\n"
 
 
 def test_graph_file_past_the_qubit_cap_exits_2_before_building(capsys, monkeypatch, tmp_path):
@@ -468,7 +467,7 @@ def test_compile_prints_the_circuits_wire_labels(capsys, tmp_path):
 def test_compile_past_the_semantics_cap_exits_0(capsys, tmp_path, monkeypatch):
     # a w-wire semantics matrix is as large as a 2w-qubit statevector; its
     # cap applies on the first read of the semantics, which compile never makes
-    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "6")
+    monkeypatch.setattr(oracle, "STATEVEC_CAP", 6)
     wide = tmp_path / "wide.txt"
     wide.write_text("CZ 0 1\nCZ 2 3\n")
     code, _, _ = run_cli(capsys, "compile", "--circuit", str(wide), "--out", str(tmp_path / "w"))
@@ -478,7 +477,7 @@ def test_compile_past_the_semantics_cap_exits_0(capsys, tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         # refused before the product starts
         m.setattr(mbqc, "_apply_on_wires", None)
-        with pytest.raises(TooLarge, match="4 wires.*LATTICEPROJ_STATEVEC_CAP"):
+        with pytest.raises(TooLarge, match="4 wires.*cap of 6"):
             pattern.semantics
     narrow = mbqc.compile_circuit(mbqc.parse_circuit("CZ 0 1\nRZ 2 0.5\n"))
     assert narrow.semantics.shape == (8, 8)

@@ -40,6 +40,8 @@ from latticeproj.graph import (
     save_graph,
 )
 
+from helpers import quadratic_greedy_cover
+
 
 def test_build_line():
     assert build_line(2).edges == frozenset({(0, 1)})
@@ -231,6 +233,26 @@ def test_assign_slots_greedy_cover_on_triangle():
     assert a.owners == _greedy_cover(g)
     for e, owner in a.edge_owner.items():
         assert owner in e and owner in a.owners
+
+
+@st.composite
+def odd_cycle_graphs(draw):
+    """Random edges over an odd cycle, then isolated qubits after them."""
+    n = draw(st.integers(3, 30))
+    length = draw(st.sampled_from([k for k in (3, 5, 7) if k <= n]))
+    cycle = draw(st.permutations(range(n)))[:length]
+    edges = {tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(length)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {tuple(sorted(e)) for e in draw(st.sets(pairs, max_size=2 * n)) if e[0] != e[1]}
+    return ClusterGraph(n + draw(st.integers(0, 3)), frozenset(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=odd_cycle_graphs())
+def test_greedy_cover_matches_the_all_qubit_scan(g):
+    with pytest.raises(OddCycle):
+        bipartition(g)
+    assert _greedy_cover(g) == quadratic_greedy_cover(g)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -431,3 +453,22 @@ def test_only_rewrite_opens_files_for_writing():
         if calls:
             outside[module.name] = calls
     assert outside == {}
+
+
+def test_the_package_reads_no_environment():
+    # every setting is a module constant or a flag: no os.environ, no getenv
+    package = Path(latticeproj.__file__).parent
+    reads = []
+    for module in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"environ", "getenv", "environb", "getenvb"} & set(names):
+                reads.append(f"{module.name}:{node.lineno}")
+    assert reads == []

@@ -275,10 +275,9 @@ def test_compose_semantics_matches_kron_reference(data):
     assert np.abs(semantics - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
-def test_compose_ten_wire_cz_chain_at_the_cap(monkeypatch):
-    # 2w = 20 is exactly the default cap; the I-shape CZ declares its gate
+def test_compose_ten_wire_cz_chain_at_the_cap():
+    # 2w = 20 is exactly oracle.STATEVEC_CAP; the I-shape CZ declares its gate
     # exactly, so the product is diag((-1)^(sum_i x_i x_{i+1})) to the bit
-    monkeypatch.delenv("LATTICEPROJ_STATEVEC_CAP", raising=False)
     width = 10
     pattern = compile_circuit(parse_circuit(
         "".join(f"CZ {i} {i + 1}\n" for i in range(width - 1))

@@ -37,7 +37,6 @@ from latticeproj.oracle import (
     direct_sum_batch,
     project_statevector,
     project_statevector_batch,
-    statevector_cap,
 )
 
 from helpers import (
@@ -166,11 +165,9 @@ def test_oracle_does_not_import_the_factorized_route():
 
 
 def test_statevector_cap(monkeypatch):
-    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "6")
+    monkeypatch.setattr(latticeproj.oracle, "STATEVEC_CAP", 6)
     with pytest.raises(TooLarge):
         build_statevector(build_line(8))
-    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "22")
-    assert statevector_cap() == 22
 
 
 def test_projection_bell_values():
@@ -488,7 +485,7 @@ def test_memo_array_is_read_only(builds):
 def test_memo_reads_the_cap_on_every_call(builds, monkeypatch, capsys):
     g = build_line(8)
     build_statevector(g)
-    monkeypatch.setenv("LATTICEPROJ_STATEVEC_CAP", "6")
+    monkeypatch.setattr(latticeproj.oracle, "STATEVEC_CAP", 6)
     with pytest.raises(TooLarge):
         build_statevector(g)
     code = main(
