@@ -9,6 +9,7 @@ except wall-clock columns.
 from __future__ import annotations
 
 import argparse
+import cmath
 import statistics
 import sys
 import time
@@ -209,9 +210,10 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 def run_verify(
     g: ClusterGraph, engines: Sequence[str], trials: int, seed: int
-) -> tuple[list[dict], float, int]:
-    """Per-trial amplitudes for every engine, the worst relative delta and
-    the number of trials whose every amplitude is exactly zero.
+) -> tuple[list[dict], float, int, int]:
+    """Per-trial amplitudes for every engine, the worst relative delta, the
+    number of trials whose every amplitude is exactly zero and the number of
+    trials with a NaN or infinite amplitude.
 
     Trial t draws its projection from seed + t.  Each engine is checked
     against the graph once and asked for all T amplitudes in one
@@ -221,14 +223,15 @@ def run_verify(
     amplitude reads 1.0 however small the amplitudes are.  Random angles
     give an exact zero amplitude only on a set of measure zero, so a trial
     where every engine returns 0 has underflowed the double range; it is
-    counted apart (its relative delta is 0) and fails verification.  The
+    counted apart (its relative delta is 0) and fails verification.  So is
+    a trial with a non-finite amplitude, whose deltas max() would drop.  The
     CSV's max_abs_delta stays absolute.
     """
     specs = [ProjectionSpec.random(g.n, np.random.default_rng(seed + t)) for t in range(trials)]
     batches = {e: compute_amplitudes(g, specs, e) for e in engines}
     rows = []
     worst = 0.0
-    zeros = 0
+    zeros = nonfinite = 0
     for trial in range(trials):
         amps = {e: batches[e][trial] for e in engines}
         values = list(amps.values())
@@ -237,7 +240,9 @@ def run_verify(
             default=0.0,
         )
         scale = max((abs(a) for a in values), default=0.0)
-        if scale:
+        if not all(map(cmath.isfinite, values)):
+            nonfinite += 1
+        elif scale:
             worst = max(worst, delta / scale)
         else:
             zeros += 1
@@ -248,7 +253,7 @@ def run_verify(
             row[f"{key}_im"] = repr(amps[e].imag)
         row["max_abs_delta"] = repr(delta)
         rows.append(row)
-    return rows, worst, zeros
+    return rows, worst, zeros, nonfinite
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -270,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("verification needs at least two engines")
 
     with _output(args.output) as out:
-        rows, worst, zeros = run_verify(g, engines, args.trials, args.seed)
+        rows, worst, zeros, nonfinite = run_verify(g, engines, args.trials, args.seed)
         _write_csv(out, rows)
     failures = []
     if worst > args.tolerance:
@@ -281,6 +286,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failures.append(
             f"every engine returned exactly 0 on {zeros} of {len(rows)} trials: "
             "the amplitude is below the double range"
+        )
+    if nonfinite:
+        failures.append(
+            f"an engine returned a NaN or infinite amplitude on {nonfinite} of {len(rows)} trials"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -3,14 +3,14 @@
 ``ENGINES`` maps every engine name the CLI takes to an ``Engine`` row.
 ``misfit(g)`` is None when the engine fits the graph within its cap, else
 the LatticeProjError that says why not; ``evaluate(g, spec)`` is the
-engine's EvalReport; ``evaluate_batch(g, specs)`` is the list of the specs'
-amplitudes, and a row built without one loops over its ``evaluate``.  The
-statevector, direct-sum, sweep and column rows batch: one pass runs their
-core with a trial axis, in chunks of at most the row's cap in frontier
-entries (the statevector's 2^cap less the vector itself, 2^24 direct-sum
-terms or sweep entries, a 2^16 column boundary); the sweep's step values go
-uncounted, so a chunk can outgrow one evaluation at the cap.  A lone spec
-takes ``evaluate``; the two recursions loop.
+engine's EvalReport.  ``Engine.evaluate_batch(g, specs)`` decides the path:
+a lone spec, or every spec of a row without ``batch`` (the two recursions),
+takes ``evaluate``, so a one-trial verify runs and is traced as ``project``
+is; two or more specs take one ``batch(g, specs)`` call.  The statevector,
+direct-sum, sweep and column rows batch: a pass runs their core with a
+trial axis, in chunks of at most the row's cap in entries (the
+statevector's 2^cap less the vector itself, 2^24 direct-sum terms or sweep
+frontier entries and step values, a 2^16 column boundary).
 ``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude``,
 ``compute_amplitudes`` and the CLI all read this table.  Direct-sum and the
 family rows read ``graph.graph_family``, detected once per distinct graph
@@ -111,23 +111,13 @@ def _chunk_length(per_spec: int, budget: int) -> int:
 
 
 def _in_chunks(
-    g: ClusterGraph,
     specs: Sequence[ProjectionSpec],
-    evaluate: Callable[[ClusterGraph, ProjectionSpec], EvalReport],
     run: Callable[[Sequence[ProjectionSpec]], np.ndarray],
-    per_spec: int,
-    budget: int,
+    per_spec: int, budget: int,
 ) -> list[complex]:
-    """A batching row's amplitudes: ``run`` over consecutive chunks of the specs.
-
-    Each chunk holds at most ``budget`` frontier entries, ``per_spec`` per
-    spec, beside what the graph alone needs; the sweep's step values go
-    uncounted, so a chunk can outgrow one evaluation at the row's cap.  A
-    lone spec takes the row's own ``evaluate``, the same core with no trial
-    axis, so a one-trial verify runs (and is traced) as ``project`` is.
-    """
-    if len(specs) == 1:
-        return [evaluate(g, specs[0]).amplitude]
+    """``run``'s amplitudes over consecutive chunks of the specs, each of at most
+    ``budget`` entries, ``per_spec`` per spec, beside what the graph alone needs
+    (numpy's own temporaries go uncounted)."""
     step = _chunk_length(per_spec, budget)
     return [amp for i in range(0, len(specs), step) for amp in run(specs[i : i + step]).tolist()]
 
@@ -143,7 +133,7 @@ def _statevector_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list
     h = g.n // 2
     # beside the 2^n vector, each spec holds its two half-bras
     return _in_chunks(
-        g, specs, _statevector, lambda chunk: project_statevector_batch(build_statevector(g), chunk),
+        specs, lambda chunk: project_statevector_batch(build_statevector(g), chunk),
         (1 << (g.n - h)) + (1 << h), (1 << oracle.STATEVEC_CAP) - (1 << g.n),
     )
 
@@ -166,7 +156,7 @@ def _direct_sum(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
 def _direct_sum_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
     b = graph_family(g).bipartition
     return _in_chunks(
-        g, specs, _direct_sum, lambda chunk: direct_sum_batch(g, b, chunk),
+        specs, lambda chunk: direct_sum_batch(g, b, chunk),
         1 << len(b.controls), 1 << DIRECT_SUM_CONTROL_CAP,
     )
 
@@ -177,9 +167,11 @@ def _sweep(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
 
 def _sweep_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
     poly = _sweep_structure(g)
+    plan = frontier_plan(poly)
+    # each spec holds its frontier and its step values, both complex
     return _in_chunks(
-        g, specs, _sweep, lambda chunk: sweep_batch(poly, chunk),
-        1 << frontier_plan(poly).width, 1 << SWEEP_WIDTH_CAP,
+        specs, lambda chunk: sweep_batch(poly, chunk),
+        (1 << plan.width) + len(plan.c_diag), 1 << SWEEP_WIDTH_CAP,
     )
 
 
@@ -193,29 +185,25 @@ def _column_misfit(g: ClusterGraph) -> Optional[LatticeProjError]:
 
 def _column_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
     return _in_chunks(
-        g, specs, column_evaluate, lambda chunk: column_batch(g, chunk),
+        specs, lambda chunk: column_batch(g, chunk),
         1 << graph_family(g).lattice[0], 1 << COLUMN_ROW_CAP,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class Engine:
-    """One engine: what it fits, one amplitude, and T amplitudes at once.
-
-    ``evaluate_batch(g, specs)`` returns the specs' amplitudes in order.  A
-    row built without one loops over its own ``evaluate``.
-    """
+    """One engine: what it fits, one amplitude, and the pass for T > 1 specs."""
 
     misfit: Callable[[ClusterGraph], Optional[LatticeProjError]]
     evaluate: Callable[[ClusterGraph, ProjectionSpec], EvalReport]
-    evaluate_batch: Optional[Callable[[ClusterGraph, Sequence[ProjectionSpec]], list[complex]]] = None
+    batch: Optional[Callable[[ClusterGraph, Sequence[ProjectionSpec]], list[complex]]] = None
 
-    def __post_init__(self) -> None:
-        if self.evaluate_batch is None:
-            object.__setattr__(self, "evaluate_batch", self._each)
-
-    def _each(self, g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
-        return [self.evaluate(g, spec).amplitude for spec in specs]
+    def evaluate_batch(self, g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
+        """The specs' amplitudes in order: ``evaluate`` on each for a lone spec or a
+        row without ``batch``, else one ``batch`` call."""
+        if self.batch is None or len(specs) < 2:
+            return [self.evaluate(g, spec).amplitude for spec in specs]
+        return self.batch(g, specs)
 
 
 ENGINES: dict[str, Engine] = {
@@ -236,7 +224,7 @@ ENGINES: dict[str, Engine] = {
         else LatticeProjError("cross-recursion needs a canonical cross chain, a k x 1 lattice"),
         lambda g, spec: cross_chain_recursion(spec),
     ),
-    # column_evaluate is looked up per call, as _column_batch looks it up
+    # column_evaluate is looked up per call, so a patch of it by name (a tracer's) is seen
     "column": Engine(_column_misfit, lambda g, spec: column_evaluate(g, spec), _column_batch),
 }
 

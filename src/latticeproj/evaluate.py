@@ -462,6 +462,15 @@ def _column_layout(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return corners, centers, gray, tuple(blocks)
 
 
+def _kron_rows(rows: np.ndarray) -> np.ndarray:
+    """The Kronecker chain of the pairs rows[..., i, :], row 0 least significant."""
+    chain = rows[..., 0, :]
+    for i in range(1, rows.shape[-2]):
+        chain = rows[..., i, :, None] * chain[..., None, :]
+        chain = chain.reshape(chain.shape[:-2] + (2 << i,))
+    return chain
+
+
 def _corner_diagonals(block: np.ndarray, gray: np.ndarray) -> np.ndarray:
     """The diagonals over the words of B corner columns, lead + (B, d).
 
@@ -469,10 +478,7 @@ def _corner_diagonals(block: np.ndarray, gray: np.ndarray) -> np.ndarray:
     X of all m+1 corners, corner 0 least significant, holds C_m W[y] at y
     and S_m W[2^m-1-y] at 2^(m+1)-1-y, so D = X[y] + X[2^(m+1)-1-y].
     """
-    chain = block[..., 0, :]
-    for r in range(1, block.shape[-2]):
-        chain = block[..., r, :, None] * chain[..., None, :]
-        chain = chain.reshape(chain.shape[:-2] + (2 << r,))
+    chain = _kron_rows(block)
     d = len(gray)
     sums = chain[..., :d] + chain[..., : d - 1 : -1]
     del chain  # before the gather, which allocates as much again
@@ -491,11 +497,8 @@ def _center_maps(signs: np.ndarray, lo: int, xor: np.ndarray) -> np.ndarray:
     is therefore M[a, b] = K[a ^ b], K the Kronecker chain of their pairs,
     center lo least significant; M is symmetric.
     """
-    chain = signs[..., lo, :]
-    for i in range(lo + 1, lo + len(xor).bit_length() - 1):
-        chain = signs[..., i, :, None] * chain[..., None, :]
-        chain = chain.reshape(chain.shape[:-2] + (2 << (i - lo),))
-    return chain.take(xor, axis=-1)
+    k = len(xor).bit_length() - 1
+    return _kron_rows(signs[..., lo : lo + k, :]).take(xor, axis=-1)
 
 
 # Most center slots per column that column_evaluate takes (2^cap boundary).

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,9 +153,11 @@ def test_lowered_cap_splits_the_batch_into_chunks(monkeypatch, engine):
     g = build_lattice(2, 3)
     specs = [random_spec(g.n, 70 + t) for t in range(7)]
     whole = ENGINES[engine].evaluate_batch(g, specs)
+    plan = engines.frontier_plan(engines._sweep_structure(g))
     need = {
         "direct-sum": len(engines.graph_family(g).bipartition.controls),
-        "sweep": engines.frontier_plan(engines._sweep_structure(g)).width,
+        # the sweep counts its step values beside the frontier: 240 entries here
+        "sweep": ((1 << plan.width) + len(plan.c_diag) - 1).bit_length(),
         "column": 2,
     }[engine]
     cap, kernel = CAPS[engine]
@@ -163,6 +166,22 @@ def test_lowered_cap_splits_the_batch_into_chunks(monkeypatch, engine):
     assert ENGINES[engine].evaluate_batch(g, specs) == whole
     # 2 + 2 + 2 + 1: the last, partial chunk is run too
     assert calls == [2, 2, 2, 1]
+
+
+def test_sweep_chunk_counts_its_step_values(monkeypatch):
+    # line:1000 has a 2-axis frontier but 3996 step values a spec: sized by
+    # its frontier alone, a 2^16 budget would take all 1000 specs in one pass
+    g = build_line(1000)
+    specs = [random_spec(g.n, t) for t in range(1000)]
+    monkeypatch.setattr(engines, "SWEEP_WIDTH_CAP", 16)
+    ENGINES["sweep"].evaluate_batch(g, specs[:2])  # builds the cached structure untraced
+    tracemalloc.start()
+    try:
+        ENGINES["sweep"].evaluate_batch(g, specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_lowered_statevector_cap_splits_the_batch_into_chunks(monkeypatch):

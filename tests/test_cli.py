@@ -370,6 +370,27 @@ def test_verify_fails_an_engine_that_returns_zero_on_tiny_amplitudes(capsys, mon
     assert all(float(r["max_abs_delta"]) < 1e-9 for r in rows)
 
 
+@pytest.mark.parametrize("engine", ["statevector", "sweep"])
+@pytest.mark.parametrize("value", [complex("nan+nanj"), complex("inf"), complex(0, -float("inf"))])
+def test_verify_fails_an_engine_that_returns_a_non_finite_amplitude(
+    capsys, monkeypatch, engine, value
+):
+    from latticeproj import engines
+    from latticeproj.evaluate import EvalReport
+
+    # the first column too: max() drops a NaN that does not come first
+    monkeypatch.setitem(
+        engines.ENGINES, engine,
+        engines.Engine(engines.ENGINES[engine].misfit, lambda g, spec: EvalReport(value, 1, 0, 0)),
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--builder", "line:6", "--trials", "5", "--tolerance", "inf",
+    )
+    assert code == 1
+    assert "NaN or infinite amplitude on 5 of 5 trials" in err
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 5
+
+
 @pytest.mark.parametrize("command", [
     ("project", "--builder", "line:3", "--angles", "all:0,0"),
     ("verify", "--builder", "line:3", "--trials", "1"),
@@ -672,7 +693,7 @@ def test_verify_csv_equals_the_csv_modules_rendering(capsys):
     )
     assert code == 0
     g = graph.build_lattice(3, 10)
-    rows, _, _ = cli.run_verify(g, latticeproj.applicable_engines(g), 31, 0)
+    rows, *_ = cli.run_verify(g, latticeproj.applicable_engines(g), 31, 0)
     assert out == _dictwriter_csv(rows)
 
 

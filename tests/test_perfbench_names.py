@@ -110,4 +110,8 @@ def test_traced_verify_times_every_engine_layer(capsys):
     lattice, fivecross = tracer.per_op_self_s([1.0, 1.0])
     for metric in ("evaluate.column_ms", "evaluate.sweep_ms", "graph.build_ms"):
         assert lattice[metric] > 0, metric
-    assert fivecross["oracle.project_ms"] > 0
+    # the lone spec reaches every batching row's own evaluate
+    for metric in (
+        "oracle.project_ms", "oracle.statevector_ms", "oracle.direct_sum_ms", "evaluate.sweep_ms"
+    ):
+        assert fivecross[metric] > 0, metric
