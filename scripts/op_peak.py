@@ -1,13 +1,17 @@
-"""The allocation peak of one warm CLI command, in KiB.
+"""The allocation peak of one warm CLI command or MBQC action, in KiB.
 
     python3 scripts/op_peak.py verify --builder lattice:3x10 --trials 1
     python3 scripts/op_peak.py verify --graph fivecross_17.graph --seed 0
+    python3 scripts/op_peak.py action CIRCUIT_FILE
 
 Runs ``latticeproj.cli.main(ARGV)`` twice with stdout discarded, so that
 imports, caches and plans are warm, then a full collection, then a third
-run under ``tracemalloc``, and prints that run's peak.  The peak counts
-Python objects and numpy buffers, as the benchmark's ``peak_alloc_mb`` does;
-it does not depend on how the allocator lays out or returns memory.
+run under ``tracemalloc``, and prints that run's peak.  ``action
+CIRCUIT_FILE`` measures ``pattern_action_matrix(compile_circuit(
+parse_circuit(text)))`` on the file's text the same way: the MBQC action,
+which no CLI command runs apart.  The peak counts Python objects
+and numpy buffers, as the benchmark's ``peak_alloc_mb`` does; it does not
+depend on how the allocator lays out or returns memory.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ import io
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 if __name__ == "__main__":
     # this checkout's package, ahead of an installed copy or PYTHONPATH
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from latticeproj import cli  # noqa: E402
+from latticeproj import cli, compile_circuit, parse_circuit, pattern_action_matrix  # noqa: E402
 
 
 def _run(argv: list[str]) -> None:
@@ -33,17 +38,29 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"error: {' '.join(argv)} exited {code}")
 
 
-def op_peak_kib(argv: list[str]) -> float:
-    """tracemalloc's peak over the third of three runs of ``cli.main(argv)``."""
-    _run(argv)
-    _run(argv)
+def peak_kib(run: Callable[[], object]) -> float:
+    """tracemalloc's peak over the third of three calls of ``run``."""
+    run()
+    run()
     gc.collect()
     tracemalloc.start()
     try:
-        _run(argv)
+        run()
         return tracemalloc.get_traced_memory()[1] / 1024.0
     finally:
         tracemalloc.stop()
+
+
+def op_peak_kib(argv: list[str]) -> float:
+    """tracemalloc's peak over the third of three runs of ``cli.main(argv)``."""
+    return peak_kib(lambda: _run(argv))
+
+
+def action_peak_kib(circuit_file: str) -> float:
+    """tracemalloc's peak over the third of three compilations of the
+    circuit file's text and ``pattern_action_matrix`` of the pattern."""
+    text = Path(circuit_file).read_text()
+    return peak_kib(lambda: pattern_action_matrix(compile_circuit(parse_circuit(text))))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,7 +68,14 @@ def main(argv: list[str] | None = None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__.strip())
         return 0 if argv else 2
-    print(f"{op_peak_kib(argv):.1f} KiB")
+    if argv[0] == "action":
+        if len(argv) != 2:
+            print("usage: op_peak.py action CIRCUIT_FILE", file=sys.stderr)
+            return 2
+        kib = action_peak_kib(argv[1])
+    else:
+        kib = op_peak_kib(argv)
+    print(f"{kib:.1f} KiB")
     return 0
 
 

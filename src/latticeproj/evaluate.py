@@ -40,7 +40,8 @@ tests/helpers.py::word_sweep.
 Every route is pure apart from the sweep storing its plan on the polynomial
 on first use and the column evaluator caching its per-shape index layout
 (each the same whichever call builds it); distinct evaluations can run in
-parallel freely.
+parallel freely: _contract's bound on numpy's ufunc buffers (UFUNC_BUFFER)
+sits in an np.errstate, per thread and task, restored on exit or raise.
 """
 
 from __future__ import annotations
@@ -306,6 +307,11 @@ def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
     return poly.plan
 
 
+# Entries per operand of numpy's ufunc buffers while _contract runs; at the
+# default 8192 a broadcast multiply allocates two of up to 128 KiB each.
+UFUNC_BUFFER = 256
+
+
 def _scaled_take(x: np.ndarray, qubit: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """x[..., qubit] * diag, in place in take's copy (a call of its own, so that
     _contract's c share is freed as soon as it is added in)."""
@@ -323,17 +329,20 @@ def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     frontiers then share a leading axis, which every factor and retirement
     passes over, as their axes count from the end; one projection runs with
     no leading axis.  The entries' values are built in one complex buffer:
-    s's share, with c's added into it in place.
+    s's share, with c's added into it in place.  numpy's ufunc buffers hold
+    UFUNC_BUFFER entries per operand, set in an errstate scoped to the call.
     """
-    values = _scaled_take(s, plan.qubit, plan.s_diag)
-    values += _scaled_take(c, plan.qubit, plan.c_diag)
-    values = np.multiply.reduceat(values, plan.starts, axis=-1)
-    lead = c.shape[:-1]
-    frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
-    for index, shape, retire in plan.steps:
-        frontier = frontier * values[index].reshape(lead + shape)
-        if retire:
-            frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
+    with np.errstate():
+        np.setbufsize(UFUNC_BUFFER)
+        values = _scaled_take(s, plan.qubit, plan.s_diag)
+        values += _scaled_take(c, plan.qubit, plan.c_diag)
+        values = np.multiply.reduceat(values, plan.starts, axis=-1)
+        lead = c.shape[:-1]
+        frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
+        for index, shape, retire in plan.steps:
+            frontier = frontier * values[index].reshape(lead + shape)
+            if retire:
+                frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
     return frontier
 
 

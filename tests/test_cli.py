@@ -715,3 +715,10 @@ def _op_peak_script():
 def test_verify_op_allocation_peak(argv, cap_kib):
     # as perfbench's peak_alloc_mb takes it: warm, after a full collection
     assert _op_peak_script().op_peak_kib(list(argv)) < cap_kib
+
+
+def test_action_allocation_peak(tmp_path):
+    # mbqc-verify's five-wire CPhase chain: compile and action, bounded buffers
+    circuit = tmp_path / "chain.txt"
+    circuit.write_text("".join(f"CPHASE {w} {w + 1} {0.5 + w}\n" for w in range(4)))
+    assert _op_peak_script().action_peak_kib(str(circuit)) < 80

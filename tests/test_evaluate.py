@@ -1,5 +1,6 @@
 """The four evaluation routes against closed forms and the dense oracle."""
 
+import gc
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -7,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latticeproj import graph
+from latticeproj import evaluate, graph
 from latticeproj.engines import (
     ENGINE_NAMES,
+    ENGINES,
     SWEEP_WIDTH_CAP,
     applicable_engines,
     compute_amplitude,
@@ -249,6 +251,35 @@ def test_open_slots_sum_to_the_sweep(g):
         assert frontier.size == 2 ** len(open_slots)
         amp = 2.0 ** (-g.n / 2.0) * frontier.sum()
         assert abs(amp - ref) <= 1e-12 * abs(ref), open_slots
+
+
+def _sweep_amplitude_bytes(g):
+    """The sweep's amplitude at T = 1 and its 31 batched amplitudes, as bytes."""
+    poly = sweep_polynomial(g, random_spec(g.n, 72))
+    specs = [random_spec(g.n, 73 + t) for t in range(31)]
+    one = np.complex128(sweep_evaluate(poly).amplitude)
+    return one.tobytes(), sweep_batch(poly, specs).tobytes()
+
+
+@pytest.mark.parametrize("g", [g for _, g in FRONTIER_GRAPHS],
+                         ids=[name for name, _ in FRONTIER_GRAPHS])
+def test_ufunc_buffer_bound_changes_no_bits(g, monkeypatch):
+    bounded = _sweep_amplitude_bytes(g)
+    monkeypatch.setattr(evaluate, "UFUNC_BUFFER", 8192)  # numpy's default
+    assert _sweep_amplitude_bytes(g) == bounded
+
+
+def test_contract_restores_the_callers_ufunc_buffer():
+    g = build_lattice(3, 3)
+    spec = random_spec(g.n, 74)
+    plan = frontier_plan(sweep_polynomial(g, spec))
+    with np.errstate():
+        np.setbufsize(4096)
+        _contract(plan, spec.c, spec.s)
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError):
+            _contract(plan, np.stack([spec.c] * 2), np.stack([spec.s] * 3))
+        assert np.getbufsize() == 4096
 
 
 # Each plan of scripts/plan_digest.py's small corpus, as that script prints it.
@@ -541,6 +572,23 @@ def test_column_peak_memory_on_a_tall_lattice():
     finally:
         tracemalloc.stop()
     assert peak <= 0.42 * 2**20
+
+
+def test_sweep_peak_memory_at_width():
+    # lattice:10x10 runs at width 12: a 64 KiB frontier, the old one and the
+    # step values; numpy's default ufunc buffers add ~120 KiB more (249 KiB)
+    g = build_lattice(10, 10)
+    spec = random_spec(g.n, 0)
+    ENGINES["sweep"].evaluate(g, spec)  # warm the structure, plan and numpy's
+    ENGINES["sweep"].evaluate(g, spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ENGINES["sweep"].evaluate(g, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 180 * 2**10
 
 
 def test_column_errors():

@@ -1,5 +1,7 @@
 """Compiled measurement patterns against their declared gate matrices."""
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ from latticeproj.errors import (
     ZeroBranch,
 )
 from latticeproj.graph import build_from_edges
-from latticeproj import mbqc
+from latticeproj import evaluate, mbqc
 from latticeproj.engines import compute_amplitude, compute_amplitudes
 from latticeproj.mbqc import (
     _pattern_plan,
@@ -519,6 +521,29 @@ def test_cphase_chain_peak_frontier(wires, width):
     pattern = _cphase_chain(wires, seed=8)
     opened = pattern.inputs + tuple(q for q in pattern.outputs if q not in pattern.inputs)
     assert _pattern_plan(pattern.graph, opened).width == width
+
+
+def test_cphase_chain_action_peak_memory():
+    # the width-11 step holds the old 16 KiB frontier, the new 32 KiB one and
+    # ~6 KiB of values; numpy's default ufunc buffers add ~64 KiB (118 KiB)
+    pattern = _cphase_chain(5, seed=8)
+    pattern_action_matrix(pattern)  # warm the plan and numpy's
+    pattern_action_matrix(pattern)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pattern_action_matrix(pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**10
+
+
+def test_ufunc_buffer_bound_leaves_the_action_matrix_bitwise(monkeypatch):
+    pattern = _cphase_chain(5, seed=8)
+    bounded = pattern_action_matrix(pattern)
+    monkeypatch.setattr(evaluate, "UFUNC_BUFFER", 8192)  # numpy's default
+    assert pattern_action_matrix(pattern).tobytes() == bounded.tobytes()
 
 
 def test_eight_wire_cphase_chain_beyond_the_dense_limit():
