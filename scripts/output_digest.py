@@ -10,11 +10,14 @@ commands and in their stdout and stderr.  Run it in two checkouts and diff
 the outputs to see whether a change left every amplitude, CSV and compiled
 pattern byte for byte the same.
 
-The corpus: ``verify`` on the lattice, fixture, cross-chain and line shapes
-and on a 16-qubit graph with odd cycles (so the statevector checks the
-sweep over its greedy-cover owners), the ``lattice-width`` bench (the one
-suite without wall-clock columns), ``project`` on the line, cross and
-column engines and the sweep, and ``compile`` of a five-wire CPhase chain.
+The corpus: ``verify`` of 31 trials on the lattice, fixture, cross-chain
+and line shapes and on a 16-qubit graph with odd cycles (so the statevector
+checks the sweep over its greedy-cover owners); ``verify`` of one trial on
+``lattice:3x10`` and ``fivecross_17`` (a lone spec, which every engine
+evaluates alone) and of two on ``lattice:2x2`` (the smallest batch); the
+``lattice-width`` bench (the one suite without wall-clock columns);
+``project`` on the line, cross and column engines and the sweep; and
+``compile`` of a five-wire CPhase chain.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ CORPUS: tuple[tuple[str, ...], ...] = (
     ("verify", "--builder", "cross:8", *VERIFY),
     ("verify", "--builder", "line:200", *VERIFY),
     ("verify", "--graph", "{tmp}/odd16.graph", *VERIFY),
+    ("verify", "--builder", "lattice:3x10", "--trials", "1", "--seed", "0"),
+    ("verify", "--graph", "fivecross_17.graph", "--trials", "1", "--seed", "0"),
+    ("verify", "--builder", "lattice:2x2", "--trials", "2", "--seed", "0"),
     ("bench", "--suite", "lattice-width"),
     ("project", "--builder", "line:4096", *PROJECT, "--engine", "line-recursion"),
     ("project", "--builder", "line:4096", *PROJECT, "--engine", "sweep"),

@@ -29,12 +29,10 @@ from .engines import (
 )
 from .evaluate import (
     EvalReport,
-    column_batch,
     column_evaluate,
     cross_chain_recursion,
     lattice_width_profile,
     line_recursion,
-    sweep_batch,
     sweep_evaluate,
 )
 from .factorize import (
@@ -85,9 +83,7 @@ from .oracle import (
     StateVector,
     build_statevector,
     direct_sum,
-    direct_sum_batch,
     project_statevector,
-    project_statevector_batch,
 )
 
 __version__ = "0.1.0"

@@ -3,12 +3,11 @@
 ``ENGINES`` maps every engine name the CLI takes to an ``Engine`` row.
 ``misfit(g)`` is None when the engine fits the graph within its cap, else
 the LatticeProjError that says why not; ``evaluate(g, spec)`` is the
-engine's EvalReport.  ``Engine.evaluate_batch(g, specs)`` decides the path:
-a lone spec, or every spec of a row without ``batch`` (the two recursions),
-takes ``evaluate``, so a one-trial verify runs and is traced as ``project``
-is; two or more specs take one ``batch(g, specs)`` call.  The statevector,
-direct-sum, sweep and column rows batch: a pass runs their core with a
-trial axis, in chunks of at most the row's cap in entries (the
+engine's EvalReport.  ``Engine.evaluate_batch(g, specs)`` is the one batch
+pass: a lone spec, or every spec of a row without ``batch`` (the two
+recursions), takes ``evaluate``, so a one-trial verify runs and is traced
+as ``project`` is; two or more run the row's array core (see ``Pass``) on
+chunks of the stacked specs within the row's budget in entries (the
 statevector's 2^cap less the vector itself, 2^24 direct-sum terms or sweep
 frontier entries and step values, a 2^16 column boundary).
 ``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude``,
@@ -41,28 +40,28 @@ from .errors import (
     TooLarge,
     TooManyControls,
 )
+from . import evaluate, oracle
 from .evaluate import (
     COLUMN_ROW_CAP,
     EvalReport,
     _column_shape,
-    column_batch,
+    _column_sum,
+    _contract,
     column_evaluate,
     cross_chain_recursion,
     frontier_plan,
     line_recursion,
-    sweep_batch,
     sweep_evaluate,
 )
-from .factorize import ProjectionSpec, build_polynomial, order_factors
+from .factorize import ProjectionSpec, build_polynomial, order_factors, stack_specs
 from .graph import ClusterGraph, graph_family
-from . import oracle
 from .oracle import (
     DIRECT_SUM_CONTROL_CAP,
+    _direct_sum,
+    _fold,
     build_statevector,
     direct_sum,
-    direct_sum_batch,
     project_statevector,
-    project_statevector_batch,
 )
 
 # Most frontier axes the sweep allocates: 2^24 complex entries, 256 MiB.
@@ -110,16 +109,10 @@ def _chunk_length(per_spec: int, budget: int) -> int:
     return max(1, budget // per_spec)
 
 
-def _in_chunks(
-    specs: Sequence[ProjectionSpec],
-    run: Callable[[Sequence[ProjectionSpec]], np.ndarray],
-    per_spec: int, budget: int,
-) -> list[complex]:
-    """``run``'s amplitudes over consecutive chunks of the specs, each of at most
-    ``budget`` entries, ``per_spec`` per spec, beside what the graph alone needs
-    (numpy's own temporaries go uncounted)."""
-    step = _chunk_length(per_spec, budget)
-    return [amp for i in range(0, len(specs), step) for amp in run(specs[i : i + step]).tolist()]
+# A batching row's pass: the entries a spec holds beside the graph's own
+# (numpy's temporaries uncounted), the row's budget in entries, and its core
+# from stacked (T, n) C/S arrays to T amplitudes.
+Pass = tuple[int, int, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 def _statevector(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
@@ -129,12 +122,13 @@ def _statevector(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     return EvalReport(amplitude, dim, dim - 1, 2 * (dim - 1))
 
 
-def _statevector_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
+def _statevector_pass(g: ClusterGraph) -> Pass:
+    amps = build_statevector(g).amplitudes
     h = g.n // 2
     # beside the 2^n vector, each spec holds its two half-bras
-    return _in_chunks(
-        specs, lambda chunk: project_statevector_batch(build_statevector(g), chunk),
+    return (
         (1 << (g.n - h)) + (1 << h), (1 << oracle.STATEVEC_CAP) - (1 << g.n),
+        lambda c, s: _fold(amps, c, s),
     )
 
 
@@ -145,7 +139,7 @@ def _direct_sum_misfit(g: ClusterGraph) -> Optional[LatticeProjError]:
     return _over_cap(len(b.controls), DIRECT_SUM_CONTROL_CAP, "control qubits", TooManyControls)
 
 
-def _direct_sum(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
+def _direct_sum_report(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     b = graph_family(g).bipartition
     amplitude = direct_sum(g, b, spec)
     k = len(b.controls)
@@ -153,25 +147,22 @@ def _direct_sum(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     return EvalReport(amplitude, terms, terms - 1, terms * (k + len(b.targets) + 1))
 
 
-def _direct_sum_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
+def _direct_sum_pass(g: ClusterGraph) -> Pass:
     b = graph_family(g).bipartition
-    return _in_chunks(
-        specs, lambda chunk: direct_sum_batch(g, b, chunk),
-        1 << len(b.controls), 1 << DIRECT_SUM_CONTROL_CAP,
-    )
+    return 1 << len(b.controls), 1 << DIRECT_SUM_CONTROL_CAP, lambda c, s: _direct_sum(g, b, c, s)
 
 
 def _sweep(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
     return sweep_evaluate(sweep_polynomial(g, spec))
 
 
-def _sweep_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
-    poly = _sweep_structure(g)
-    plan = frontier_plan(poly)
+def _sweep_pass(g: ClusterGraph) -> Pass:
+    plan = frontier_plan(_sweep_structure(g))
+    scale = 2.0 ** (-g.n / 2.0)
     # each spec holds its frontier and its step values, both complex
-    return _in_chunks(
-        specs, lambda chunk: sweep_batch(poly, chunk),
+    return (
         (1 << plan.width) + len(plan.c_diag), 1 << SWEEP_WIDTH_CAP,
+        lambda c, s: scale * _contract(plan, c, s).reshape(len(c)),
     )
 
 
@@ -183,11 +174,10 @@ def _column_misfit(g: ClusterGraph) -> Optional[LatticeProjError]:
     return None
 
 
-def _column_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
-    return _in_chunks(
-        specs, lambda chunk: column_batch(g, chunk),
-        1 << graph_family(g).lattice[0], 1 << COLUMN_ROW_CAP,
-    )
+def _column_pass(g: ClusterGraph) -> Pass:
+    m, n = _column_shape(g)
+    scale = 2.0 ** (-g.n / 2.0)
+    return 1 << m, 1 << COLUMN_ROW_CAP, lambda c, s: scale * _column_sum(m, n, c, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,24 +186,32 @@ class Engine:
 
     misfit: Callable[[ClusterGraph], Optional[LatticeProjError]]
     evaluate: Callable[[ClusterGraph, ProjectionSpec], EvalReport]
-    batch: Optional[Callable[[ClusterGraph, Sequence[ProjectionSpec]], list[complex]]] = None
+    batch: Optional[Callable[[ClusterGraph], Pass]] = None
 
     def evaluate_batch(self, g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> list[complex]:
         """The specs' amplitudes in order: ``evaluate`` on each for a lone spec or a
-        row without ``batch``, else one ``batch`` call."""
+        row without ``batch``, else its core on chunks of the specs within its
+        budget, under numpy ufunc buffers of ``evaluate.UFUNC_BUFFER`` entries."""
         if self.batch is None or len(specs) < 2:
             return [self.evaluate(g, spec).amplitude for spec in specs]
-        return self.batch(g, specs)
+        per_spec, budget, core = self.batch(g)
+        step = _chunk_length(per_spec, budget)
+        amplitudes: list[complex] = []
+        with np.errstate():
+            np.setbufsize(evaluate.UFUNC_BUFFER)
+            for i in range(0, len(specs), step):
+                amplitudes += core(*stack_specs(specs[i : i + step], g.n)).tolist()
+        return amplitudes
 
 
 ENGINES: dict[str, Engine] = {
     "statevector": Engine(
         lambda g: _over_cap(g.n, oracle.STATEVEC_CAP, "qubits", TooLarge),
         _statevector,
-        _statevector_batch,
+        _statevector_pass,
     ),
-    "direct-sum": Engine(_direct_sum_misfit, _direct_sum, _direct_sum_batch),
-    "sweep": Engine(_too_wide, _sweep, _sweep_batch),
+    "direct-sum": Engine(_direct_sum_misfit, _direct_sum_report, _direct_sum_pass),
+    "sweep": Engine(_too_wide, _sweep, _sweep_pass),
     "line-recursion": Engine(
         lambda g: None if graph_family(g).line
         else LatticeProjError("line-recursion needs a canonical line graph"),
@@ -225,7 +223,7 @@ ENGINES: dict[str, Engine] = {
         lambda g, spec: cross_chain_recursion(spec),
     ),
     # column_evaluate is looked up per call, so a patch of it by name (a tracer's) is seen
-    "column": Engine(_column_misfit, lambda g, spec: column_evaluate(g, spec), _column_batch),
+    "column": Engine(_column_misfit, lambda g, spec: column_evaluate(g, spec), _column_pass),
 }
 
 ENGINE_NAMES = tuple(ENGINES)

@@ -28,10 +28,10 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
 
 The frontier loop, _contract, is the one contraction core: mbqc.py runs
 patterns through it with every qubit owning its slot, bras as C/S weights
-and the input and output slots left open (never retired).  sweep_batch and
-column_batch run T projections in one pass of the same loops, the trial
-axis leading the frontier and the column boundary; each trial's amplitude
-is bitwise the one-projection result.
+and the input and output slots left open (never retired).  _contract and
+_column_sum also take T projections' (T, n) C/S arrays, as the engines'
+batch pass stacks them: the trial axis leads the frontier and the column
+boundary, and each trial's amplitude is bitwise the one-projection result.
 
 The paper's literal word-dict contraction (a map from tensor word to
 coefficient, multiplied term by term) is kept as the test suite's reference,
@@ -40,8 +40,9 @@ tests/helpers.py::word_sweep.
 Every route is pure apart from the sweep storing its plan on the polynomial
 on first use and the column evaluator caching its per-shape index layout
 (each the same whichever call builds it); distinct evaluations can run in
-parallel freely: _contract's bound on numpy's ufunc buffers (UFUNC_BUFFER)
-sits in an np.errstate, per thread and task, restored on exit or raise.
+parallel freely: the bound on numpy's ufunc buffers (UFUNC_BUFFER) that
+_contract and the engines' batch pass set sits in an np.errstate, per
+thread and task, restored on exit or raise.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .factorize import (
     build_polynomial,
     max_active_slots,
     order_factors,
-    stack_specs,
 )
 from .graph import (
     ClusterGraph,
@@ -307,8 +307,8 @@ def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
     return poly.plan
 
 
-# Entries per operand of numpy's ufunc buffers while _contract runs; at the
-# default 8192 a broadcast multiply allocates two of up to 128 KiB each.
+# Entries per operand of numpy's ufunc buffers in _contract and an engine's
+# batch pass; at the default 8192 a multiply allocates two of up to 128 KiB.
 UFUNC_BUFFER = 256
 
 
@@ -364,17 +364,6 @@ def sweep_evaluate(poly: FactorizedPolynomial) -> EvalReport:
         add_count=plan.add_count,
         mul_count=plan.mul_count,
     )
-
-
-def sweep_batch(poly: FactorizedPolynomial, specs: Sequence[ProjectionSpec]) -> np.ndarray:
-    """sweep_evaluate's amplitude under each of T specs, as a (T,) array.
-
-    One pass of poly's plan with a leading trial axis (see _contract); the
-    spec poly itself carries is not read.  Each trial's amplitude is bitwise
-    the one sweep_evaluate gives.
-    """
-    frontier = _contract(frontier_plan(poly), *stack_specs(specs, poly.graph.n))
-    return (2.0 ** (-poly.norm_exponent / 2.0)) * frontier.reshape(len(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +580,6 @@ def column_evaluate(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
         add_count=n * dim * (sum(sizes) - len(sizes)) + dim - 1,
         mul_count=n * dim * (sum(sizes) + 1) + 1,
     )
-
-
-def column_batch(g: ClusterGraph, specs: Sequence[ProjectionSpec]) -> np.ndarray:
-    """column_evaluate's amplitude under each of T specs, as a (T,) array.
-
-    The same column loop on a (T, d) boundary; each trial's amplitude is
-    bitwise the one column_evaluate gives.
-    """
-    m, n = _column_shape(g)
-    if not specs:
-        return np.zeros(0, dtype=complex)
-    return (2.0 ** (-g.n / 2.0)) * _column_sum(m, n, *stack_specs(specs, g.n))
 
 
 def _column_sum(m: int, n: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:

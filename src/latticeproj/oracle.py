@@ -15,10 +15,10 @@ Conventions frozen here and documented loudly:
     miss.  Threads racing on the slot can at worst build twice.
   * The projection folds the vector with two half-bras, each a numpy
     Kronecker chain of the (C_p, S_p) pairs (one array multiply per qubit).
-    ``project_statevector_batch`` and ``direct_sum_batch`` take T specs in
-    one pass: every per-spec array gains a leading trial axis, so the fold's
-    matrix-vector products become two real matrix products.  Both stay brute
-    force from the edge list, the specs' C/S arrays only stacked.
+    The array cores ``_fold`` and ``_direct_sum`` also take T specs' (T, n)
+    C/S arrays, as the engines' batch pass stacks them: every per-spec array
+    gains a leading trial axis, so the fold's matrix-vector products become
+    two real matrix products.  Both stay brute force from the edge list.
   * ``direct_sum`` checks the partition and derives its per-target
     neighbour masks once per (graph, bipartition); the 2^k arrays it sums
     stay per call.
@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import NotBipartite, SizeMismatch, TooLarge, TooManyControls
-from .factorize import ProjectionSpec, stack_specs
+from .factorize import ProjectionSpec
 from .graph import Bipartition, ClusterGraph, adjacency
 
 # Most qubits a dense statevector holds (2^cap float64 amplitudes, 8 MiB).
@@ -134,19 +134,6 @@ def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
     return complex(_fold(sv.amplitudes, spec.c, spec.s))
 
 
-def project_statevector_batch(sv: StateVector, specs: Sequence[ProjectionSpec]) -> np.ndarray:
-    """project_statevector of each of T specs, as a (T,) complex array.
-
-    The same fold with a leading trial axis: the low half-bras form a
-    (T, 2^(n-h)) array that meets the amplitude matrix in two real matrix
-    products, and the (T, 2^h) rows then meet their high half-bras row by
-    row.  Beside the shared vector it holds T times one spec's bras.
-    """
-    if not specs:
-        return np.zeros(0, dtype=complex)
-    return _fold(sv.amplitudes, *stack_specs(specs, sv.n))
-
-
 def _pairs(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Each qubit's (C, S) as a column: (n, 2, 1) from (n,) arrays, (n, T, 2, 1) from (T, n).
 
@@ -227,19 +214,8 @@ def direct_sum(g: ClusterGraph, b: Bipartition, spec: ProjectionSpec) -> complex
     return complex(_direct_sum(g, b, spec.c, spec.s))
 
 
-def direct_sum_batch(g: ClusterGraph, b: Bipartition, specs: Sequence[ProjectionSpec]) -> np.ndarray:
-    """direct_sum of each of T specs, as a (T,) complex array.
-
-    The same sum on a (T, 2^k) coefficient array: each target's factor is
-    picked per trial, and the index and parity arrays (2^k) are shared.
-    """
-    if not specs:
-        return np.zeros(0, dtype=complex)
-    return _direct_sum(g, b, *stack_specs(specs, g.n))
-
-
 def _direct_sum(g: ClusterGraph, b: Bipartition, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """direct_sum on (n,) or (T, n) C/S arrays."""
+    """direct_sum on (n,) or (T, n) C/S arrays; T specs share the 2^k index and parities."""
     controls, masks = _direct_sum_plan(g, b)
     # bit i of the index j is controls[i], so the last control leads the chain
     coef = _kron_chain(_pairs(c, s)[list(controls[::-1])])

@@ -1,6 +1,7 @@
 """Batched evaluation: every engine's evaluate_batch against its own evaluate."""
 
 import csv
+import gc
 import io
 import tracemalloc
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latticeproj import engines, oracle
+from latticeproj import engines, evaluate, oracle
 from latticeproj.cli import main
 from latticeproj.engines import (
     ENGINES,
@@ -18,9 +19,16 @@ from latticeproj.engines import (
     compute_amplitudes,
 )
 from latticeproj.errors import LatticeProjError, NotALattice, SizeMismatch
-from latticeproj.evaluate import EvalReport, column_batch
+from latticeproj.evaluate import EvalReport
 from latticeproj.factorize import ProjectionSpec
-from latticeproj.graph import build_cross_chain, build_from_edges, build_lattice, build_line
+from latticeproj.graph import (
+    build_cross_chain,
+    build_from_edges,
+    build_lattice,
+    build_line,
+    fixture_path,
+    load_graph,
+)
 
 from helpers import random_spec, spec_from_bras
 
@@ -122,18 +130,32 @@ def test_column_on_lattices_matches_the_sweep_and_batches_bitwise(m, n, pauli, s
         ref = compute_amplitude(g, spec, "sweep").amplitude
         assert abs(amp - ref) <= 1e-12 * max(abs(ref), floor)
     for trials in (1, 2, 7):
-        assert column_batch(g, specs[:trials]).tolist() == singles[:trials]
         assert column.evaluate_batch(g, specs[:trials]) == singles[:trials]
 
 
-# Each batching row's cap and the kernel one pass calls.  The budget is 2^cap
+# Each batching row's cap and the core its pass calls.  The budget is 2^cap
 # entries and a spec holds 2^(controls, frontier width or rows), so a cap
 # one above that allows 2 specs a pass.
 CAPS = {
-    "direct-sum": ("DIRECT_SUM_CONTROL_CAP", "direct_sum_batch"),
-    "sweep": ("SWEEP_WIDTH_CAP", "sweep_batch"),
-    "column": ("COLUMN_ROW_CAP", "column_batch"),
+    "direct-sum": ("DIRECT_SUM_CONTROL_CAP", "_direct_sum"),
+    "sweep": ("SWEEP_WIDTH_CAP", "_contract"),
+    "column": ("COLUMN_ROW_CAP", "_column_sum"),
 }
+
+
+def _spy_core(row, record):
+    """``row`` with ``record(T)`` called before each call of its pass's core."""
+
+    def batch(g):
+        per_spec, budget, core = row.batch(g)
+
+        def spied(c, s):
+            record(len(c))
+            return core(c, s)
+
+        return per_spec, budget, spied
+
+    return Engine(row.misfit, row.evaluate, batch)
 
 
 def _spy(monkeypatch, name):
@@ -184,13 +206,58 @@ def test_sweep_chunk_counts_its_step_values(monkeypatch):
     assert peak < 4 << 20
 
 
+def _batch_peak(name, g, trials=31):
+    """Peak traced bytes of a warm evaluate_batch of ``trials`` specs on the row."""
+    specs = [random_spec(g.n, t) for t in range(trials)]
+    row = ENGINES[name]
+    row.evaluate_batch(g, specs)  # builds the vector, plan or layout untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        row.evaluate_batch(g, specs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# under numpy's default 8192-entry ufunc buffers these peaked at 839 and 939 KiB
+@pytest.mark.parametrize("name,g,bound", [
+    ("statevector", load_graph(fixture_path("fivecross_17.graph")), 750 << 10),
+    ("column", build_cross_chain(8), 800 << 10),
+], ids=["statevector-fivecross_17", "column-cross8"])
+def test_batch_pass_bounds_numpys_ufunc_buffers(name, g, bound):
+    assert _batch_peak(name, g) < bound
+
+
+def test_batch_pass_runs_under_the_ufunc_bound_and_restores_the_callers(monkeypatch):
+    g = build_lattice(2, 3)
+    specs = [random_spec(g.n, 100 + t) for t in range(3)]
+    seen = {}
+    for name in applicable_engines(g):
+        row = _spy_core(ENGINES[name], lambda _, name=name: seen.setdefault(name, np.getbufsize()))
+        with np.errstate():
+            np.setbufsize(4096)
+            row.evaluate_batch(g, specs)
+            assert np.getbufsize() == 4096
+    assert seen == dict.fromkeys(["statevector", "direct-sum", "sweep", "column"], evaluate.UFUNC_BUFFER)
+    # 2^3 entries a pass, 2^2 a spec: the wrong-sized spec is in the second chunk
+    monkeypatch.setattr(engines, "COLUMN_ROW_CAP", 3)
+    calls = _spy(monkeypatch, "_column_sum")
+    with np.errstate():
+        np.setbufsize(4096)
+        with pytest.raises(SizeMismatch):
+            ENGINES["column"].evaluate_batch(g, specs[:2] + [random_spec(g.n + 1, 0)])
+        assert np.getbufsize() == 4096
+    assert calls == [2]
+
+
 def test_lowered_statevector_cap_splits_the_batch_into_chunks(monkeypatch):
     g = build_line(6)
     specs = [random_spec(g.n, 80 + t) for t in range(7)]
     whole = ENGINES["statevector"].evaluate_batch(g, specs)
     # 2^7 - 2^6 entries beside the vector, 2^3 + 2^3 per spec: 4 specs a pass
     monkeypatch.setattr(oracle, "STATEVEC_CAP", 7)
-    calls = _spy(monkeypatch, "project_statevector_batch")
+    calls = _spy(monkeypatch, "_fold")
     assert _agree("statevector", ENGINES["statevector"].evaluate_batch(g, specs), whole)
     assert calls == [4, 3]
 
@@ -251,11 +318,8 @@ def test_verify_makes_one_batch_call_per_engine(capsys, monkeypatch):
             count["evaluate"] += 1
             return row.evaluate(g, spec)
 
-        def evaluate_batch(g, specs, row=row, count=counts[name]):
-            count["batch"].append(len(specs))
-            return row.evaluate_batch(g, specs)
-
-        monkeypatch.setitem(ENGINES, name, Engine(row.misfit, evaluate, evaluate_batch))
+        batch = _spy_core(row, counts[name]["batch"].append).batch
+        monkeypatch.setitem(ENGINES, name, Engine(row.misfit, evaluate, batch))
     code = main(["verify", "--builder", "lattice:2x2", "--trials", "31"])
     out = capsys.readouterr().out
     assert code == 0

@@ -15,6 +15,7 @@ from latticeproj.engines import (
     SWEEP_WIDTH_CAP,
     applicable_engines,
     compute_amplitude,
+    compute_amplitudes,
     sweep_polynomial,
 )
 from latticeproj.errors import (
@@ -30,13 +31,11 @@ from latticeproj.errors import (
 from latticeproj.evaluate import (
     _build_plan,
     _contract,
-    column_batch,
     column_evaluate,
     cross_chain_recursion,
     frontier_plan,
     lattice_width_profile,
     line_recursion,
-    sweep_batch,
     sweep_evaluate,
 )
 from latticeproj.factorize import (
@@ -55,12 +54,7 @@ from latticeproj.graph import (
     lattice_row_major_order,
     load_graph,
 )
-from latticeproj.oracle import (
-    build_statevector,
-    direct_sum_batch,
-    project_statevector,
-    project_statevector_batch,
-)
+from latticeproj.oracle import build_statevector, project_statevector
 
 from helpers import named_orders, random_spec, word_sweep
 
@@ -253,20 +247,26 @@ def test_open_slots_sum_to_the_sweep(g):
         assert abs(amp - ref) <= 1e-12 * abs(ref), open_slots
 
 
-def _sweep_amplitude_bytes(g):
-    """The sweep's amplitude at T = 1 and its 31 batched amplitudes, as bytes."""
+def _amplitude_bytes(g):
+    """The sweep's amplitude at T = 1 and every batching row's 31 batched
+    amplitudes, as bytes."""
     poly = sweep_polynomial(g, random_spec(g.n, 72))
     specs = [random_spec(g.n, 73 + t) for t in range(31)]
     one = np.complex128(sweep_evaluate(poly).amplitude)
-    return one.tobytes(), sweep_batch(poly, specs).tobytes()
+    batches = {
+        name: np.array(ENGINES[name].evaluate_batch(g, specs)).tobytes()
+        for name in applicable_engines(g) if ENGINES[name].batch is not None
+    }
+    return one.tobytes(), batches
 
 
 @pytest.mark.parametrize("g", [g for _, g in FRONTIER_GRAPHS],
                          ids=[name for name, _ in FRONTIER_GRAPHS])
 def test_ufunc_buffer_bound_changes_no_bits(g, monkeypatch):
-    bounded = _sweep_amplitude_bytes(g)
+    bounded = _amplitude_bytes(g)
+    assert "sweep" in bounded[1]
     monkeypatch.setattr(evaluate, "UFUNC_BUFFER", 8192)  # numpy's default
-    assert _sweep_amplitude_bytes(g) == bounded
+    assert _amplitude_bytes(g) == bounded
 
 
 def test_contract_restores_the_callers_ufunc_buffer():
@@ -711,18 +711,9 @@ def test_cross_recursion_fits_exactly_the_one_column_lattices(shape, fits):
     assert ("cross-recursion" in applicable_engines(build_lattice(*shape))) == fits
 
 
-EMPTY_BATCHES = {
-    "sweep": lambda g: sweep_batch(sweep_polynomial(g, random_spec(g.n, 0)), []),
-    "column": lambda g: column_batch(g, []),
-    "statevector": lambda g: project_statevector_batch(build_statevector(g), []),
-    "direct-sum": lambda g: direct_sum_batch(g, graph.graph_family(g).bipartition, []),
-}
-
-
-@pytest.mark.parametrize("batch", EMPTY_BATCHES.values(), ids=EMPTY_BATCHES)
+@pytest.mark.parametrize("batch", ["sweep", "column", "statevector", "direct-sum"])
 def test_batch_of_no_specs_is_empty(batch):
-    out = batch(build_lattice(2, 2))
-    assert out.shape == (0,) and out.dtype == complex
+    assert compute_amplitudes(build_lattice(2, 2), [], batch) == []
 
 
 def test_sweep_width_cap():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import latticeproj.oracle
 
 from latticeproj.cli import bench_fig10, main
+from latticeproj.engines import ENGINES
 from latticeproj.errors import (
     NotBipartite,
     SizeMismatch,
@@ -34,9 +35,7 @@ from latticeproj.oracle import (
     StateVector,
     build_statevector,
     direct_sum,
-    direct_sum_batch,
     project_statevector,
-    project_statevector_batch,
 )
 
 from helpers import (
@@ -256,22 +255,24 @@ def test_numpy_bras_match_the_python_product_fold(n):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 17])
 def test_batched_fold_matches_single_folds(n):
-    sv = build_statevector(_random_graph(n, 700 + n))
+    g = _random_graph(n, 700 + n)
+    sv = build_statevector(g)
     specs = [random_spec(n, 800 + t) for t in range(7)]
     singles = [project_statevector(sv, spec) for spec in specs]
-    batch = project_statevector_batch(sv, specs)
-    assert batch.shape == (7,)
+    row = ENGINES["statevector"]
+    batch = row.evaluate_batch(g, specs)
+    assert len(batch) == 7
     scale = max(map(abs, singles))
     assert all(abs(b - a) <= 1e-13 * scale for a, b in zip(singles, batch))
     with pytest.raises(SizeMismatch):
-        project_statevector_batch(sv, specs + [random_spec(n + 1, 0)])
+        row.evaluate_batch(g, specs + [random_spec(n + 1, 0)])
 
 
 @pytest.mark.parametrize("g", [build_line(6), build_cross_chain(3), build_lattice(2, 3)])
 def test_batched_direct_sum_is_bitwise_the_single_sum(g):
     b = bipartition(g)
     specs = [random_spec(g.n, 900 + t) for t in range(7)]
-    assert direct_sum_batch(g, b, specs).tolist() == [direct_sum(g, b, s) for s in specs]
+    assert ENGINES["direct-sum"].evaluate_batch(g, specs) == [direct_sum(g, b, s) for s in specs]
 
 
 def test_projection_size_mismatch():
