@@ -16,8 +16,10 @@ checks the sweep over its greedy-cover owners); ``verify`` of one trial on
 ``lattice:3x10`` and ``fivecross_17`` (a lone spec, which every engine
 evaluates alone) and of two on ``lattice:2x2`` (the smallest batch); the
 ``lattice-width`` bench (the one suite without wall-clock columns);
-``project`` on the line, cross and column engines and the sweep; and
-``compile`` of a five-wire CPhase chain.
+``project`` on the line, cross and column engines and the sweep, and on
+a missing ``--graph`` path in a missing directory (which must exit 2, not
+load the packaged fixture of that basename); and ``compile`` of a
+five-wire CPhase chain.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ CORPUS: tuple[tuple[str, ...], ...] = (
     ("project", "--builder", "cross:64", *PROJECT, "--engine", "cross-recursion"),
     ("project", "--builder", "lattice:3x10", *PROJECT, "--engine", "column"),
     ("project", "--builder", "lattice:3x10", *PROJECT, "--engine", "sweep"),
+    ("project", "--graph", "{tmp}/no/fivecross_17.graph", "--angles", "all:0,0"),
     ("compile", "--circuit", "{tmp}/cphase5.txt", "--out", "{tmp}/cphase5"),
 )
 

@@ -80,7 +80,6 @@ from .mbqc import (
     simulate_pattern,
 )
 from .oracle import (
-    StateVector,
     build_statevector,
     direct_sum,
     project_statevector,

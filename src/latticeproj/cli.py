@@ -106,7 +106,7 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
         path = Path(args.graph)
         if not path.exists():
             packaged = fixture_path(path.name)
-            if packaged.exists():
+            if path.parent in (Path("."), Path("fixtures")) and packaged.exists():
                 path = packaged
             else:
                 raise ConfigError(f"graph file {args.graph!r} not found")
@@ -263,12 +263,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.tolerance >= 0:
         # a NaN tolerance would pass every delta
         raise ConfigError(f"--tolerance must be non-negative, got {args.tolerance}")
-    if args.engines:
+    if args.engines is not None:
         engines = [e.strip() for e in args.engines.split(",")]
-        if len(set(engines)) < len(engines):
-            raise ConfigError(f"--engines lists an engine twice: {args.engines!r}")
         for e in engines:
             _check_engine(e, g, name)
+        if len(set(engines)) < len(engines):
+            raise ConfigError(f"--engines lists an engine twice: {args.engines!r}")
     else:
         engines = applicable_engines(g)
     if len(engines) < 2:
@@ -420,7 +420,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builder", help="line:N | cross:K | lattice:MxN")
-    p.add_argument("--graph", help="graph file path (packaged fixtures resolve by name)")
+    p.add_argument("--graph", help="graph file path (or a packaged fixture's NAME)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ every lattice one column wide); the sweep always runs the worked-out
 factor order and reads that order's frontier width from its cached
 structure, known before anything is allocated.  The oracles keep their own
 graph-only work: the statevector row's vector is built once per graph
-(``build_statevector`` holds the last graph's, and checks
+(``build_statevector`` returns the held read-only array itself, checking
 ``oracle.STATEVEC_CAP`` on every call), and direct-sum's partition checks
 and target masks once per (graph, bipartition).
 """
@@ -123,7 +123,7 @@ def _statevector(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
 
 
 def _statevector_pass(g: ClusterGraph) -> Pass:
-    amps = build_statevector(g).amplitudes
+    amps = build_statevector(g)
     h = g.n // 2
     # beside the 2^n vector, each spec holds its two half-bras
     return (

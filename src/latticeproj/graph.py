@@ -19,7 +19,6 @@ import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
@@ -105,7 +104,13 @@ def build_from_edges(n: int, pairs: Iterable[Sequence[int]]) -> ClusterGraph:
         raise InvalidSize(f"graph needs at least one qubit, got n={n}")
     edges: set[Edge] = set()
     for pair in pairs:
-        a, b = int(pair[0]), int(pair[1])
+        try:  # numpy integers and integral floats are endpoints too
+            a, b = ends = tuple(map(int, pair))
+            integral = ends == tuple(pair)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise InvalidSize(f"edge {pair!r} is not two integer qubit indices")
         if a == b:
             raise SelfLoop(f"edge ({a}, {b}) is a self-loop")
         if not (0 <= a < n and 0 <= b < n):
@@ -299,15 +304,17 @@ def _greedy_cover(g: ClusterGraph) -> frozenset[int]:
 def assign_slots(g: ClusterGraph, owners: Optional[Iterable[int]] = None) -> SlotAssignment:
     """Assign every edge to an owner qubit; the owners get dense slot ids.
 
-    ``owners`` must be a vertex cover of g, else ValueError.  None takes the
-    controls of the bipartition (graph_family's, computed once per graph),
-    or a greedy vertex cover when the graph has an odd cycle.  When both
-    endpoints of an edge own slots, the lower index wins.
+    ``owners`` must be qubits of g covering every edge, else ValueError.
+    None takes the controls of the bipartition (graph_family's, computed
+    once per graph), or a greedy vertex cover when the graph has an odd
+    cycle.  When both endpoints of an edge own slots, the lower index wins.
     """
     if owners is None:
         b = graph_family(g).bipartition
         owners = b.controls if b is not None else _greedy_cover(g)
     owners = frozenset(owners)
+    if foreign := owners.difference(range(g.n)):
+        raise ValueError(f"owners {sorted(foreign)} are not qubits of the {g.n}-qubit graph")
     edge_owner: dict[Edge, int] = {}
     for a, b in g.edges:
         a_owns, b_owns = a in owners, b in owners
@@ -407,4 +414,4 @@ def save_graph(g: ClusterGraph, path: Union[str, Path], header: str = "") -> Non
 
 def fixture_path(name: str) -> Path:
     """Path of a packaged fixture graph, e.g. fixture_path('fivecross_17.graph')."""
-    return Path(str(resources.files("latticeproj") / "fixtures" / name))
+    return Path(__file__).with_name("fixtures") / name

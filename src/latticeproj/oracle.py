@@ -7,10 +7,10 @@ Conventions frozen here and documented loudly:
   * The statevector is real: float64 signs times 2^(-n/2), built from the
     edge list alone by doubling over the qubits.
   * One graph's statevector is held: ``build_statevector`` keeps the last
-    graph it built and that vector's read-only array, and hands out a fresh
-    ``StateVector`` around it while the graph stays (by value) the same.  A
-    different graph drops the held array before its own is built, so at
-    most one vector (8 << n bytes) is retained and never two are live.
+    graph it built and that vector's read-only array, and returns that same
+    array while the graph stays (by value) the same.  A different graph
+    drops the held array before its own is built, so at most one vector
+    (8 << n bytes) is retained and never two are live.
     The qubit cap, ``STATEVEC_CAP``, is checked on every call, hit or
     miss.  Threads racing on the slot can at worst build twice.
   * The projection folds the vector with two half-bras, each a numpy
@@ -29,7 +29,6 @@ Conventions frozen here and documented loudly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -45,33 +44,20 @@ STATEVEC_CAP = 20
 DIRECT_SUM_CONTROL_CAP = 24
 
 
-@dataclass
-class StateVector:
-    """Amplitudes of length 2^n (a power of two), qubit 0 = most significant bit."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def n(self) -> int:
-        size = self.amplitudes.shape[0]
-        if size < 1 or size & (size - 1):
-            raise SizeMismatch(f"{size} amplitudes is not a power of two")
-        return size.bit_length() - 1
-
-
 # The last graph build_statevector built and its read-only amplitudes.
 _held: Optional[tuple[ClusterGraph, np.ndarray]] = None
 
 
-def build_statevector(g: ClusterGraph) -> StateVector:
+def build_statevector(g: ClusterGraph) -> np.ndarray:
     """|+>^n with a CZ on every edge, as float64 ±2^(-n/2) built by doubling.
 
-    The cap is checked on every call.  One graph's vector is held: when g
-    equals (by value) the last graph built, the result is a fresh
-    StateVector around that graph's read-only array.  Otherwise the held
-    array is dropped first, so two vectors are never live at once, and g's
-    is built and held instead.  Threads racing here can at worst build twice
-    (two vectors live for that moment); each gets its own graph's vector.
+    The amplitudes are a read-only array of length 2^n, qubit 0 the most
+    significant bit.  The cap is checked on every call.  One graph's vector
+    is held: when g equals (by value) the last graph built, the result is
+    that graph's array itself.  Otherwise the held array is dropped first,
+    so two vectors are never live at once, and g's is built and held
+    instead.  Threads racing here can at worst build twice (two vectors
+    live for that moment); each gets its own graph's vector.
     """
     global _held
     if g.n > STATEVEC_CAP:
@@ -82,7 +68,7 @@ def build_statevector(g: ClusterGraph) -> StateVector:
         amps = _doubling_build(g)
         amps.flags.writeable = False
         _held = held = (g, amps)
-    return StateVector(held[1])
+    return held[1]
 
 
 def _doubling_build(g: ClusterGraph) -> np.ndarray:
@@ -119,19 +105,21 @@ def _doubling_build(g: ClusterGraph) -> np.ndarray:
     return amps
 
 
-def project_statevector(sv: StateVector, spec: ProjectionSpec) -> complex:
+def project_statevector(amps: np.ndarray, spec: ProjectionSpec) -> complex:
     """Inner product with the product bra; coefficients applied unconjugated.
 
-    The amplitudes, as a real 2^h x 2^(n-h) matrix (h = n // 2), meet the
-    Kronecker bra of the last n - h qubits in two real matrix-vector products
-    (its real and imaginary parts); the 2^h rows then meet the bra of the
-    first h qubits.  Each half-bra is a numpy Kronecker chain of the
-    (C_p, S_p) pairs, qubit 0 most significant: 2^h + 2^(n-h) entries built
-    by about n array multiplies, with no Python loop over the entries.
+    ``amps`` must be the 2^n amplitudes of the spec's n qubits (one axis),
+    else SizeMismatch.  They, as a real 2^h x 2^(n-h) matrix (h = n // 2),
+    meet the Kronecker bra of the last n - h qubits in two real
+    matrix-vector products (its real and imaginary parts); the 2^h rows then
+    meet the bra of the first h qubits.  Each half-bra is a numpy Kronecker
+    chain of the (C_p, S_p) pairs, qubit 0 most significant: 2^h + 2^(n-h)
+    entries built by about n array multiplies, with no Python loop over the
+    entries.
     """
-    if spec.n != sv.n:
-        raise SizeMismatch(f"spec has {spec.n} qubits, state has {sv.n}")
-    return complex(_fold(sv.amplitudes, spec.c, spec.s))
+    if amps.shape != (1 << spec.n,):
+        raise SizeMismatch(f"spec has {spec.n} qubits, state has shape {amps.shape}")
+    return complex(_fold(amps, spec.c, spec.s))
 
 
 def _pairs(c: np.ndarray, s: np.ndarray) -> np.ndarray:

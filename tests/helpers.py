@@ -112,7 +112,7 @@ def loop_direct_sum(g, b, spec):
     return complex((2.0 ** (-g.n / 2.0)) * coef.sum())
 
 
-def product_fold(sv, spec):
+def product_fold(amps, spec):
     """project_statevector with half-bras built as Python products.
 
     Each half-bra entry is math.prod of one C_p/S_p choice per qubit, over
@@ -120,11 +120,11 @@ def product_fold(sv, spec):
     amplitude matrix in two real matrix-vector products and the high half
     the rows in a Python sum.
     """
-    n = sv.n
+    n = spec.n
     bra = list(zip(spec.c.tolist(), spec.s.tolist()))
     h = n // 2
     low = np.fromiter(map(prod, product(*bra[h:])), complex, 1 << (n - h))
-    amps = sv.amplitudes.reshape(1 << h, -1)
+    amps = amps.reshape(1 << h, -1)
     rows = (amps.dot(low.real) + 1j * amps.dot(low.imag)).tolist()
     return complex(sum(map(mul, map(prod, product(*bra[:h])), rows)))
 

@@ -88,6 +88,10 @@ def test_project_fixture_engines_agree(capsys):
     (("compile", "--circuit", "{tmp}/bad.bytes", "--out", "{tmp}/p"), "cannot compile"),
     (("verify", "--builder", "line:3", "--tolerance", "nan"), "--tolerance must be"),
     (("verify", "--builder", "line:3", "--tolerance", "-1"), "--tolerance must be"),
+    (("verify", "--builder", "line:5", "--engines", ","), "unknown engine ''"),
+    (("verify", "--builder", "line:5", "--engines", ""), "unknown engine ''"),
+    # a missing path with a directory is not the packaged fixture of its basename
+    (("project", "--graph", "{tmp}/no/fivecross_17.graph", "--angles", "all:0,0"), "not found"),
 ])
 def test_config_errors_exit_2(capsys, tmp_path, argv, needle):
     for name, text in (("nan.angles", "nan 0\n"), ("abc.angles", "abc 0\n"),

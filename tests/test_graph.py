@@ -88,6 +88,12 @@ def test_build_from_edges_validation():
         build_from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(IndexOutOfRange):
         build_from_edges(3, [(0, 3)])
+    # numpy integers and integral floats are endpoints; anything else raises
+    assert build_from_edges(3, [(np.int64(0), 1.0), np.array([1, 2])]) == build_line(3)
+    for pair in [(0.5, 1), (0, float("nan")), (0, float("inf")), ("0", 1), (None, 1),
+                 (0, 1, 2), (0,), (), 5]:
+        with pytest.raises(InvalidSize, match="not two integer qubit indices"):
+            build_from_edges(3, [pair])
 
 
 def test_family_detection():
@@ -216,6 +222,11 @@ def test_assign_slots_every_qubit_owns():
 def test_assign_slots_rejects_a_non_cover():
     with pytest.raises(ValueError, match="not a vertex cover"):
         assign_slots(build_line(3), [0])
+
+
+def test_assign_slots_rejects_owners_outside_the_graph():
+    with pytest.raises(ValueError, match=r"owners \[-1, 100\] are not qubits"):
+        assign_slots(build_lattice(2, 2), [100, -1, *range(13)])
 
 
 def test_assign_slots_single_cross():
