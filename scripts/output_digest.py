@@ -18,8 +18,10 @@ evaluates alone) and of two on ``lattice:2x2`` (the smallest batch); the
 ``lattice-width`` bench (the one suite without wall-clock columns);
 ``project`` on the line, cross and column engines and the sweep, and on
 a missing ``--graph`` path in a missing directory (which must exit 2, not
-load the packaged fixture of that basename); and ``compile`` of a
-five-wire CPhase chain.
+load the packaged fixture of that basename); ``compile`` of a five-wire
+CPhase chain; and ``compile`` of 8200 ``CZ 0 1`` lines, a 65602-qubit
+pattern past the graph qubit cap (which must exit 2 and write no file,
+as ``project`` would refuse it).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ ODD_CYCLE_GRAPH = "# path plus three chords\n16\n" + "".join(
     f"{a} {b}\n" for a, b in [(q, q + 1) for q in range(15)] + [(0, 2), (5, 9), (3, 12)]
 )
 CPHASE_CHAIN = "".join(f"CPHASE {w} {w + 1} {0.4 + 0.7 * w!r}\n" for w in range(4))
+OVER_CAP_CIRCUIT = "CZ 0 1\n" * 8200
 
 VERIFY = ("--trials", "31", "--seed", "0")
 PROJECT = ("--random", "--seed", "7")
@@ -64,6 +67,7 @@ CORPUS: tuple[tuple[str, ...], ...] = (
     ("project", "--builder", "lattice:3x10", *PROJECT, "--engine", "sweep"),
     ("project", "--graph", "{tmp}/no/fivecross_17.graph", "--angles", "all:0,0"),
     ("compile", "--circuit", "{tmp}/cphase5.txt", "--out", "{tmp}/cphase5"),
+    ("compile", "--circuit", "{tmp}/cz8200.txt", "--out", "{tmp}/cz8200"),
 )
 
 
@@ -73,6 +77,7 @@ def digest_lines() -> Iterator[str]:
         root = Path(tmp)
         (root / "odd16.graph").write_text(ODD_CYCLE_GRAPH)
         (root / "cphase5.txt").write_text(CPHASE_CHAIN)
+        (root / "cz8200.txt").write_text(OVER_CAP_CIRCUIT)
         inputs = set(root.iterdir())
         for command in CORPUS:
             stdout, stderr = io.StringIO(), io.StringIO()

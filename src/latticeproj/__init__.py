@@ -48,7 +48,6 @@ from .factorize import (
 from .graph import (
     Bipartition,
     ClusterGraph,
-    SlotAssignment,
     assign_slots,
     bipartition,
     build_cross_chain,

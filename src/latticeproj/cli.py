@@ -390,6 +390,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
         pattern = compile_circuit(gates)
     except (UnicodeDecodeError, CircuitParseError) as exc:
         raise ConfigError(f"cannot compile {args.circuit}: {exc}")
+    # a pattern project would refuse is not written
+    check_qubit_count(pattern.graph.n)
     graph_path = Path(args.out + ".graph")
     angles_path = Path(args.out + ".angles")
     graph_text = format_graph_text(pattern.graph, header=f"pattern compiled from {path.name}")

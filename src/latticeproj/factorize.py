@@ -1,14 +1,15 @@
-"""Turn (graph, slot assignment, projector angles) into a factorized polynomial.
+"""Turn (graph, slot owners, projector angles) into a factorized polynomial.
 
 The projection amplitude onto the product bra with per-qubit coefficients
 C_p = cos(theta_p), S_p = exp(i phi_p) sin(theta_p) equals
 
     2^(-N/2) * Tr{ prod_p [ C_p * W_c(p) + S_p * W_s(p) ] }
 
-with one binomial factor per qubit.  The words are fixed by the slot
-assignment: an owner contributes U (c branch) or D (s branch) at its own
-slot; every qubit additionally contributes Z, in its s branch, at the slot
-of each incident edge assigned to the other endpoint.  A Factor holds the
+with one binomial factor per qubit.  The words are fixed by the owner ->
+slot map of graph.assign_slots: an owner contributes U (c branch) or D
+(s branch) at its own slot.  Each edge belongs to an endpoint that owns a
+slot, the lower one when both do, and the other endpoint contributes Z, in
+its s branch, at that owner's slot.  A Factor holds the
 words only; C_p and S_p are read from the polynomial's ProjectionSpec, so
 one word structure serves every projection of a graph.  All letters commute,
 so the amplitude is invariant under reordering of the factors; what the
@@ -21,13 +22,13 @@ import copy
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .algebra import Letter, TensorWord
 from .errors import InvalidPermutation, SizeMismatch
-from .graph import ClusterGraph, SlotAssignment, adjacency, assign_slots, data_lines, rewrite
+from .graph import ClusterGraph, adjacency, assign_slots, data_lines, rewrite
 
 
 class ProjectionSpec:
@@ -90,7 +91,7 @@ def stack_specs(specs: Sequence[ProjectionSpec], n: int) -> tuple[np.ndarray, np
 class Factor:
     """One qubit's binomial C_p*c_word + S_p*s_word, by its words only.
 
-    The words are fixed by the slot assignment; C_p and S_p belong to the
+    The words are fixed by the slot owners; C_p and S_p belong to the
     projection and are read from the polynomial's spec.
     """
 
@@ -104,20 +105,19 @@ class Factor:
 
 def _factor_from_adjacency(
     p: int,
-    a: SlotAssignment,
+    slot_of: Mapping[int, int],
     adj: Mapping[int, tuple[int, ...]],
 ) -> Factor:
     c_entries: list[tuple[int, Letter]] = []
     s_entries: dict[int, Letter] = {}
-    if p in a.owners:
-        own = a.slot_of[p]
+    own = slot_of.get(p)
+    if own is not None:
         c_entries.append((own, Letter.U))
         s_entries[own] = Letter.D
     for nbr in adj[p]:
-        e = (p, nbr) if p < nbr else (nbr, p)
-        owner = a.edge_owner[e]
-        if owner != p:
-            s_entries[a.slot_of[owner]] = Letter.Z
+        # nbr owns the edge when it has a slot and p has none or a higher index
+        if nbr in slot_of and (own is None or nbr < p):
+            s_entries[slot_of[nbr]] = Letter.Z
     return Factor(
         qubit=p,
         c_word=TensorWord(c_entries),
@@ -141,18 +141,18 @@ class FactorizedPolynomial:
     def __init__(
         self,
         graph: ClusterGraph,
-        assignment: SlotAssignment,
+        slot_of: Mapping[int, int],
         factors: Sequence[Factor],
         spec: ProjectionSpec,
     ):
         if sorted(f.qubit for f in factors) != list(range(graph.n)):
             raise SizeMismatch("polynomial needs exactly one factor per qubit")
         self.graph = graph
-        self.assignment = assignment
+        self.slot_of = slot_of
         self.factors = tuple(factors)
         self.spec = spec
         self.norm_exponent = graph.n
-        self.slot_count = assignment.slot_count
+        self.slot_count = len(slot_of)
 
         first: dict[int, int] = {}
         last: dict[int, int] = {}
@@ -178,7 +178,7 @@ class FactorizedPolynomial:
         """The same polynomial under another projection, in O(1).
 
         Words, order, activity and plan are fixed by the graph and the
-        assignment alone, so the clone shares them and only swaps the spec;
+        slot owners alone, so the clone shares them and only swaps the spec;
         this polynomial is left unchanged.
         """
         if spec.n != self.graph.n:
@@ -197,21 +197,22 @@ class FactorizedPolynomial:
 def build_polynomial(
     g: ClusterGraph,
     spec: ProjectionSpec,
-    assignment: Optional[SlotAssignment] = None,
+    owners: Optional[Iterable[int]] = None,
 ) -> FactorizedPolynomial:
     """Polynomial with factors in qubit-index order (the as-built order).
 
-    ``assignment`` None takes graph.assign_slots(g): the bipartition's
+    The slots come from graph.assign_slots(g, owners), so ``owners`` must be
+    a vertex cover of g (else ValueError); an owner -> slot map from
+    assign_slots passes its own owners.  None lets the bipartition's
     controls own the slots, or a greedy vertex cover when the graph has an
     odd cycle.
     """
     if spec.n != g.n:
         raise SizeMismatch(f"spec has {spec.n} qubits, graph has {g.n}")
-    if assignment is None:
-        assignment = assign_slots(g)
+    slot_of = assign_slots(g, owners)
     adj = adjacency(g)
-    factors = [_factor_from_adjacency(p, assignment, adj) for p in range(g.n)]
-    return FactorizedPolynomial(g, assignment, factors, spec)
+    factors = [_factor_from_adjacency(p, slot_of, adj) for p in range(g.n)]
+    return FactorizedPolynomial(g, slot_of, factors, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +342,7 @@ def order_factors(
     # a new polynomial, so activity is recomputed for the new order
     factor_of = {f.qubit: f for f in poly.factors}
     return FactorizedPolynomial(
-        poly.graph, poly.assignment, [factor_of[q] for q in qubits], poly.spec
+        poly.graph, poly.slot_of, [factor_of[q] for q in qubits], poly.spec
     )
 
 

@@ -6,8 +6,10 @@ lattices of crosses use a canonical indexing: corner qubits row-major first,
 then center qubits row-major.  A chain of k crosses is the k x 1 lattice,
 so its leaf pairs are the corner rows and its centers follow them.
 
-Trace slots are owned by qubits forming a vertex cover: every edge is
-assigned to an owner endpoint, whose slot then tracks the edge's CZ phase.
+Trace slots are owned by qubits forming a vertex cover.  assign_slots
+returns the plain owner -> slot map, slots dense in owner index order; the
+owner of an edge (the endpoint that owns a slot, the lower one when both do)
+follows from that map alone, and its slot tracks the edge's CZ phase.
 """
 
 from __future__ import annotations
@@ -71,19 +73,6 @@ class Bipartition:
 
     controls: frozenset[int]
     targets: frozenset[int]
-
-
-@dataclass
-class SlotAssignment:
-    """Owner qubits, their dense slot ids, and the owner of every edge."""
-
-    owners: frozenset[int]
-    slot_of: dict[int, int]
-    edge_owner: dict[Edge, int]
-
-    @property
-    def slot_count(self) -> int:
-        return len(self.slot_of)
 
 
 def adjacency(g: ClusterGraph) -> dict[int, tuple[int, ...]]:
@@ -301,13 +290,13 @@ def _greedy_cover(g: ClusterGraph) -> frozenset[int]:
     return frozenset(cover)
 
 
-def assign_slots(g: ClusterGraph, owners: Optional[Iterable[int]] = None) -> SlotAssignment:
-    """Assign every edge to an owner qubit; the owners get dense slot ids.
+def assign_slots(g: ClusterGraph, owners: Optional[Iterable[int]] = None) -> dict[int, int]:
+    """Owner qubit -> dense slot id, the owners in index order.
 
     ``owners`` must be qubits of g covering every edge, else ValueError.
     None takes the controls of the bipartition (graph_family's, computed
     once per graph), or a greedy vertex cover when the graph has an odd
-    cycle.  When both endpoints of an edge own slots, the lower index wins.
+    cycle.
     """
     if owners is None:
         b = graph_family(g).bipartition
@@ -315,21 +304,10 @@ def assign_slots(g: ClusterGraph, owners: Optional[Iterable[int]] = None) -> Slo
     owners = frozenset(owners)
     if foreign := owners.difference(range(g.n)):
         raise ValueError(f"owners {sorted(foreign)} are not qubits of the {g.n}-qubit graph")
-    edge_owner: dict[Edge, int] = {}
     for a, b in g.edges:
-        a_owns, b_owns = a in owners, b in owners
-        if a_owns and b_owns:
-            edge_owner[(a, b)] = min(a, b)
-        elif a_owns:
-            edge_owner[(a, b)] = a
-        elif b_owns:
-            edge_owner[(a, b)] = b
-        else:
-            raise ValueError(
-                f"owner set is not a vertex cover: edge ({a}, {b}) uncovered"
-            )
-    slot_of = {q: i for i, q in enumerate(sorted(owners))}
-    return SlotAssignment(owners=owners, slot_of=slot_of, edge_owner=edge_owner)
+        if a not in owners and b not in owners:
+            raise ValueError(f"owner set is not a vertex cover: edge ({a}, {b}) uncovered")
+    return {q: i for i, q in enumerate(sorted(owners))}
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .evaluate import FrontierPlan, _build_plan, _contract
 from .factorize import ProjectionSpec, build_polynomial
-from .graph import ClusterGraph, assign_slots, build_from_edges, data_lines
+from .graph import ClusterGraph, build_from_edges, data_lines
 from . import oracle
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -430,7 +430,7 @@ def _pattern_plan(graph: ClusterGraph, open_slots: tuple[int, ...]) -> FrontierP
     """
     n = graph.n
     spec = ProjectionSpec.constant(n, 0.0, 0.0)
-    return _build_plan(build_polynomial(graph, spec, assign_slots(graph, range(n))), open_slots)
+    return _build_plan(build_polynomial(graph, spec, range(n)), open_slots)
 
 
 def _action_core(pattern: MeasurementPattern) -> np.ndarray:

@@ -92,10 +92,25 @@ def test_project_fixture_engines_agree(capsys):
     (("verify", "--builder", "line:5", "--engines", ""), "unknown engine ''"),
     # a missing path with a directory is not the packaged fixture of its basename
     (("project", "--graph", "{tmp}/no/fivecross_17.graph", "--angles", "all:0,0"), "not found"),
+    (("project", "--angles", "all:0,0"), "a graph is required"),
+    (("project", "--builder", "line:3", "--angles", "{tmp}/no.angles"), "not found"),
+    (("project", "--builder", "line:3", "--angles", "{tmp}/two.angles"),
+     "angle file holds 2 qubits, graph has 3"),
+    (("project", "--builder", "line:3", "--angles", "{tmp}/none.angles"), "no angle lines"),
+    (("verify", "--builder", "line:3", "--engines", "sweep"), "at least two engines"),
+    (("compile", "--circuit", "{tmp}/no.circuit", "--out", "{tmp}/p"), "not found"),
+    (("project", "--graph", "{tmp}/zero.graph", "--angles", "all:0,0"), "at least one qubit"),
+    (("project", "--graph", "{tmp}/pair.graph", "--angles", "all:0,0"),
+     "first data line must be the qubit count"),
+    (("project", "--graph", "{tmp}/triple.graph", "--angles", "all:0,0"),
+     "edge lines carry two indices"),
 ])
 def test_config_errors_exit_2(capsys, tmp_path, argv, needle):
     for name, text in (("nan.angles", "nan 0\n"), ("abc.angles", "abc 0\n"),
-                       ("bad.graph", "2\nx y\n"), ("h.circuit", "H 0\n")):
+                       ("two.angles", "0 0\n0 0\n"), ("none.angles", "# no angles\n"),
+                       ("bad.graph", "2\nx y\n"), ("zero.graph", "0\n"),
+                       ("pair.graph", "3 4\n"), ("triple.graph", "3\n0 1 2\n"),
+                       ("h.circuit", "H 0\n")):
         (tmp_path / name).write_text(text)
     (tmp_path / "bad.bytes").write_bytes(b"\xff\xfe")
     code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -210,6 +225,21 @@ def test_qubit_cap_admits_its_own_size(capsys, monkeypatch, tmp_path):
     for n, expect in ((14, 0), (15, 2)):
         path.write_text(f"{n}\n0 1\n")
         assert run_cli(capsys, "project", "--graph", str(path), "--random")[0] == expect
+
+
+def test_compile_past_the_qubit_cap_exits_2_and_writes_nothing(capsys, monkeypatch, tmp_path):
+    # each CZ adds 8 qubits to the pattern's 2 wires: 2 CZs make 18, 3 make 26
+    monkeypatch.setattr(graph, "GRAPH_QUBIT_CAP", 18)
+    circuit = tmp_path / "cz.circuit"
+    for count, expect in ((2, 0), (3, 2)):
+        circuit.write_text("CZ 0 1\n" * count)
+        prefix = tmp_path / f"p{count}"
+        code, _, err = run_cli(capsys, "compile", "--circuit", str(circuit), "--out", str(prefix))
+        assert code == expect
+        written = [Path(f"{prefix}.{ext}").exists() for ext in ("graph", "angles")]
+        assert written == [not expect] * 2
+    assert err == "error: graph of 26 qubits, above the cap of 18 qubits\n"
+    assert run_cli(capsys, "project", "--graph", f"{tmp_path}/p2.graph", "--random")[0] == 0
 
 
 def test_verify_compares_graphs_by_value_at_most_once(capsys, monkeypatch):

@@ -45,6 +45,7 @@ from latticeproj.factorize import (
     order_factors,
 )
 from latticeproj.graph import (
+    ClusterGraph,
     assign_slots,
     build_cross_chain,
     build_from_edges,
@@ -59,9 +60,9 @@ from latticeproj.oracle import build_statevector, project_statevector
 from helpers import named_orders, random_spec, word_sweep
 
 
-def sweep_amp(g, spec, assignment=None):
+def sweep_amp(g, spec, owners=None):
     """The sweep's amplitude with the factors in their as-built order."""
-    return sweep_evaluate(build_polynomial(g, spec, assignment)).amplitude
+    return sweep_evaluate(build_polynomial(g, spec, owners)).amplitude
 
 
 def oracle_amp(g, spec):
@@ -103,6 +104,15 @@ def test_sweep_matches_statevector(g):
     for seed in range(8):
         spec = random_spec(g.n, seed)
         assert abs(sweep_amp(g, spec) - project_statevector(sv, spec)) < 1e-10
+
+
+def test_sweep_on_edges_stored_high_end_first():
+    # ClusterGraph keeps each edge as given; the sweep reads either order
+    g = ClusterGraph(3, frozenset({(1, 0), (1, 2)}))
+    for seed in range(4):
+        spec = random_spec(g.n, seed)
+        sweep = compute_amplitude(g, spec, "sweep").amplitude
+        assert abs(sweep - compute_amplitude(g, spec, "statevector").amplitude) < 1e-12
 
 
 def test_sweep_all_but_last_assignment_agrees():
@@ -597,6 +607,8 @@ def test_column_errors():
     g = build_lattice(17, 1)
     with pytest.raises(ColumnTooWide):
         column_evaluate(g, random_spec(g.n, 0))
+    with pytest.raises(SizeMismatch, match="graph has 13"):
+        column_evaluate(build_lattice(2, 2), random_spec(12, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from latticeproj.algebra import EMPTY_WORD, Letter, TensorWord
 from latticeproj.errors import InvalidPermutation, SizeMismatch
 from latticeproj.factorize import (
+    Factor,
+    FactorizedPolynomial,
     ProjectionSpec,
     build_polynomial,
     format_angles_text,
@@ -14,6 +16,7 @@ from latticeproj.factorize import (
     parse_angles_text,
 )
 from latticeproj.graph import (
+    ClusterGraph,
     _greedy_cover,
     assign_slots,
     build_cross_chain,
@@ -80,14 +83,14 @@ def test_factor_ghz_leaf():
     a = assign_slots(g)
     f = build_polynomial(g, random_spec(5, 2), a).factors[0]
     assert f.c_word == EMPTY_WORD
-    assert f.s_word == TensorWord([(a.slot_of[4], Letter.Z)])
+    assert f.s_word == TensorWord([(a[4], Letter.Z)])
 
 
 def test_factor_shared_leaf_touches_both_centers():
     g = build_cross_chain(2)
     a = assign_slots(g)
     f = build_polynomial(g, random_spec(8, 3), a).factors[2]
-    slots = {a.slot_of[6], a.slot_of[7]}
+    slots = {a[6], a[7]}
     assert f.c_word == EMPTY_WORD
     assert dict(f.s_word.entries) == {s: Letter.Z for s in slots}
 
@@ -98,6 +101,53 @@ def test_all_but_last_factor_carries_z_and_d():
     f = build_polynomial(g, random_spec(4, 4), a).factors[1]
     assert dict(f.c_word.entries) == {1: Letter.U}
     assert dict(f.s_word.entries) == {0: Letter.Z, 1: Letter.D}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_each_edge_puts_one_z_on_its_owners_slot(seed):
+    # the owner of an edge is an endpoint with a slot, the lower one when
+    # both have one; the other endpoint's s word holds Z at the owner's slot
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(2 * n)}
+    # either storage order of an edge gives the same words
+    g = ClusterGraph(n, frozenset(e[::-1] if rng.integers(2) else e for e in pairs))
+    for owners in (_greedy_cover(g), range(n - 1), range(n), None):
+        poly = build_polynomial(g, random_spec(n, seed), owners)
+        slot_of = poly.slot_of
+        s_words = {f.qubit: dict(f.s_word.entries) for f in poly.factors}
+        for a, b in g.edges:
+            low, high = sorted((a, b))
+            owner, other = (low, high) if low in slot_of else (high, low)
+            assert s_words[other][slot_of[owner]] is Letter.Z
+        z_count = sum(letter is Letter.Z for w in s_words.values() for letter in w.values())
+        assert z_count == len(g.edges)
+
+
+def test_build_polynomial_rejects_a_non_cover():
+    with pytest.raises(ValueError, match="not a vertex cover"):
+        build_polynomial(build_line(3), random_spec(3, 0), [0])
+
+
+def test_size_mismatch_between_spec_and_graph():
+    poly = build_polynomial(build_line(3), random_spec(3, 0))
+    with pytest.raises(SizeMismatch, match="graph has 3"):
+        build_polynomial(build_line(3), random_spec(4, 0))
+    with pytest.raises(SizeMismatch, match="graph has 3"):
+        poly.bind_spec(random_spec(2, 0))
+
+
+def test_polynomial_constructor_checks():
+    g = build_line(2)
+    poly = build_polynomial(g, random_spec(2, 0))
+    owner, leaf = poly.factors
+    with pytest.raises(SizeMismatch, match="one factor per qubit"):
+        FactorizedPolynomial(g, poly.slot_of, [owner], poly.spec)
+    second = Factor(qubit=1, c_word=owner.c_word, s_word=owner.s_word)
+    with pytest.raises(ValueError, match="two owner factors"):
+        FactorizedPolynomial(g, poly.slot_of, [owner, second], poly.spec)
+    with pytest.raises(ValueError, match="exactly one owner factor"):
+        FactorizedPolynomial(g, {0: 0, 1: 1}, [owner, leaf], poly.spec)
 
 
 def test_polynomial_structure_invariants():

@@ -196,27 +196,18 @@ def test_bipartition_rejects_odd_cycle():
 
 
 def test_assign_slots_bipartite_bell():
-    g = build_line(2)
-    a = assign_slots(g)
-    assert a.owners == frozenset({0})
-    assert a.edge_owner == {(0, 1): 0}
-    assert a.slot_of == {0: 0}
+    assert assign_slots(build_line(2)) == {0: 0}
 
 
 def test_assign_slots_all_but_last():
     g = build_line(4)
-    a = assign_slots(g, range(g.n - 1))
-    assert a.owners == frozenset({0, 1, 2})
-    for k in range(3):
-        assert a.edge_owner[(k, k + 1)] == k
+    assert assign_slots(g, range(g.n - 1)) == {0: 0, 1: 1, 2: 2}
 
 
 def test_assign_slots_every_qubit_owns():
-    # each qubit's slot is its own index and the lower endpoint owns each edge
+    # each qubit's slot is its own index
     g = build_lattice(2, 2)
-    a = assign_slots(g, range(g.n))
-    assert a.slot_of == {q: q for q in range(g.n)}
-    assert a.edge_owner == {e: e[0] for e in g.edges}
+    assert assign_slots(g, range(g.n)) == {q: q for q in range(g.n)}
 
 
 def test_assign_slots_rejects_a_non_cover():
@@ -230,20 +221,15 @@ def test_assign_slots_rejects_owners_outside_the_graph():
 
 
 def test_assign_slots_single_cross():
-    g = build_cross_chain(1)
-    a = assign_slots(g)
-    assert a.owners == frozenset({4})
-    assert set(a.edge_owner.values()) == {4}
-    assert a.slot_count == 1
+    assert assign_slots(build_cross_chain(1)) == {4: 0}
 
 
 def test_assign_slots_greedy_cover_on_triangle():
     # with an odd cycle the worked-out owners are the greedy cover
     g = build_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    a = assign_slots(g)
-    assert a.owners == _greedy_cover(g)
-    for e, owner in a.edge_owner.items():
-        assert owner in e and owner in a.owners
+    slot_of = assign_slots(g)
+    assert set(slot_of) == _greedy_cover(g)
+    assert all(a in slot_of or b in slot_of for a, b in g.edges)
 
 
 @st.composite
@@ -274,19 +260,17 @@ def test_cover_property_on_random_graphs(seed):
     g = build_from_edges(n, sorted(pairs))
     # None: the bipartition's controls, or the greedy cover on an odd cycle
     for owners in (_greedy_cover(g), range(n - 1), None):
-        a = assign_slots(g, owners)
-        assert sorted(a.slot_of.values()) == list(range(len(a.owners)))
-        for e, owner in a.edge_owner.items():
-            assert owner in e and owner in a.owners
-            if e[0] in a.owners and e[1] in a.owners:
-                assert owner == min(e)
+        slot_of = assign_slots(g, owners)
+        # slots are dense, in owner index order, and the owners cover every edge
+        assert list(slot_of) == sorted(slot_of)
+        assert list(slot_of.values()) == list(range(len(slot_of)))
+        assert all(a in slot_of or b in slot_of for a, b in g.edges)
 
 
 def test_bipartite_slot_count_is_min_color_class():
     for g in (build_line(7), build_cross_chain(2), build_lattice(2, 2)):
         b = bipartition(g)
-        a = assign_slots(g)
-        assert a.slot_count == min(len(b.controls), len(b.targets))
+        assert len(assign_slots(g)) == min(len(b.controls), len(b.targets))
 
 
 def test_graph_file_round_trip():

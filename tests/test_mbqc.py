@@ -187,6 +187,36 @@ def test_compose_error_cases():
         compose([p], [(0, 0)])
     with pytest.raises(ArityMismatch):
         compose([p], [])
+    with pytest.raises(ArityMismatch, match="at least one wire"):
+        compose([], [])
+    # a wire-only CZ stage: its one edge joins its two inputs, so a second
+    # copy on the same wires lays the same edge again
+    cz = MeasurementPattern(
+        graph=build_from_edges(2, [(0, 1)]), inputs=(0, 1), outputs=(0, 1),
+        measurements={}, semantics=CZ_MATRIX,
+    )
+    with pytest.raises(QubitCollision, match=r"stage 1 duplicates edge \(0, 1\)"):
+        compose([cz, cz], [(0, 1), (0, 1)])
+    # only a pattern changed after its own checks can hand on a measured
+    # qubit as a wire end for the next stage to measure again
+    bent = compile_z_rotation(0.3)
+    bent.outputs = bent.inputs
+    with pytest.raises(QubitCollision, match="measures qubit 0 twice"):
+        compose([bent, compile_z_rotation(0.3)], [(0,), (0,)])
+
+
+@pytest.mark.parametrize("inputs,outputs,measurements,dims,match", [
+    ((0,), (1,), {0: 0.3, 1: 0.3}, (2, 2), "output qubits must not carry"),
+    ((0,), (1,), {}, (2, 2), "must cover the pattern"),
+    ((2,), (1,), {0: 0.3}, (2, 2), "input qubits must belong"),
+    ((0,), (1,), {0: 0.3}, (4, 2), "wrong dimensions"),
+], ids=["measured-output", "uncovered", "foreign-input", "semantics-shape"])
+def test_pattern_constructor_checks(inputs, outputs, measurements, dims, match):
+    with pytest.raises(SizeMismatch, match=match):
+        MeasurementPattern(
+            graph=build_from_edges(2, [(0, 1)]), inputs=inputs, outputs=outputs,
+            measurements=measurements, semantics=np.zeros(dims, dtype=complex),
+        )
 
 
 @pytest.mark.parametrize("inputs,outputs", [((0, 0), (1,)), ((0,), (1, 1))])
@@ -698,3 +728,8 @@ def test_compile_circuit_single_cphase_is_the_square_pattern():
 def test_compile_circuit_empty_errors():
     with pytest.raises(CircuitParseError, match="no gates"):
         compile_circuit([])
+
+
+def test_compile_circuit_refuses_an_unknown_gate_kind():
+    with pytest.raises(CircuitParseError, match="unknown gate SWAP"):
+        compile_circuit([Gate("SWAP", (0, 1))])

@@ -278,6 +278,12 @@ def test_projection_size_mismatch():
         project_statevector(build_statevector(build_line(3)), ProjectionSpec.constant(2, 0, 0))
 
 
+def test_direct_sum_size_mismatch():
+    g = build_line(3)
+    with pytest.raises(SizeMismatch, match="graph has 3"):
+        direct_sum(g, bipartition(g), random_spec(4, 0))
+
+
 def test_direct_sum_bell_formula():
     g = build_line(2)
     b = bipartition(g)
