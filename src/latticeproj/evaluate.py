@@ -14,7 +14,12 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
                          multiplies on the frontier.  The live tensor holds
                          at most 2^(active slots) entries.  The axis plan is
                          built once per factor order (FrontierPlan), each
-                         step's c/s table read off the bits of its entries.
+                         step's c/s table read off the bits of its entries
+                         and each step's kind decided there: a slot that
+                         opens and retires at one step is summed on the
+                         step's own values and never reaches the frontier,
+                         and a single retired frontier axis is summed by
+                         adding its two halves.
   * line_recursion       the two-scalar recursion for line graphs,
                          O(n) adds and multiplies, counted exactly.
   * cross_chain_recursion  the same line recursion, run over the chain of
@@ -50,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -86,18 +91,20 @@ class EvalReport:
 
     mul_count / add_count tally complex multiplications and additions applied
     to the live coefficients, plus the final normalization multiply.  For the
-    sweep, every surviving step (see FrontierPlan) costs one multiply per
-    entry of the frontier it yields and every absorbed factor one per entry
-    of its survivor it is multiplied into, and every retirement one add per
-    entry it folds away (the factors' own c*diag + s*diag entries are not
-    counted); for the recursions and the column evaluator they are the
-    recursion steps and boundary updates (column_evaluate gives the column
-    evaluator's closed forms; its maps' and corner diagonals' own entries
-    are not counted).  max_live_terms is the peak size of the live
-    coefficient container: for the sweep 2^max_active_slots, the frontier
-    were every factor multiplied in at its own position (absorbed factors
-    can leave the actual frontier narrower), 2 scalars for the recursions,
-    the boundary vector length d for the column evaluator.
+    sweep they count the plan's layout, not the numpy calls: every surviving
+    step (see FrontierPlan) costs one multiply per entry of the frontier it
+    would yield with its step-local axes on it, every absorbed factor one per
+    entry of its survivor it is multiplied into, and every retirement one add
+    per entry it folds away, step-local axes included (the factors' own
+    c*diag + s*diag entries are not counted); for the recursions and the
+    column evaluator they are the recursion steps and boundary updates
+    (column_evaluate gives the column evaluator's closed forms; its maps'
+    and corner diagonals' own entries are not counted).  max_live_terms is
+    the peak size of the live coefficient container: for the sweep
+    2^max_active_slots, the frontier were every factor multiplied in at its
+    own position (absorbed factors and step-local slots can leave the
+    actual frontier narrower), 2 scalars for the recursions, the boundary
+    vector length d for the column evaluator.
     """
 
     amplitude: complex
@@ -132,12 +139,21 @@ class FrontierPlan:
     ``qubit`` maps every value to its factor's qubit, so the spec's C/S
     arrays expand onto the tables with one fancy index, and ``starts``
     opens each entry's run for one multiply.reduceat.  ``steps[i]`` is
-    (entries, shape, retired axes) of the i-th survivor: the index of its
-    reduced entries on the last axis (``[..., start:stop]``), the broadcast
-    shape they take over all ``width`` axes, and the numpy axes summed
-    right after it; ``open_axes`` are the final axes of the open (never
-    retired) slots.  The counters are those of EvalReport, fixed by the
-    layout; the peak frontier size is at most 2^width.
+    (entries, shape, local, retire, halves) of the i-th survivor: the index
+    of its reduced entries on the last axis (``[..., start:stop]``), the
+    broadcast shape they take over all ``width`` axes, and the numpy axes
+    it retires, split by kind.  ``local`` are the step-local ones, which the
+    incoming frontier lacks (length 1 there): they are summed on the step's
+    values before the multiply, so they never reach the frontier.
+    ``retire`` are those of the frontier, summed right after the multiply.
+    When there is exactly one, ``halves`` holds the index pair of its two
+    halves, f[..., 0:1, <tail>] and f[..., 1:2, <tail>], whose sum is the
+    bits add.reduce gives over a length-2 axis; else it is None and
+    add.reduce sums them (two or more retired at once, where halves would
+    add in another order).  ``open_axes`` are the final axes of the open
+    (never retired) slots.  The counters are those of EvalReport, fixed by
+    the layout as if every step-local axis reached the frontier; the peak
+    frontier size is at most 2^width.
     """
 
     width: int
@@ -145,7 +161,9 @@ class FrontierPlan:
     c_diag: np.ndarray
     s_diag: np.ndarray
     starts: np.ndarray
-    steps: tuple[tuple[tuple, tuple[int, ...], tuple[int, ...]], ...]
+    steps: tuple[
+        tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...], Optional[tuple]], ...
+    ]
     add_count: int
     mul_count: int
     open_axes: tuple[int, ...] = ()
@@ -268,14 +286,21 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
         size = 1 << len(group[0])
         rows.extend(members * size)
 
-        # the frontier holds the axes multiplied in and not yet summed
+        # the frontier holds the axes multiplied in and not yet summed; a
+        # retired axis it lacks is step-local, summed on the step's values
+        retired = retired_axes[pos]
+        local = tuple(-1 - axis for axis in retired if axis not in live)
+        retire = tuple(-1 - axis for axis in retired if axis in live)
+        halves = None
+        if len(retire) == 1:
+            tail = (slice(None),) * (-1 - retire[0])
+            halves = ((..., slice(0, 1)) + tail, (..., slice(1, 2)) + tail)
+        steps.append(((..., slice(stop, stop + size)), table[2], local, retire, halves))
         live.update([axis for axis, _, _ in group[0]])
         frontier = 1 << len(live)
         mul += frontier + size * (len(members) - 1)
-        live.difference_update(retired_axes[pos])
-        add += frontier - (frontier >> len(retired_axes[pos]))
-        retire = tuple(-1 - axis for axis in retired_axes[pos])
-        steps.append(((..., slice(stop, stop + size)), table[2], retire))
+        live.difference_update(retired)
+        add += frontier - (frontier >> len(retired))
         stop += size
 
     factor_at = np.array(rows)
@@ -324,7 +349,11 @@ def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The unnormalized final frontier, c[q]/s[q] weighting q's words; 2 long on open axes.
 
     One multiply.reduceat folds the absorbed factors' entries into their
-    survivors' (see FrontierPlan); only the survivors touch the frontier.
+    survivors' (see FrontierPlan); only the survivors touch the frontier,
+    each step as its plan decided: step-local axes summed on its values,
+    then a broadcast multiply into a new frontier (an in-place multiply
+    rounded one projection's frontier unlike a batch's), then one retired
+    axis summed as its two halves added, or several by add.reduce.
     c and s are (n,) arrays, or (T, n) for T projections at once.  The T
     frontiers then share a leading axis, which every factor and retirement
     passes over, as their axes count from the end; one projection runs with
@@ -339,9 +368,14 @@ def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         values = np.multiply.reduceat(values, plan.starts, axis=-1)
         lead = c.shape[:-1]
         frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
-        for index, shape, retire in plan.steps:
-            frontier = frontier * values[index].reshape(lead + shape)
-            if retire:
+        for index, shape, local, retire, halves in plan.steps:
+            step = values[index].reshape(lead + shape)
+            if local:
+                step = np.add.reduce(step, axis=local, keepdims=True)
+            frontier = frontier * step
+            if halves:
+                frontier = frontier[halves[0]] + frontier[halves[1]]
+            elif retire:
                 frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
     return frontier
 

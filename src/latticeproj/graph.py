@@ -60,6 +60,13 @@ class ClusterGraph:
     n: int
     edges: frozenset[Edge]
 
+    def __post_init__(self) -> None:
+        # each edge is stored low end first, so that graphs with the same
+        # edges are equal and the family detectors see every edge one way;
+        # the set is rebuilt only when some edge was given high end first
+        if any(a > b for a, b in self.edges):
+            object.__setattr__(self, "edges", frozenset(_norm_edge(a, b) for a, b in self.edges))
+
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

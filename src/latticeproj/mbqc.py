@@ -437,8 +437,11 @@ def _action_core(pattern: MeasurementPattern) -> np.ndarray:
     """The pattern's (2^outputs, 2^inputs) action, outputs in declared order.
 
     (C_q, S_q) is q's bra, or (1, 1) unmeasured, times the 1/sqrt(2) of |+>
-    unless q is an input.  The open slots index the matrix; an input that is
-    also an output is expanded one-hot, as the action is diagonal in it.
+    unless q is an input.  The open slots index the matrix: the contracted
+    frontier is written into one zeroed result, each result axis labelled by
+    its qubit's open slot.  An input that is also an output labels two axes,
+    and the action is diagonal in it, so the frontier fills the diagonal
+    view of that pair (a single-operand einsum) and the rest stays zero.
     """
     inputs, outputs = pattern.inputs, pattern.outputs
     opened = inputs + tuple(q for q in outputs if q not in inputs)
@@ -450,20 +453,27 @@ def _action_core(pattern: MeasurementPattern) -> np.ndarray:
     )
     cs[:, [q for q in range(n) if q not in inputs]] *= 1.0 / math.sqrt(2.0)
     frontier = _contract(plan, *cs)
-
+    shape = (1 << len(outputs), 1 << len(inputs))
     k = len(opened)
-    arr = np.moveaxis(frontier, plan.open_axes, range(k)).reshape((2,) * k)
-    out_axes = []
-    for q in outputs:
-        axis = opened.index(q)
-        if q in inputs:
-            shape = [1] * arr.ndim + [2]
-            shape[axis] = 2
-            arr = arr[..., None] * np.eye(2).reshape(shape)
-            axis = arr.ndim - 1
-        out_axes.append(axis)
-    arr = np.transpose(arr, out_axes + list(range(len(inputs))))
-    return arr.reshape(1 << len(outputs), 1 << len(inputs))
+    if not k:  # a scalar, which einsum would not return as a view
+        return frontier.reshape(shape)
+    mat = np.zeros((2,) * (len(outputs) + len(inputs)), dtype=complex)
+    view = np.einsum(mat, [opened.index(q) for q in outputs + inputs], list(range(k)))
+    view[...] = np.moveaxis(frontier, plan.open_axes, range(k)).reshape((2,) * k)
+    return mat.reshape(shape)
+
+
+def _vanishing_norm(pattern: MeasurementPattern, norms: np.ndarray) -> float:
+    """The norm at or below which a branch of the action counts as vanished.
+
+    1e-13 of the action's scale, relative rather than fixed, as the scale
+    falls by about 2^(-1/2) per measured qubit.  The scale is the largest
+    column norm ``norms.max()``, or 2^(-m/2) for m measured qubits (each
+    branch's norm when every outcome is equally likely), whichever is
+    larger: so an all-zero action raises, and so does a one-column action
+    (no inputs) that holds only rounding error.
+    """
+    return 1e-13 * max(float(norms.max()), 2.0 ** (-len(pattern.measurements) / 2.0))
 
 
 def simulate_pattern(
@@ -475,15 +485,17 @@ def simulate_pattern(
     contraction with the input slots left open (see ``_action_core``); the
     input is then applied to it.  Returns the unnormalized residual vector
     on the outputs, in the pattern's declared output order.  Raises
-    ZeroBranch when the post-selected branch vanishes identically.
+    ZeroBranch when the post-selected branch vanishes: when the residual's
+    norm is at most the input's norm times _vanishing_norm.
     """
     k = len(pattern.inputs)
     vec = np.asarray(input_state, dtype=complex).reshape(-1)
     if vec.shape[0] != 1 << k:
         raise SizeMismatch(f"input needs dimension {1 << k}, got {vec.shape[0]}")
-    out = _action_core(pattern) @ vec
-    scale = float(np.linalg.norm(vec))
-    if float(np.linalg.norm(out)) <= 1e-13 * max(scale, 1.0):
+    mat = _action_core(pattern)
+    out = mat @ vec
+    floor = _vanishing_norm(pattern, np.sqrt(np.vecdot(mat, mat, axis=0).real))
+    if float(np.linalg.norm(out)) <= floor * float(np.linalg.norm(vec)):
         raise ZeroBranch("post-selected branch of the pattern is identically zero")
     return out
 
@@ -492,10 +504,11 @@ def pattern_action_matrix(pattern: MeasurementPattern) -> np.ndarray:
     """The pattern's actual linear action, all input basis columns at once.
 
     Raises ZeroBranch when the post-selected branch vanishes on any input
-    basis state.
+    basis state: when that column's norm is at most _vanishing_norm.
     """
     mat = _action_core(pattern)
-    dead = np.flatnonzero(np.linalg.norm(mat, axis=0) <= 1e-13)
+    norms = np.sqrt(np.vecdot(mat, mat, axis=0).real)
+    dead = np.flatnonzero(norms <= _vanishing_norm(pattern, norms))
     if dead.size:
         raise ZeroBranch(
             f"post-selected branch of the pattern vanishes on input basis state {dead[0]}"

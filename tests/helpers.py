@@ -1,9 +1,9 @@
 """Shared brute-force oracles and comparison helpers for the test suite.
 
-Everything here except the word-dict sweep is computed independently of the
-package's own algebra: letters are explicit numpy matrices, words are
-explicit Kronecker products, so agreement checks are against a second route,
-not a mirror.  The word-dict sweep (TermSum, word_sweep) is the paper's
+Everything here except the word-dict sweep and the one-kind frontier loop
+is computed independently of the package's own algebra: letters are
+explicit numpy matrices, words are explicit Kronecker products, so
+agreement checks are against a second route, not a mirror.  The word-dict sweep (TermSum, word_sweep) is the paper's
 literal term-by-term contraction on the package's letter algebra; it is the
 reference for the package's dense frontier, which shares none of its code.
 The per-edge mask statevector (edge_mask_statevector) is the reference for
@@ -15,7 +15,10 @@ The per-target parity loop (loop_direct_sum) is the reference for the
 package's bit-counting direct sum, the Python-product fold
 (product_fold) the reference for the numpy Kronecker half-bras of
 project_statevector, and the all-qubit scan (quadratic_greedy_cover) the
-reference for the heap-ordered greedy cover.
+reference for the heap-ordered greedy cover.  The one-kind frontier loop
+(reference_contract) is the bitwise reference for the sweep's contraction
+core, whose steps sum their step-local axes on their own values and retire
+a single frontier axis by adding its halves.
 """
 
 from itertools import product
@@ -24,6 +27,7 @@ from operator import mul
 
 import numpy as np
 
+from latticeproj import evaluate
 from latticeproj.algebra import EMPTY_WORD, Letter, ZERO, word_mul
 from latticeproj.errors import NonScalarResidue, RetirementBeforeOwner
 from latticeproj.evaluate import EvalReport
@@ -403,3 +407,29 @@ def word_sweep(poly):
         add_count=state.add_count,
         mul_count=state.mul_count,
     )
+
+
+def reference_contract(plan, c, s):
+    """The sweep's frontier loop with one kind of step; _contract's bitwise
+    reference on the worked-out orders.
+
+    Each step is one broadcast multiply of its whole values into the
+    frontier, then one add.reduce over its step-local and retired axes
+    together.  The values are built as _contract builds them, under the
+    same bound on numpy's ufunc buffers.
+    """
+    with np.errstate():
+        np.setbufsize(evaluate.UFUNC_BUFFER)
+        values = s.take(plan.qubit, -1)
+        values *= plan.s_diag
+        part = c.take(plan.qubit, -1)
+        part *= plan.c_diag
+        values += part
+        values = np.multiply.reduceat(values, plan.starts, axis=-1)
+        lead = c.shape[:-1]
+        frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
+        for index, shape, local, retire, _ in plan.steps:
+            frontier = frontier * values[index].reshape(lead + shape)
+            if local + retire:
+                frontier = np.add.reduce(frontier, axis=local + retire, keepdims=True)
+    return frontier

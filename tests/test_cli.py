@@ -751,8 +751,20 @@ def test_verify_op_allocation_peak(argv, cap_kib):
     assert _op_peak_script().op_peak_kib(list(argv)) < cap_kib
 
 
-def test_action_allocation_peak(tmp_path):
-    # mbqc-verify's five-wire CPhase chain: compile and action, bounded buffers
+def _chain_action_peak_kib(tmp_path):
+    """op_peak's action peak on mbqc-verify's five-wire CPhase chain."""
     circuit = tmp_path / "chain.txt"
     circuit.write_text("".join(f"CPHASE {w} {w + 1} {0.5 + w}\n" for w in range(4)))
-    assert _op_peak_script().action_peak_kib(str(circuit)) < 80
+    return _op_peak_script().action_peak_kib(str(circuit))
+
+
+def test_action_allocation_peak(tmp_path):
+    # mbqc-verify's five-wire CPhase chain: compile and action, bounded buffers
+    assert _chain_action_peak_kib(tmp_path) < 80
+
+
+def test_action_allocation_peak_without_full_size_temporaries(tmp_path):
+    # no step-local slot reaches the frontier and the action is written
+    # straight into its result (70.0 KiB with the doubled frontier and the
+    # one-hot and transposed copies)
+    assert _chain_action_peak_kib(tmp_path) < 56

@@ -57,7 +57,7 @@ from latticeproj.graph import (
 )
 from latticeproj.oracle import build_statevector, project_statevector
 
-from helpers import named_orders, random_spec, word_sweep
+from helpers import named_orders, random_spec, reference_contract, word_sweep
 
 
 def sweep_amp(g, spec, owners=None):
@@ -107,7 +107,7 @@ def test_sweep_matches_statevector(g):
 
 
 def test_sweep_on_edges_stored_high_end_first():
-    # ClusterGraph keeps each edge as given; the sweep reads either order
+    # edges given high end first (ClusterGraph stores each low end first)
     g = ClusterGraph(3, frozenset({(1, 0), (1, 2)}))
     for seed in range(4):
         spec = random_spec(g.n, seed)
@@ -197,16 +197,19 @@ def replayed_counters(plan):
     """(mul, add) of the plan replayed on real arrays: each step's multiply
     costs the entries of the frontier it yields, each absorbed entry one
     multiply of the reduceat, each retirement the entries it folds away, and
-    the normalization one multiply."""
+    the normalization one multiply.  The counters are the layout's, so a
+    step-local axis is counted as if it reached the frontier: the replay
+    multiplies the whole step in, then sums its step-local and retired axes
+    together."""
     frontier = np.ones((1,) * plan.width)
     mul = len(plan.qubit) - len(plan.starts) + 1
     add = 0
-    for _, shape, retire in plan.steps:
+    for _, shape, local, retire, _ in plan.steps:
         frontier = frontier * np.ones(shape)
         mul += frontier.size
-        if retire:
+        if local + retire:
             before = frontier.size
-            frontier = frontier.sum(axis=retire, keepdims=True)
+            frontier = frontier.sum(axis=local + retire, keepdims=True)
             add += before - frontier.size
     return mul, add
 
@@ -257,6 +260,19 @@ def test_open_slots_sum_to_the_sweep(g):
         assert abs(amp - ref) <= 1e-12 * abs(ref), open_slots
 
 
+@pytest.mark.parametrize("g", [g for _, g in FRONTIER_GRAPHS],
+                         ids=[name for name, _ in FRONTIER_GRAPHS])
+def test_contract_matches_the_one_kind_loop_bitwise(g):
+    # on these worked-out plans a step-local slot comes only while the
+    # frontier is all ones, and halves add as add.reduce does over an axis
+    # of length 2
+    specs = [random_spec(g.n, 75 + t) for t in range(31)]
+    plan = frontier_plan(sweep_polynomial(g, specs[0]))
+    for c, s in [(specs[0].c, specs[0].s),
+                 (np.stack([p.c for p in specs]), np.stack([p.s for p in specs]))]:
+        assert _contract(plan, c, s).tobytes() == reference_contract(plan, c, s).tobytes()
+
+
 def _amplitude_bytes(g):
     """The sweep's amplitude at T = 1 and every batching row's 31 batched
     amplitudes, as bytes."""
@@ -294,84 +310,84 @@ def test_contract_restores_the_callers_ufunc_buffer():
 
 # Each plan of scripts/plan_digest.py's small corpus, as that script prints it.
 RECORDED_DIGESTS = """\
-cross_2.graph as-built 4c686be6f287f18a
-cross_2.graph worked-out 4c686be6f287f18a
-cross_2.graph row-major 47f2ade4fd7310f4
-cross_3.graph as-built 8348c2dac77afa14
-cross_3.graph worked-out a7579e48fb2199da
-cross_3.graph row-major a32bb62134146f6e
-fig10_a4.graph as-built 8e5c5cd5572aec96
-fig10_a4.graph worked-out 8e5c5cd5572aec96
-fig10_b7.graph as-built 69936a04c7d81960
-fig10_b7.graph worked-out 69936a04c7d81960
-fig10_c12.graph as-built 3d76f4371bb4a8c7
-fig10_c12.graph worked-out 3d76f4371bb4a8c7
-fivecross_17.graph as-built d7813afd207c4629
-fivecross_17.graph worked-out bf5d1d40e7755535
-lattice_2x2.graph as-built 4036045f7395ecf6
-lattice_2x2.graph worked-out 4036045f7395ecf6
-lattice_3x3.graph as-built 9dbbe9760865a4af
-lattice_3x3.graph worked-out 9dbbe9760865a4af
-lattice_3x4.graph as-built 83de598145344462
-lattice_3x4.graph worked-out 1c34cdc9450be571
-line_10.graph as-built 1289a5290335a2e8
-line_10.graph worked-out 1289a5290335a2e8
-line_4.graph as-built 8e5c5cd5572aec96
-line_4.graph worked-out 8e5c5cd5572aec96
-lattice:1x1 as-built eba4c6555dd665bd
-lattice:1x1 worked-out eba4c6555dd665bd
-lattice:1x1 row-major 5b2e2369ce5cd815
-lattice:1x2 as-built b696290ae04f57d8
-lattice:1x2 worked-out b696290ae04f57d8
-lattice:1x2 row-major c4c92cd1e50b40c8
-lattice:1x3 as-built 99fa9ff7be13dfc0
-lattice:1x3 worked-out d2438c30434d349b
-lattice:1x3 row-major 3f6760515e54fead
-lattice:1x4 as-built 49c1c7bfa8fca7c0
-lattice:1x4 worked-out b19f49d831f87027
-lattice:1x4 row-major 57f4d7e053c8bf15
-lattice:2x1 as-built 4c686be6f287f18a
-lattice:2x1 worked-out 4c686be6f287f18a
-lattice:2x1 row-major 47f2ade4fd7310f4
-lattice:2x2 as-built bcb4aeacd933f96e
-lattice:2x2 worked-out bcb4aeacd933f96e
-lattice:2x2 row-major 8e72ebaf6ef714f8
-lattice:2x3 as-built e5beb9d81a550abe
-lattice:2x3 worked-out 0b62cdd5b483e9c2
-lattice:2x3 row-major b1baa2512c7605a9
-lattice:2x4 as-built 5d03e54879dd1136
-lattice:2x4 worked-out 18f70029ba583a03
-lattice:2x4 row-major 20c4656904372ad7
-lattice:3x1 as-built 8348c2dac77afa14
-lattice:3x1 worked-out a7579e48fb2199da
-lattice:3x1 row-major a32bb62134146f6e
-lattice:3x2 as-built 8630155eb4ee379b
-lattice:3x2 worked-out 0022f1f2aec3c00c
-lattice:3x2 row-major 6868abd0307f1edf
-lattice:3x3 as-built 0d9395b077829d16
-lattice:3x3 worked-out 5a1469fe9931cdee
-lattice:3x3 row-major 320ed48c4fe0f739
-lattice:3x4 as-built b51011d71491dd44
-lattice:3x4 worked-out 133cc98526bd74dd
-lattice:3x4 row-major fe79856d21bf438b
-lattice:4x1 as-built a320f13792ae9aab
-lattice:4x1 worked-out 4459187da7f50c7e
-lattice:4x1 row-major 9c2f83ab0636b94f
-lattice:4x2 as-built 03f11811d24d56cf
-lattice:4x2 worked-out c22f53de5b80acab
-lattice:4x2 row-major a7cd8632f3afbb33
-lattice:4x3 as-built 1d173d827d5efb80
-lattice:4x3 worked-out 4db172ed6eacc544
-lattice:4x3 row-major bd83f85850260fb7
-lattice:4x4 as-built cdae5f5b6173e69f
-lattice:4x4 worked-out 432556de9a8b3ae2
-lattice:4x4 row-major 42bf22db3a941da6
-line:200 as-built 1fa8dfbe42b56feb
-line:200 worked-out 1fa8dfbe42b56feb
-cross:20 as-built 489e9c8f76b03671
-cross:20 worked-out 8af167ac24387c11
-cross:20 row-major c8a6ec4571012a8c
-cphase-chain:5 open-slots f2836681b56ceaec
+cross_2.graph as-built e1810e283e074904
+cross_2.graph worked-out e1810e283e074904
+cross_2.graph row-major 0ebc56727acaca7d
+cross_3.graph as-built 9e606d56989e0de4
+cross_3.graph worked-out 6ee67426ce0ad86f
+cross_3.graph row-major 16a801315c0a4aca
+fig10_a4.graph as-built f2a4d598316eac2a
+fig10_a4.graph worked-out f2a4d598316eac2a
+fig10_b7.graph as-built 63a9b379cd01e405
+fig10_b7.graph worked-out 63a9b379cd01e405
+fig10_c12.graph as-built 758fe264c919eb90
+fig10_c12.graph worked-out 758fe264c919eb90
+fivecross_17.graph as-built a981ea9a04c34a69
+fivecross_17.graph worked-out b702e185277bcfed
+lattice_2x2.graph as-built b59ab8b67767a848
+lattice_2x2.graph worked-out b59ab8b67767a848
+lattice_3x3.graph as-built b6c5499e14566bbb
+lattice_3x3.graph worked-out b6c5499e14566bbb
+lattice_3x4.graph as-built 0b174f4330f81d15
+lattice_3x4.graph worked-out ecbf159d4d6f87e2
+line_10.graph as-built d06d0ad89e1f2c99
+line_10.graph worked-out d06d0ad89e1f2c99
+line_4.graph as-built f2a4d598316eac2a
+line_4.graph worked-out f2a4d598316eac2a
+lattice:1x1 as-built 63622959b6edce6c
+lattice:1x1 worked-out 63622959b6edce6c
+lattice:1x1 row-major ce8a2b5958270ea3
+lattice:1x2 as-built 7f599a2f96f2a692
+lattice:1x2 worked-out 7f599a2f96f2a692
+lattice:1x2 row-major d9fbcce7a4ca8945
+lattice:1x3 as-built 8a7677f7e25069cb
+lattice:1x3 worked-out ee47228f8b104672
+lattice:1x3 row-major e416851d29de3406
+lattice:1x4 as-built d58b5638763dbeba
+lattice:1x4 worked-out 3cda7606a95897f1
+lattice:1x4 row-major d0dde0325bba64f7
+lattice:2x1 as-built e1810e283e074904
+lattice:2x1 worked-out e1810e283e074904
+lattice:2x1 row-major 0ebc56727acaca7d
+lattice:2x2 as-built da4b4ed33cc32561
+lattice:2x2 worked-out da4b4ed33cc32561
+lattice:2x2 row-major 10a8527ebfda9a02
+lattice:2x3 as-built 1e60a4a32778d047
+lattice:2x3 worked-out 9d91b6a896843849
+lattice:2x3 row-major d72f5bc7c302de1e
+lattice:2x4 as-built 3a6efa7897a7be31
+lattice:2x4 worked-out c3b0136b77d852ad
+lattice:2x4 row-major ae5d28ee21a5c16c
+lattice:3x1 as-built 9e606d56989e0de4
+lattice:3x1 worked-out 6ee67426ce0ad86f
+lattice:3x1 row-major 16a801315c0a4aca
+lattice:3x2 as-built a50085393428d3c1
+lattice:3x2 worked-out bf769322bd4f637b
+lattice:3x2 row-major 8be4904cb0eee175
+lattice:3x3 as-built db66a8ee4db38f18
+lattice:3x3 worked-out f1a1469b9368bed4
+lattice:3x3 row-major 263810045522cb5a
+lattice:3x4 as-built cbe2fed9f4882e0a
+lattice:3x4 worked-out 1759a74ad8c6344f
+lattice:3x4 row-major 68759150f08ec77e
+lattice:4x1 as-built 8c8a29f89e1e1077
+lattice:4x1 worked-out b85bfa100a228857
+lattice:4x1 row-major 4b8129ee1387599a
+lattice:4x2 as-built 0ab89efe164d1bab
+lattice:4x2 worked-out 32e4aaffb125a494
+lattice:4x2 row-major 5b94a0b2c005a483
+lattice:4x3 as-built db056976554734b5
+lattice:4x3 worked-out afc34a4df07a83bb
+lattice:4x3 row-major 53808de32331d81d
+lattice:4x4 as-built 7d70ac6296912b32
+lattice:4x4 worked-out d66ca794f71b8728
+lattice:4x4 row-major c309aafa290554c6
+line:200 as-built 4ae7556b192d23dd
+line:200 worked-out 4ae7556b192d23dd
+cross:20 as-built cc5e7e11383f6cc0
+cross:20 worked-out 7219d765410890e7
+cross:20 row-major 642e5c419c22b94c
+cphase-chain:5 open-slots d2a57c8aac6d06fc
 """
 
 

@@ -110,7 +110,7 @@ def test_each_edge_puts_one_z_on_its_owners_slot(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 12))
     pairs = {tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(2 * n)}
-    # either storage order of an edge gives the same words
+    # edges given either way round give the same words
     g = ClusterGraph(n, frozenset(e[::-1] if rng.integers(2) else e for e in pairs))
     for owners in (_greedy_cover(g), range(n - 1), range(n), None):
         poly = build_polynomial(g, random_spec(n, seed), owners)

@@ -107,6 +107,17 @@ def test_family_detection():
     assert detect_lattice(build_cross_chain(2)) == (2, 1)
 
 
+@pytest.mark.parametrize("edges,g", [
+    ({(1, 0), (1, 2)}, build_line(3)),  # one edge each way round
+    ({(b, a) for a, b in build_cross_chain(2).edges}, build_cross_chain(2)),
+    ({(b, a) for a, b in build_lattice(2, 3).edges}, build_lattice(2, 3)),
+], ids=["line:3", "cross:2", "lattice:2x3"])
+def test_edges_given_high_end_first_keep_the_family(edges, g):
+    given = ClusterGraph(g.n, frozenset(edges))
+    assert given == g and hash(given) == hash(g)
+    assert latticeproj.applicable_engines(given) == latticeproj.applicable_engines(g)
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (2, 1), (5, 1), (7, 3), (2, 3), (4, 4), (1364, 1)])
 def test_detect_lattice_builds_only_the_detected_shape(monkeypatch, shape):
     # the counts also fit the transposed shape, which must not be built

@@ -51,6 +51,7 @@ from helpers import (
     declared_gate_matrix,
     dense_pattern_action,
     kron_semantics,
+    reference_contract,
 )
 
 
@@ -546,27 +547,65 @@ def test_action_matrix_matches_dense_reference_on_random_patterns(data):
 
 @pytest.mark.parametrize("wires,width", [(5, 11), (8, 17)])
 def test_cphase_chain_peak_frontier(wires, width):
-    # the peak live array of the measure-as-soon-as-possible schedule:
-    # 2^11 entries on the 21-qubit chain, 2^17 on the 36-qubit one
+    # the plan width of the measure-as-soon-as-possible schedule: 11 on the
+    # 21-qubit chain, 17 on the 36-qubit one; the widest step's new slot
+    # retires at once, on the step's own values, so the frontier itself
+    # holds at most 2^10 and 2^16 entries
     pattern = _cphase_chain(wires, seed=8)
     opened = pattern.inputs + tuple(q for q in pattern.outputs if q not in pattern.inputs)
     assert _pattern_plan(pattern.graph, opened).width == width
 
 
-def test_cphase_chain_action_peak_memory():
-    # the width-11 step holds the old 16 KiB frontier, the new 32 KiB one and
-    # ~6 KiB of values; numpy's default ufunc buffers add ~64 KiB (118 KiB)
-    pattern = _cphase_chain(5, seed=8)
+def _held_action_peak(pattern):
+    """tracemalloc's peak over a warm pattern_action_matrix of a built pattern."""
     pattern_action_matrix(pattern)  # warm the plan and numpy's
     pattern_action_matrix(pattern)
     gc.collect()
     tracemalloc.start()
     try:
         pattern_action_matrix(pattern)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**10
+
+
+def test_cphase_chain_action_peak_memory():
+    # the widest frontier is 16 KiB, as the width-11 step sums its new slot
+    # on its own values; the zeroed 16 KiB result and the step values sit
+    # beside it, and numpy's default ufunc buffers would add ~64 KiB
+    assert _held_action_peak(_cphase_chain(5, seed=8)) < 80 * 2**10
+
+
+def test_cphase_chain_held_action_peak_memory():
+    # no slot that a step opens and retires reaches the frontier, and the
+    # frontier is written straight into the zeroed result (61.5 KiB with
+    # the doubled width-11 frontier and the one-hot and transposed copies)
+    assert _held_action_peak(_cphase_chain(5, seed=8)) < 48 * 2**10
+
+
+@pytest.mark.parametrize("wires", [5, 8])
+def test_cphase_chain_action_matches_the_one_kind_loop(wires, monkeypatch):
+    # every-owner plans sum step-local slots mid-sweep, so the adds run in
+    # another order than the one-kind loop's
+    pattern = _cphase_chain(wires, seed=8)
+    action = pattern_action_matrix(pattern)
+    monkeypatch.setattr(mbqc, "_contract", reference_contract)
+    reference = pattern_action_matrix(pattern)
+    assert np.abs(action - reference).max() <= 1e-15 * np.abs(reference).max()
+
+
+def test_deep_cphase_chain_is_no_zero_branch():
+    # six copies of the five-wire chain, 101 qubits: each column's norm is
+    # 2^-48 (96 measured qubits), far below any fixed floor
+    text = "".join(f"CPHASE {w} {w + 1} {0.4 + 0.7 * w + 0.3 * c!r}\n"
+                   for c in range(6) for w in range(4))
+    pattern = compile_circuit(parse_circuit(text))
+    assert pattern.graph.n == 101
+    action = pattern_action_matrix(pattern)
+    residual, _ = align_residual(action, pattern.semantics)
+    assert residual <= 1e-12 * np.linalg.norm(action)
+    out = simulate_pattern(pattern, np.eye(32)[0])
+    assert np.linalg.norm(out) == pytest.approx(2.0**-48, rel=1e-12)
 
 
 def test_ufunc_buffer_bound_leaves_the_action_matrix_bitwise(monkeypatch):

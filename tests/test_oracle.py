@@ -124,7 +124,8 @@ def test_statevector_matches_edge_masks_on_edge_cases(g):
 
 @st.composite
 def oriented_graph(draw, max_qubits=10):
-    """A random graph whose edges keep the orientation they were drawn in."""
+    """A random graph whose edges are given in the orientation they were
+    drawn in (ClusterGraph stores each low end first)."""
     n = draw(st.integers(min_value=1, max_value=max_qubits))
     qubit = st.integers(0, n - 1)
     edges = {}
