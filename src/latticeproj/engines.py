@@ -9,7 +9,10 @@ recursions), takes ``evaluate``, so a one-trial verify runs and is traced
 as ``project`` is; two or more run the row's array core (see ``Pass``) on
 chunks of the stacked specs within the row's budget in entries (the
 statevector's 2^cap less the vector itself, 2^24 direct-sum terms or sweep
-frontier entries and step values, a 2^16 column boundary).
+frontier entries and step values, a 2^16 column boundary).  The sweep counts
+a value per plan entry, though its pass builds them one block of
+``evaluate.BLOCK_ENTRIES`` at a time: an over-count, so a chunk holds less
+than its budget.
 ``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude``,
 ``compute_amplitudes`` and the CLI all read this table.  Direct-sum and the
 family rows read ``graph.graph_family``, detected once per distinct graph
@@ -159,7 +162,8 @@ def _sweep(g: ClusterGraph, spec: ProjectionSpec) -> EvalReport:
 def _sweep_pass(g: ClusterGraph) -> Pass:
     plan = frontier_plan(_sweep_structure(g))
     scale = 2.0 ** (-g.n / 2.0)
-    # each spec holds its frontier and its step values, both complex
+    # each spec holds its frontier and, counted in full though _contract
+    # holds one block of them at a time, its step values, both complex
     return (
         (1 << plan.width) + len(plan.c_diag), 1 << SWEEP_WIDTH_CAP,
         lambda c, s: scale * _contract(plan, c, s).reshape(len(c)),

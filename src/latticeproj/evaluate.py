@@ -19,7 +19,10 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
                          opens and retires at one step is summed on the
                          step's own values and never reaches the frontier,
                          and a single retired frontier axis is summed by
-                         adding its two halves.
+                         adding its two halves.  The steps' values are
+                         built one block of at most BLOCK_ENTRIES plan
+                         entries at a time, so a step holds the old and new
+                         frontier plus one block, however long the graph.
   * line_recursion       the two-scalar recursion for line graphs,
                          O(n) adds and multiplies, counted exactly.
   * cross_chain_recursion  the same line recursion, run over the chain of
@@ -43,18 +46,19 @@ coefficient, multiplied term by term) is kept as the test suite's reference,
 tests/helpers.py::word_sweep.
 
 Every route is pure apart from the sweep storing its plan on the polynomial
-on first use and the column evaluator caching its per-shape index layout
-(each the same whichever call builds it); distinct evaluations can run in
-parallel freely: the bound on numpy's ufunc buffers (UFUNC_BUFFER) that
-_contract and the engines' batch pass set sits in an np.errstate, per
-thread and task, restored on exit or raise.
+and the plan its cut into blocks on first use, and the column evaluator
+caching its per-shape index layout (each the same whichever call builds
+it); distinct evaluations can run in parallel freely: the bound on numpy's
+ufunc buffers (UFUNC_BUFFER) that _contract and the engines' batch pass
+set sits in an np.errstate, per thread and task, restored on exit or
+raise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -153,7 +157,9 @@ class FrontierPlan:
     add in another order).  ``open_axes`` are the final axes of the open
     (never retired) slots.  The counters are those of EvalReport, fixed by
     the layout as if every step-local axis reached the frontier; the peak
-    frontier size is at most 2^width.
+    frontier size is at most 2^width.  ``blocked_steps`` cuts the steps into
+    the blocks whose values _contract builds at once; it is cached on the
+    plan beside these fields, not one of them.
     """
 
     width: int
@@ -167,6 +173,37 @@ class FrontierPlan:
     add_count: int
     mul_count: int
     open_axes: tuple[int, ...] = ()
+
+    @cached_property
+    def blocked_steps(self) -> tuple[tuple[Optional[tuple], tuple], ...]:
+        """Each step as (block, step), the steps cut into blocks of at most
+        BLOCK_ENTRIES values (a larger step alone).
+
+        ``block`` is None but on a block's first step, where it is the
+        block's (qubit, c_diag, s_diag, starts): its views of the plan's
+        arrays and each entry's run start within them.  ``step`` is the
+        step of ``steps`` with its entries counted from its block's first.
+        Worked out on first use and kept; not a field, so the plan's fields
+        and digest are those of the whole plan.
+        """
+        bounds = self.starts.tolist() + [len(self.qubit)]
+        cuts: list[tuple[int, list]] = []
+        for step in self.steps:
+            entries = step[0][-1]
+            if not cuts or bounds[entries.stop] - bounds[cuts[-1][0]] > BLOCK_ENTRIES:
+                cuts.append((entries.start, []))
+            cuts[-1][1].append(step)
+        blocked = []
+        for first, steps in cuts:
+            stop = steps[-1][0][-1].stop
+            rows = slice(bounds[first], bounds[stop])
+            block = (self.qubit[rows], self.c_diag[rows], self.s_diag[rows],
+                     self.starts[first:stop] - bounds[first])
+            for (_, entries), *rest in steps:
+                index = (..., slice(entries.start - first, entries.stop - first))
+                blocked.append((block, (index, *rest)))
+                block = None
+        return tuple(blocked)
 
 
 def _group_table(
@@ -332,6 +369,12 @@ def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
     return poly.plan
 
 
+# Most plan entries (values of qubit, c_diag and s_diag) whose values
+# _contract builds at once: 8 KiB of complex values per projection.  The
+# sweep then holds the frontier and one block's values, not every step's,
+# so its memory does not grow with the graph at a fixed frontier width.
+BLOCK_ENTRIES = 512
+
 # Entries per operand of numpy's ufunc buffers in _contract and an engine's
 # batch pass; at the default 8192 a multiply allocates two of up to 128 KiB.
 UFUNC_BUFFER = 256
@@ -357,18 +400,26 @@ def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     c and s are (n,) arrays, or (T, n) for T projections at once.  The T
     frontiers then share a leading axis, which every factor and retirement
     passes over, as their axes count from the end; one projection runs with
-    no leading axis.  The entries' values are built in one complex buffer:
-    s's share, with c's added into it in place.  numpy's ufunc buffers hold
+    no leading axis.  The values are built one block of steps at a time
+    (see FrontierPlan.blocked_steps), the last block's freed first, so the
+    call holds the frontier and one block's values: at most BLOCK_ENTRIES
+    per projection, or one step's.  A block's values are built in one
+    complex buffer: s's share, with c's added into it in place, then
+    reduced by one multiply.reduceat; each value is the one a single build
+    over all steps gives, bit for bit.  numpy's ufunc buffers hold
     UFUNC_BUFFER entries per operand, set in an errstate scoped to the call.
     """
     with np.errstate():
         np.setbufsize(UFUNC_BUFFER)
-        values = _scaled_take(s, plan.qubit, plan.s_diag)
-        values += _scaled_take(c, plan.qubit, plan.c_diag)
-        values = np.multiply.reduceat(values, plan.starts, axis=-1)
         lead = c.shape[:-1]
         frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
-        for index, shape, local, retire, halves in plan.steps:
+        for block, (index, shape, local, retire, halves) in plan.blocked_steps:
+            if block is not None:
+                values = step = None  # the last block's, freed before these are built
+                qubit, c_diag, s_diag, starts = block
+                values = _scaled_take(s, qubit, s_diag)
+                values += _scaled_take(c, qubit, c_diag)
+                values = np.multiply.reduceat(values, starts, axis=-1)
             step = values[index].reshape(lead + shape)
             if local:
                 step = np.add.reduce(step, axis=local, keepdims=True)

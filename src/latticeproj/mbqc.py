@@ -463,17 +463,33 @@ def _action_core(pattern: MeasurementPattern) -> np.ndarray:
     return mat.reshape(shape)
 
 
-def _vanishing_norm(pattern: MeasurementPattern, norms: np.ndarray) -> float:
-    """The norm at or below which a branch of the action counts as vanished.
+def _norms(x: np.ndarray, exponent: int) -> np.ndarray:
+    """The norms of x's columns (axis 0) times 2^-exponent.  |x| is scaled
+    before it is squared, so entries near 2^exponent do not underflow."""
+    mags = np.ldexp(np.abs(x), -exponent)
+    return np.sqrt(np.vecdot(mags, mags, axis=0))
 
-    1e-13 of the action's scale, relative rather than fixed, as the scale
-    falls by about 2^(-1/2) per measured qubit.  The scale is the largest
-    column norm ``norms.max()``, or 2^(-m/2) for m measured qubits (each
-    branch's norm when every outcome is equally likely), whichever is
-    larger: so an all-zero action raises, and so does a one-column action
-    (no inputs) that holds only rounding error.
+
+def _column_norms(pattern: MeasurementPattern, mat: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """The action's column norms, the norm at or below which a branch counts
+    as vanished, and the exponent e of the power of two 2^-e both are scaled
+    by (see _norms).
+
+    The floor is 1e-13 of the action's scale, relative rather than fixed, as
+    the scale falls by about 2^(-1/2) per measured qubit.  The scale is the
+    largest column norm, or 2^(-m/2) for m measured qubits (each branch's
+    norm when every outcome is equally likely), whichever is larger: so an
+    all-zero action raises, and so does a one-column action (no inputs)
+    that holds only rounding error.  e is the exponent of the largest
+    |entry|, or -(m // 2) when that is larger, so the scaled 2^(-m/2) is
+    at most 1 and the floor neither underflows nor overflows.
     """
-    return 1e-13 * max(float(norms.max()), 2.0 ** (-len(pattern.measurements) / 2.0))
+    m = len(pattern.measurements)
+    top = float(np.abs(mat).max())
+    # an all-zero action takes the floor's exponent (frexp(0) gives 0)
+    exponent = max(math.frexp(top)[1], -(m // 2)) if top else -(m // 2)
+    norms = _norms(mat, exponent)
+    return norms, 1e-13 * max(float(norms.max()), 2.0 ** (-m / 2 - exponent)), exponent
 
 
 def simulate_pattern(
@@ -486,7 +502,7 @@ def simulate_pattern(
     input is then applied to it.  Returns the unnormalized residual vector
     on the outputs, in the pattern's declared output order.  Raises
     ZeroBranch when the post-selected branch vanishes: when the residual's
-    norm is at most the input's norm times _vanishing_norm.
+    norm is at most the input's norm times the floor of _column_norms.
     """
     k = len(pattern.inputs)
     vec = np.asarray(input_state, dtype=complex).reshape(-1)
@@ -494,8 +510,8 @@ def simulate_pattern(
         raise SizeMismatch(f"input needs dimension {1 << k}, got {vec.shape[0]}")
     mat = _action_core(pattern)
     out = mat @ vec
-    floor = _vanishing_norm(pattern, np.sqrt(np.vecdot(mat, mat, axis=0).real))
-    if float(np.linalg.norm(out)) <= floor * float(np.linalg.norm(vec)):
+    _, floor, exponent = _column_norms(pattern, mat)
+    if float(_norms(out, exponent)) <= floor * float(np.linalg.norm(vec)):
         raise ZeroBranch("post-selected branch of the pattern is identically zero")
     return out
 
@@ -504,11 +520,12 @@ def pattern_action_matrix(pattern: MeasurementPattern) -> np.ndarray:
     """The pattern's actual linear action, all input basis columns at once.
 
     Raises ZeroBranch when the post-selected branch vanishes on any input
-    basis state: when that column's norm is at most _vanishing_norm.
+    basis state: when that column's norm is at most the floor of
+    _column_norms.
     """
     mat = _action_core(pattern)
-    norms = np.sqrt(np.vecdot(mat, mat, axis=0).real)
-    dead = np.flatnonzero(norms <= _vanishing_norm(pattern, norms))
+    norms, floor, _ = _column_norms(pattern, mat)
+    dead = np.flatnonzero(norms <= floor)
     if dead.size:
         raise ZeroBranch(
             f"post-selected branch of the pattern vanishes on input basis state {dead[0]}"

@@ -17,8 +17,9 @@ package's bit-counting direct sum, the Python-product fold
 project_statevector, and the all-qubit scan (quadratic_greedy_cover) the
 reference for the heap-ordered greedy cover.  The one-kind frontier loop
 (reference_contract) is the bitwise reference for the sweep's contraction
-core, whose steps sum their step-local axes on their own values and retire
-a single frontier axis by adding its halves.
+core, whose steps sum their step-local axes on their own values, retire
+a single frontier axis by adding its halves and build their values one
+block at a time, where the loop builds them all at once.
 """
 
 from itertools import product
@@ -26,6 +27,7 @@ from math import prod
 from operator import mul
 
 import numpy as np
+import pytest
 
 from latticeproj import evaluate
 from latticeproj.algebra import EMPTY_WORD, Letter, ZERO, word_mul
@@ -407,6 +409,16 @@ def word_sweep(poly):
         add_count=state.add_count,
         mul_count=state.mul_count,
     )
+
+
+def cut_plan(plan, entries):
+    """``plan`` with its steps cut into blocks of at most ``entries`` values
+    (see FrontierPlan.blocked_steps).  A plan keeps the cut it makes on
+    first use, so pass a freshly built one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate, "BLOCK_ENTRIES", entries)
+        assert len(plan.blocked_steps) == len(plan.steps)
+    return plan
 
 
 def reference_contract(plan, c, s):

@@ -743,12 +743,23 @@ def _op_peak_script():
     # one trial: the engines' work, with no 128 KiB csv record buffer
     (("verify", "--builder", "lattice:3x10", "--trials", "1"), 96),
     (("verify", "--graph", "fivecross_17.graph", "--trials", "1"), 64),
-    # 31 trials: the sweep's step values in one complex buffer
+    # 31 trials: the sweep's step values, one block of them at a time
     (("verify", "--builder", "lattice:3x10", "--seed", "0"), 1280),
 ])
 def test_verify_op_allocation_peak(argv, cap_kib):
     # as perfbench's peak_alloc_mb takes it: warm, after a full collection
     assert _op_peak_script().op_peak_kib(list(argv)) < cap_kib
+
+
+def test_sweep_contract_peak(capsys):
+    # one projection on lattice:3x10: a 32-entry frontier and one block of
+    # values (29.9 KiB when every step's values were built at once)
+    script = _op_peak_script()
+    assert script.main(["sweep", "lattice:3x10", "1"]) == 0
+    number, unit = capsys.readouterr().out.split()
+    assert unit == "KiB" and float(number) < 24
+    for argv in (["sweep", "lattice:3x10"], ["sweep", "lattice:3x10", "0"]):
+        assert script.main(argv) == 2
 
 
 def _chain_action_peak_kib(tmp_path):

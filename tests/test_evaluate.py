@@ -57,7 +57,7 @@ from latticeproj.graph import (
 )
 from latticeproj.oracle import build_statevector, project_statevector
 
-from helpers import named_orders, random_spec, reference_contract, word_sweep
+from helpers import cut_plan, named_orders, random_spec, reference_contract, word_sweep
 
 
 def sweep_amp(g, spec, owners=None):
@@ -271,6 +271,66 @@ def test_contract_matches_the_one_kind_loop_bitwise(g):
     for c, s in [(specs[0].c, specs[0].s),
                  (np.stack([p.c for p in specs]), np.stack([p.s for p in specs]))]:
         assert _contract(plan, c, s).tobytes() == reference_contract(plan, c, s).tobytes()
+
+
+def check_blocks(plan, entries):
+    """The plan's blocks tile its values and steps in order, and each holds
+    at most ``entries`` values unless it is a single step."""
+    blocks = []
+    for block, (index, *rest) in plan.blocked_steps:
+        if block is not None:
+            blocks.append((block, []))
+        assert index[-1].stop <= len(blocks[-1][0][3])
+        blocks[-1][1].append(tuple(rest))
+    assert [step for _, steps in blocks for step in steps] == [
+        tuple(rest) for _, *rest in plan.steps]
+    runs = [block[0] for block, _ in blocks]
+    assert np.concatenate(runs).tobytes() == plan.qubit.tobytes()
+    assert all(len(run) <= entries or len(steps) == 1 for run, (_, steps) in zip(runs, blocks))
+
+
+@pytest.mark.parametrize("entries", [1, 17, 512, 2**20])
+def test_blocks_change_no_bits(entries):
+    # each plan is built afresh and cut at ``entries``.  On the worked-out
+    # plans the reference is the one-kind loop, which builds every value at
+    # once; every-owner plans with open slots (as MBQC patterns run) sum
+    # step-local slots mid-sweep, unlike that loop, so there it is the
+    # same plan in one block
+    for name, g in FRONTIER_GRAPHS:
+        specs = [random_spec(g.n, 80 + t) for t in range(31)]
+        every_owner = build_polynomial(g, specs[0], range(g.n))
+        open_slots = tuple(sorted({0, g.n - 1}))
+        plan = cut_plan(_build_plan(sweep_polynomial(g, specs[0])), entries)
+        owned = cut_plan(_build_plan(every_owner, open_slots), entries)
+        whole = cut_plan(_build_plan(every_owner, open_slots), 2**20)
+        check_blocks(plan, entries)
+        check_blocks(owned, entries)
+        for c, s in [(specs[0].c, specs[0].s),
+                     (np.stack([p.c for p in specs]), np.stack([p.s for p in specs]))]:
+            assert _contract(plan, c, s).tobytes() == reference_contract(plan, c, s).tobytes(), name
+            assert _contract(owned, c, s).tobytes() == _contract(whole, c, s).tobytes(), name
+
+
+@pytest.mark.parametrize("g", [build_line(8192), build_cross_chain(1364)],
+                         ids=["line:8192", "cross:1364"])
+def test_contract_holds_one_block_of_step_values(g):
+    # a four-entry frontier, and at T = 31 one block of 512 values (two
+    # copies while they are built); every step's values at once peaked at
+    # 23.8 and 11.9 MiB
+    specs = [random_spec(g.n, t) for t in range(31)]
+    plan = frontier_plan(sweep_polynomial(g, specs[0]))
+    check_blocks(plan, evaluate.BLOCK_ENTRIES)
+    c, s = np.stack([p.c for p in specs]), np.stack([p.s for p in specs])
+    _contract(plan, c, s)  # warm numpy's
+    _contract(plan, c, s)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _contract(plan, c, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _amplitude_bytes(g):

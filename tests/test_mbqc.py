@@ -608,6 +608,31 @@ def test_deep_cphase_chain_is_no_zero_branch():
     assert np.linalg.norm(out) == pytest.approx(2.0**-48, rel=1e-12)
 
 
+def test_seventy_chain_copies_do_not_underflow_the_norms():
+    # 1125 qubits, every entry about 2^-560: its square, 2^-1120, is below
+    # the least double, so unscaled norms read 0 and raised ZeroBranch
+    text = "".join(f"CPHASE {w} {w + 1} {0.4 + 0.7 * w + 0.3 * c!r}\n"
+                   for c in range(70) for w in range(4))
+    pattern = compile_circuit(parse_circuit(text))
+    assert pattern.graph.n == 1125
+    action = pattern_action_matrix(pattern)
+    residual, _ = align_residual(action * 2.0**560, pattern.semantics)
+    assert residual <= 1e-12 * np.linalg.norm(action * 2.0**560)
+    out = simulate_pattern(pattern, np.eye(32)[0])
+    assert np.linalg.norm(out * 2.0**560) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("entries", [1, 17, 512])
+def test_blocks_leave_the_action_matrix_bitwise(entries, monkeypatch):
+    # plans built afresh on each call, cut at ``entries`` against one block
+    patterns = [*REFERENCE_PATTERNS.values(), *(_cphase_chain(w, seed=8) for w in range(2, 9))]
+    monkeypatch.setattr(mbqc, "_pattern_plan", mbqc._pattern_plan.__wrapped__)
+    monkeypatch.setattr(evaluate, "BLOCK_ENTRIES", 2**20)
+    whole = [pattern_action_matrix(pattern).tobytes() for pattern in patterns]
+    monkeypatch.setattr(evaluate, "BLOCK_ENTRIES", entries)
+    assert [pattern_action_matrix(pattern).tobytes() for pattern in patterns] == whole
+
+
 def test_ufunc_buffer_bound_leaves_the_action_matrix_bitwise(monkeypatch):
     pattern = _cphase_chain(5, seed=8)
     bounded = pattern_action_matrix(pattern)

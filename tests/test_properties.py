@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from latticeproj.errors import OddCycle
 from latticeproj.evaluate import (
+    _build_plan,
     _contract,
     column_evaluate,
     cross_chain_recursion,
@@ -31,7 +32,14 @@ from latticeproj.graph import (
 )
 from latticeproj.oracle import build_statevector, direct_sum, project_statevector
 
-from helpers import TermSum, branches, brute_amplitude, reference_contract, word_sweep
+from helpers import (
+    TermSum,
+    branches,
+    brute_amplitude,
+    cut_plan,
+    reference_contract,
+    word_sweep,
+)
 
 
 @st.composite
@@ -101,6 +109,28 @@ def test_contract_matches_the_one_kind_loop_in_random_orders(case, data):
     got = _contract(plan, spec.c, spec.s).item()
     ref = reference_contract(plan, spec.c, spec.s).item()
     assert abs(got - ref) <= 1e-14 * np.prod(np.abs(spec.c) + np.abs(spec.s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=graph_and_spec(max_qubits=10), data=st.data())
+def test_blocks_change_no_bits_in_random_orders(case, data):
+    # any owners, order, open slots, trial count and cut: the same bits as
+    # the plan's values built in one block
+    g, spec = case
+    owners = data.draw(st.sampled_from([_greedy_cover(g), range(g.n)]))
+    poly = build_polynomial(g, spec, assign_slots(g, owners))
+    poly = order_factors(poly, data.draw(st.permutations(range(g.n))))
+    slots = st.sets(st.integers(0, poly.slot_count - 1), max_size=2)
+    open_slots = data.draw(slots) if poly.slot_count else set()
+    entries = data.draw(st.integers(1, 64))
+    c, s = spec.c, spec.s
+    if data.draw(st.booleans()):  # three projections with a trial axis
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+        specs = [spec] + [ProjectionSpec.random(g.n, rng) for _ in range(2)]
+        c, s = np.stack([p.c for p in specs]), np.stack([p.s for p in specs])
+    plan = cut_plan(_build_plan(poly, tuple(open_slots)), entries)
+    whole = cut_plan(_build_plan(poly, tuple(open_slots)), 2 ** 20)
+    assert _contract(plan, c, s).tobytes() == _contract(whole, c, s).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
