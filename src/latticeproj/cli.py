@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
+import os
 import statistics
 import sys
 import time
@@ -36,10 +38,12 @@ from .graph import (
     build_lattice,
     build_line,
     check_qubit_count,
+    fixture_file,
     fixture_path,
     format_graph_text,
     graph_family,
     load_graph,
+    read_text,
     rewrite,
 )
 from .mbqc import (
@@ -91,6 +95,30 @@ def _build(builder: str) -> ClusterGraph:
     return build(*sizes)
 
 
+def _path_arg(arg: str) -> str:
+    """A path argument as pathlib spells it, ``str(Path(arg))``: no empty or
+    ``.`` component and no trailing slash.  An argument that already reads
+    so, as most do, is returned without building a Path."""
+    if not arg or arg.startswith("./") or arg.endswith("/") or "//" in arg or "/." in arg:
+        return str(Path(arg))
+    return arg
+
+
+def _exists(path: str) -> bool:
+    """``Path(path).exists()``: a missing, looping or not-a-directory path
+    component reads False, and any other failure of the stat (such as a name
+    too long) is raised."""
+    try:
+        os.stat(path)
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            return False
+        raise
+    except ValueError:  # a null byte in the path
+        return False
+    return True
+
+
 def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
     """The graph's name and the graph, as the instance graph_family holds
     for it, so every graph-keyed cache after this finds it by identity."""
@@ -103,14 +131,15 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
         except (ValueError, LatticeProjError) as exc:
             raise ConfigError(f"bad --builder {name!r}: {exc}")
     elif args.graph:
-        path = Path(args.graph)
-        if not path.exists():
-            packaged = fixture_path(path.name)
-            if path.parent in (Path("."), Path("fixtures")) and packaged.exists():
+        # a missing bare NAME or fixtures/NAME is the packaged fixture NAME
+        path = _path_arg(args.graph)
+        if not _exists(path):
+            packaged = fixture_file(os.path.basename(path))
+            if os.path.dirname(path) in ("", "fixtures") and _exists(packaged):
                 path = packaged
             else:
                 raise ConfigError(f"graph file {args.graph!r} not found")
-        name = path.name
+        name = os.path.basename(path)
         try:
             g = load_graph(path)
         except (ValueError, LatticeProjError) as exc:
@@ -146,8 +175,8 @@ def _resolve_angles(args: argparse.Namespace, n: int) -> ProjectionSpec:
             return ProjectionSpec.constant(n, theta, phi)
         except ValueError as exc:
             raise ConfigError(f"bad --angles {args.angles!r} (use all:THETA,PHI): {exc}")
-    path = Path(args.angles)
-    if not path.exists():
+    path = _path_arg(args.angles)
+    if not _exists(path):
         raise ConfigError(f"angle file {args.angles!r} not found")
     try:
         spec = load_angles(path)
@@ -382,19 +411,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    path = Path(args.circuit)
-    if not path.exists():
+    path = _path_arg(args.circuit)
+    if not _exists(path):
         raise ConfigError(f"circuit file {args.circuit!r} not found")
     try:
-        gates = parse_circuit(path.read_text())
+        gates = parse_circuit(read_text(path))
         pattern = compile_circuit(gates)
     except (UnicodeDecodeError, CircuitParseError) as exc:
         raise ConfigError(f"cannot compile {args.circuit}: {exc}")
     # a pattern project would refuse is not written
     check_qubit_count(pattern.graph.n)
-    graph_path = Path(args.out + ".graph")
-    angles_path = Path(args.out + ".angles")
-    graph_text = format_graph_text(pattern.graph, header=f"pattern compiled from {path.name}")
+    graph_path = _path_arg(args.out + ".graph")
+    angles_path = _path_arg(args.out + ".angles")
+    graph_text = format_graph_text(
+        pattern.graph, header=f"pattern compiled from {os.path.basename(path)}"
+    )
     rotations = pattern_rotation_angles(pattern)
     lines = [f"# projector angles (theta phi) per qubit; outputs default to <+|"]
     for q, rot in enumerate(rotations):
@@ -425,7 +456,8 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="graph file path (or a packaged fixture's NAME)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="latticeproj",
         description="Local projections on cluster states, factorized and brute force.",
@@ -465,18 +497,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output prefix for .graph/.angles")
     p.set_defaults(func=cmd_compile)
 
-    return parser
+    return parser, sub.choices
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # built on the first call, then shared: every parse returns a fresh
     # namespace, so one command's flags never leak into the next
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser parses it, in one pass.
+
+    The top-level parser hands everything after a command's name to that
+    command's parser and reports what it leaves over, so a command line
+    that names a command goes to the command's parser alone.  The rest (no
+    arguments, ``--help``, an unknown command) keep the top-level usage.
+    """
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ConfigError, TooLarge, OSError) as exc:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import Letter, TensorWord
 from .errors import InvalidPermutation, SizeMismatch
-from .graph import ClusterGraph, adjacency, assign_slots, data_lines, rewrite
+from .graph import ClusterGraph, adjacency, assign_slots, data_lines, read_text, rewrite
 
 
 class ProjectionSpec:
@@ -377,7 +377,7 @@ def format_angles_text(spec: ProjectionSpec, header: str = "") -> str:
 
 
 def load_angles(path: Union[str, Path]) -> ProjectionSpec:
-    return parse_angles_text(Path(path).read_text())
+    return parse_angles_text(read_text(path))
 
 
 def save_angles(spec: ProjectionSpec, path: Union[str, Path], header: str = "") -> None:

@@ -95,18 +95,29 @@ def adjacency(g: ClusterGraph) -> dict[int, tuple[int, ...]]:
 
 
 def build_from_edges(n: int, pairs: Iterable[Sequence[int]]) -> ClusterGraph:
-    """Validate an explicit edge list into a graph."""
+    """Validate an explicit edge list into a graph; numpy integers and
+    integral floats are endpoints too."""
+    return _edges_graph(n, map(_int_pair, pairs))
+
+
+def _int_pair(pair: Sequence[int]) -> Edge:
+    try:
+        a, b = ends = tuple(map(int, pair))
+        if ends == tuple(pair):
+            return a, b
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidSize(f"edge {pair!r} is not two integer qubit indices")
+
+
+def _edges_graph(n: int, pairs: Iterable[Edge]) -> ClusterGraph:
+    """The graph of ``n`` qubits and the int pairs ``pairs``, each checked in
+    turn for a self-loop, then its range, then a repeat.  build_from_edges
+    and parse_graph_text both build through here."""
     if n < 1:
         raise InvalidSize(f"graph needs at least one qubit, got n={n}")
     edges: set[Edge] = set()
-    for pair in pairs:
-        try:  # numpy integers and integral floats are endpoints too
-            a, b = ends = tuple(map(int, pair))
-            integral = ends == tuple(pair)
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise InvalidSize(f"edge {pair!r} is not two integer qubit indices")
+    for a, b in pairs:
         if a == b:
             raise SelfLoop(f"edge ({a}, {b}) is a self-loop")
         if not (0 <= a < n and 0 <= b < n):
@@ -325,12 +336,15 @@ def assign_slots(g: ClusterGraph, owners: Optional[Iterable[int]] = None) -> dic
 def data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """(line number from 1, text, whitespace fields) of each line holding data."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line, line.split()
 
 
 def parse_graph_text(text: str) -> ClusterGraph:
+    """The graph of a graph file's text.  Every line is parsed, and the
+    qubit count checked against GRAPH_QUBIT_CAP, before any edge is
+    validated or built."""
     n: Optional[int] = None
     pairs: list[tuple[int, int]] = []
     for _, line, fields in data_lines(text):
@@ -345,7 +359,7 @@ def parse_graph_text(text: str) -> ClusterGraph:
         pairs.append((int(fields[0]), int(fields[1])))
     if n is None:
         raise InvalidSize("graph file has no qubit count line")
-    return build_from_edges(n, pairs)
+    return _edges_graph(n, pairs)
 
 
 def format_graph_text(g: ClusterGraph, header: str = "") -> str:
@@ -357,8 +371,17 @@ def format_graph_text(g: ClusterGraph, header: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: Union[str, Path]) -> str:
+    """The text of the file at ``path``, read as ``Path.read_text`` reads it.
+
+    The file is closed, and its read buffer freed, before its reader parses
+    the text."""
+    with open(path) as f:
+        return f.read()
+
+
 def load_graph(path: Union[str, Path]) -> ClusterGraph:
-    return parse_graph_text(Path(path).read_text())
+    return parse_graph_text(read_text(path))
 
 
 @contextmanager
@@ -399,4 +422,9 @@ def save_graph(g: ClusterGraph, path: Union[str, Path], header: str = "") -> Non
 
 def fixture_path(name: str) -> Path:
     """Path of a packaged fixture graph, e.g. fixture_path('fivecross_17.graph')."""
-    return Path(__file__).with_name("fixtures") / name
+    return Path(fixture_file(name))
+
+
+def fixture_file(name: str) -> str:
+    """fixture_path(name) as a string, built without pathlib."""
+    return os.path.join(os.path.dirname(__file__), "fixtures", name)

@@ -96,6 +96,63 @@ def test_build_from_edges_validation():
             build_from_edges(3, [pair])
 
 
+# (edges of a 3-qubit graph, the error, its message): the first bad edge is
+# reported, checked for a self-loop, then its range, then a repeat
+EDGE_ERRORS = [
+    ([(0, 0)], SelfLoop, "edge (0, 0) is a self-loop"),
+    ([(0, 3)], IndexOutOfRange, "edge (0, 3) outside qubit range [0, 3)"),
+    ([(2, -1)], IndexOutOfRange, "edge (2, -1) outside qubit range [0, 3)"),
+    ([(3, 3)], SelfLoop, "edge (3, 3) is a self-loop"),
+    ([(0, 1), (1, 0)], DuplicateEdge, "edge (0, 1) listed twice"),
+    ([(0, 1), (0, 1), (1, 1)], DuplicateEdge, "edge (0, 1) listed twice"),
+    ([(1, 2), (0, 4), (1, 2)], IndexOutOfRange, "edge (0, 4) outside qubit range [0, 3)"),
+]
+
+
+@pytest.mark.parametrize("pairs,error,message", EDGE_ERRORS)
+def test_edge_errors_read_the_same_from_the_api_and_from_a_file(pairs, error, message):
+    with pytest.raises(error) as api:
+        build_from_edges(3, pairs)
+    text = "3\n" + "".join(f"{a} {b}\n" for a, b in pairs)
+    with pytest.raises(error) as parsed:
+        parse_graph_text(text)
+    assert str(api.value) == str(parsed.value) == message
+
+
+def test_non_integer_edges_read_as_before():
+    with pytest.raises(InvalidSize) as api:
+        build_from_edges(3, [(0, 1.5)])
+    assert str(api.value) == "edge (0, 1.5) is not two integer qubit indices"
+    with pytest.raises(ValueError) as parsed:
+        parse_graph_text("3\n0 1.5\n")
+    assert str(parsed.value) == "invalid literal for int() with base 10: '1.5'"
+    # the pairs are checked one by one, each in full before the next
+    with pytest.raises(SelfLoop):
+        build_from_edges(3, [(1, 1), (0, 1.5)])
+    with pytest.raises(InvalidSize, match="not two integer"):
+        build_from_edges(3, [(0, 1.5), (1, 1)])
+    # and the qubit count before any pair
+    with pytest.raises(InvalidSize, match="at least one qubit, got n=0"):
+        build_from_edges(0, [(0, 1.5)])
+    # a graph file's lines are all parsed before any edge is checked
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_graph_text("3\n0 0\nx y\n")
+
+
+def test_numpy_and_integral_float_endpoints_become_ints():
+    g = build_from_edges(3, [(np.int64(0), 2.0), (np.int32(2), np.float64(1.0))])
+    assert g.edges == frozenset({(0, 2), (1, 2)})
+    assert all(type(q) is int for edge in g.edges for q in edge)
+
+
+def test_fixture_path_is_the_packaged_file_as_a_path():
+    path = fixture_path("fivecross_17.graph")
+    assert isinstance(path, Path)
+    assert path == Path(graph.__file__).with_name("fixtures") / "fivecross_17.graph"
+    assert str(path) == graph.fixture_file("fivecross_17.graph")
+    assert path.is_file()
+
+
 def test_family_detection():
     assert detect_line(build_line(6))
     assert not detect_line(build_cross_chain(1))
