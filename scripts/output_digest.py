@@ -29,8 +29,11 @@ help and argument errors of the top-level and a command's parser, and an
 abbreviated flag; ``project`` on each form of a fixture's path (a missing
 bare ``NAME``, ``./NAME``, ``fixtures/NAME``, ``./fixtures/NAME`` or
 ``NAME/`` loads the packaged fixture, and a missing ``sub/fixtures/NAME``
-or absolute path exits 2); and a graph file whose first bad edge is a
-duplicate and whose later edge is a self-loop.
+or absolute path exits 2); a graph file whose first bad edge is a
+duplicate and whose later edge is a self-loop; and two pairs of builder
+spellings of one graph run back to back, ``verify`` on ``cross:3`` then
+``lattice:3x1`` and ``project`` on ``line:10`` then ``line:010``, whose
+digests within each pair must be equal.
 """
 
 from __future__ import annotations
@@ -98,6 +101,11 @@ CORPUS: tuple[tuple[str, ...], ...] = (
         )
     ),
     ("project", "--graph", "{tmp}/dup.graph", "--angles", "all:0,0"),
+    # two spellings of one builder graph, back to back
+    ("verify", "--builder", "cross:3", "--trials", "2", "--seed", "5"),
+    ("verify", "--builder", "lattice:3x1", "--trials", "2", "--seed", "5"),
+    ("project", "--builder", "line:10", *PROJECT),
+    ("project", "--builder", "line:010", *PROJECT),
 )
 
 

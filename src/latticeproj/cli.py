@@ -16,7 +16,7 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
@@ -75,24 +75,35 @@ def _fmt_float(v: float) -> str:
 
 
 def _build(builder: str) -> ClusterGraph:
-    """The ``--builder`` graph; its qubit count is checked against
-    graph.GRAPH_QUBIT_CAP before anything is built."""
+    """The ``--builder`` graph, as the instance graph_family holds for it.
+
+    Every call parses ``KIND:SIZES`` and checks the qubit count against
+    graph.GRAPH_QUBIT_CAP before anything is built; ``_built`` then builds
+    each (kind, sizes) once per process."""
     kind, _, rest = builder.partition(":")
     if kind == "line":
         sizes = (int(rest),)
-        qubits, build = sizes[0], build_line
+        qubits = sizes[0]
     elif kind == "cross":
         sizes = (int(rest),)
-        qubits, build = 3 * sizes[0] + 2, build_cross_chain
+        qubits = 3 * sizes[0] + 2
     elif kind == "lattice":
         m, _, n = rest.partition("x")
         rows, cols = sizes = (int(m), int(n))
-        qubits, build = (rows + 1) * (cols + 1) + rows * cols, build_lattice
+        qubits = (rows + 1) * (cols + 1) + rows * cols
     else:
         raise ConfigError(f"unknown builder {kind!r} (use line:N, cross:K, lattice:MxN)")
     if min(sizes) >= 1:  # the builder itself rejects a size below 1
         check_qubit_count(qubits)
-    return build(*sizes)
+    return _built(kind, sizes)
+
+
+@lru_cache(maxsize=16)
+def _built(kind: str, sizes: tuple[int, ...]) -> ClusterGraph:
+    # the builders are read as module globals on each miss, so a rebinding
+    # of cli.build_line (say) is seen; an error raised here is not cached
+    build = {"line": build_line, "cross": build_cross_chain, "lattice": build_lattice}[kind]
+    return graph_family(build(*sizes)).graph
 
 
 def _path_arg(arg: str) -> str:
@@ -125,12 +136,11 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
     if args.builder and args.graph:
         raise ConfigError("give either --builder or --graph, not both")
     if args.builder:
-        name = args.builder
         try:
-            g = _build(name)
+            return args.builder, _build(args.builder)
         except (ValueError, LatticeProjError) as exc:
-            raise ConfigError(f"bad --builder {name!r}: {exc}")
-    elif args.graph:
+            raise ConfigError(f"bad --builder {args.builder!r}: {exc}")
+    if args.graph:
         # a missing bare NAME or fixtures/NAME is the packaged fixture NAME
         path = _path_arg(args.graph)
         if not _exists(path):
@@ -139,14 +149,12 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[str, ClusterGraph]:
                 path = packaged
             else:
                 raise ConfigError(f"graph file {args.graph!r} not found")
-        name = os.path.basename(path)
         try:
             g = load_graph(path)
         except (ValueError, LatticeProjError) as exc:
             raise ConfigError(f"bad graph file {path}: {exc}")
-    else:
-        raise ConfigError("a graph is required (--builder or --graph)")
-    return name, graph_family(g).graph
+        return os.path.basename(path), graph_family(g).graph
+    raise ConfigError("a graph is required (--builder or --graph)")
 
 
 def _check_seed(seed: int) -> None:
@@ -160,13 +168,19 @@ def _check_trials(trials: int) -> None:
         raise ConfigError("--trials must be at least 1")
 
 
+def _random_spec(n: int, seed: int) -> ProjectionSpec:
+    """``ProjectionSpec.random(n, np.random.default_rng(seed))``, bit for bit:
+    default_rng builds this same PCG64 generator after checking its
+    argument's type."""
+    return ProjectionSpec.random(n, np.random.Generator(np.random.PCG64(seed)))
+
+
 def _resolve_angles(args: argparse.Namespace, n: int) -> ProjectionSpec:
     if args.random and args.angles:
         raise ConfigError("give either --angles or --random, not both")
     if args.random:
         _check_seed(args.seed)
-        rng = np.random.default_rng(args.seed)
-        return ProjectionSpec.random(n, rng)
+        return _random_spec(n, args.seed)
     if not args.angles:
         raise ConfigError("angles are required (--angles or --random)")
     if args.angles.startswith("all:"):
@@ -256,7 +270,7 @@ def run_verify(
     a trial with a non-finite amplitude, whose deltas max() would drop.  The
     CSV's max_abs_delta stays absolute.
     """
-    specs = [ProjectionSpec.random(g.n, np.random.default_rng(seed + t)) for t in range(trials)]
+    specs = [_random_spec(g.n, seed + t) for t in range(trials)]
     batches = {e: compute_amplitudes(g, specs, e) for e in engines}
     rows = []
     worst = 0.0
@@ -346,7 +360,7 @@ def bench_points(
     """
     runs = [(name, g, engine) for name, g in points for engine in engines]
     specs = {
-        name: [ProjectionSpec.random(g.n, np.random.default_rng(seed + t)) for t in range(trials)]
+        name: [_random_spec(g.n, seed + t) for t in range(trials)]
         for name, g in points
     }
     times: list[list[float]] = [[] for _ in runs]

@@ -18,7 +18,7 @@ import latticeproj
 from latticeproj import cli, graph, mbqc, oracle
 from latticeproj.cli import main
 from latticeproj.errors import TooLarge
-from latticeproj.factorize import load_angles
+from latticeproj.factorize import ProjectionSpec, load_angles
 from latticeproj.graph import GRAPH_QUBIT_CAP, ClusterGraph, load_graph
 
 
@@ -294,6 +294,59 @@ def test_cross_chain_below_one_cross_names_the_chain(capsys, k):
     code, out, err = run_cli(capsys, "project", "--builder", f"cross:{k}", "--random")
     assert code == 2 and out == ""
     assert err == f"error: bad --builder 'cross:{k}': cross chain needs k >= 1, got {k}\n"
+
+
+def test_builder_graph_is_built_once_per_spelling_of_its_sizes():
+    # repeated and aliased specs return the one instance graph_family holds
+    cli._built.cache_clear()
+    line = cli._build("line:10")
+    assert cli._build("line:10") is line and cli._build("line:010") is line
+    assert graph.graph_family(line).graph is line
+    # cross:K is the K x 1 lattice: two memo keys, one graph_family instance
+    cross = cli._build("cross:3")
+    assert cli._build("lattice:3x1") is cross
+    assert graph.graph_family(cross).graph is cross
+
+
+def test_builder_memo_builds_each_graph_once(capsys, monkeypatch):
+    cli._built.cache_clear()
+    built = []
+    real = graph.build_lattice
+    monkeypatch.setattr(cli, "build_lattice", lambda m, n: built.append((m, n)) or real(m, n))
+    for _ in range(3):
+        assert run_cli(capsys, "project", "--builder", "lattice:2x3", "--random")[0] == 0
+    assert built == [(2, 3)]
+
+
+def test_warm_builder_past_a_lowered_cap_exits_2(capsys, monkeypatch):
+    # the cap is checked on every command, not only when the graph is built
+    argv = ("project", "--builder", "line:15", "--random", "--seed", "3")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(graph, "GRAPH_QUBIT_CAP", 14)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: bad --builder 'line:15': graph of 15 qubits, above the cap of 14 qubits\n"
+
+
+@pytest.mark.parametrize("builder,needle", [
+    ("lattice:3x", "invalid literal for int()"),
+    ("cross:0", "cross chain needs k >= 1, got 0"),
+])
+def test_bad_builder_exits_2_on_every_repeat(capsys, builder, needle):
+    # an error is never remembered as a graph
+    for _ in range(3):
+        code, out, err = run_cli(capsys, "project", "--builder", builder, "--random")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad --builder {builder!r}: ") and needle in err
+
+
+@pytest.mark.parametrize("n", [1, 74])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**64 + 5])
+def test_random_spec_is_default_rngs_draw_bit_for_bit(n, seed):
+    spec = cli._random_spec(n, seed)
+    expected = ProjectionSpec.random(n, np.random.default_rng(seed))
+    for got, want in ((spec.c, expected.c), (spec.s, expected.s)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_graph_file_past_the_qubit_cap_exits_2_before_building(capsys, monkeypatch, tmp_path):
@@ -849,8 +902,9 @@ def _op_peak_script():
 
 
 @pytest.mark.parametrize("argv,cap_kib", [
-    # one trial: the engines' work, with no 128 KiB csv record buffer
-    (("verify", "--builder", "lattice:3x10", "--trials", "1"), 96),
+    # one trial: the engines' work, with no 128 KiB csv record buffer and
+    # no rebuild of the builder graph (31.7 KiB when each command built it)
+    (("verify", "--builder", "lattice:3x10", "--trials", "1"), 28),
     (("verify", "--graph", "fivecross_17.graph", "--trials", "1"), 64),
     # 31 trials: the sweep's step values, one block of them at a time
     (("verify", "--builder", "lattice:3x10", "--seed", "0"), 1280),

@@ -95,6 +95,8 @@ def test_traced_verify_times_every_engine_layer(capsys):
     # one verify op of the lattice-verify and of the oracle-verify workload
     tracer = _tracer()
     tracer.install()
+    # an earlier command may have built lattice:3x10 already; this op builds it
+    cli._built.cache_clear()
     try:
         for index, graph_args in enumerate(
             (["--builder", "lattice:3x10"], ["--graph", "fivecross_17.graph"])
