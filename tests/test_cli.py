@@ -902,9 +902,8 @@ def _op_peak_script():
 
 
 @pytest.mark.parametrize("argv,cap_kib", [
-    # one trial: the engines' work, with no 128 KiB csv record buffer and
-    # no rebuild of the builder graph (31.7 KiB when each command built it)
-    (("verify", "--builder", "lattice:3x10", "--trials", "1"), 28),
+    # one trial: the engines' work, with no 128 KiB csv record buffer
+    (("verify", "--builder", "lattice:3x10", "--trials", "1"), 96),
     (("verify", "--graph", "fivecross_17.graph", "--trials", "1"), 64),
     # 31 trials: the sweep's step values, one block of them at a time
     (("verify", "--builder", "lattice:3x10", "--seed", "0"), 1280),
@@ -912,6 +911,13 @@ def _op_peak_script():
 def test_verify_op_allocation_peak(argv, cap_kib):
     # as perfbench's peak_alloc_mb takes it: warm, after a full collection
     assert _op_peak_script().op_peak_kib(list(argv)) < cap_kib
+
+
+def test_verify_op_allocation_peak_without_graph_rebuild():
+    # one trial on a warm builder graph: no rebuild of the graph per command
+    # (31.7 KiB when each command built it)
+    argv = ["verify", "--builder", "lattice:3x10", "--trials", "1"]
+    assert _op_peak_script().op_peak_kib(argv) < 28
 
 
 def test_sweep_contract_peak(capsys):
