@@ -4,9 +4,12 @@
     python3 scripts/plan_digest.py --small    # the corpus the tests record
 
 Each line reads ``<graph> <order> <digest>``: the first 16 hex digits of a
-SHA-256 over every FrontierPlan field, each array by its dtype, shape and
-bytes and every other field by its repr.  Run it in two checkouts and diff
-the outputs to see whether a change left every plan byte for byte the same.
+SHA-256 over the plan's fields with its blocks joined back into one layout
+(see joined_fields), each array by its dtype, shape and bytes and every
+other field by its repr.  The digest therefore does not depend on where
+the plan is cut into blocks (evaluate.BLOCK_ENTRIES).  Run it in two
+checkouts and diff the outputs to see whether a change left every plan
+byte for byte the same.
 
 Orders: ``as-built`` (qubit index order), ``worked-out`` (order_factors'
 min-frontier search, the one the sweep engine runs), ``row-major`` (on
@@ -19,7 +22,6 @@ left open, as ``mbqc.pattern_action_matrix`` plans them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -51,15 +53,42 @@ ALL_ORDERS = ("as-built", "worked-out", "row-major", "random", "every-owner")
 SMALL_ORDERS = ("as-built", "worked-out", "row-major")
 
 
+def joined_fields(plan) -> dict:
+    """The plan's fields with its blocks joined into the whole plan's
+    qubit, c_diag, s_diag, starts and steps, in that order: each block's
+    run starts and step entries shifted past the blocks before it."""
+    qubit, c_diag, s_diag, starts, steps = [], [], [], [], []
+    values = entries = 0
+    for block_qubit, block_c, block_s, block_starts, block_steps in plan.blocks:
+        qubit.append(block_qubit)
+        c_diag.append(block_c)
+        s_diag.append(block_s)
+        starts.append(block_starts + values)
+        for (_, index), *rest in block_steps:
+            steps.append(((..., slice(index.start + entries, index.stop + entries)), *rest))
+        values += len(block_qubit)
+        entries += len(block_starts)
+    return {
+        "width": plan.width,
+        "qubit": np.concatenate(qubit),
+        "c_diag": np.concatenate(c_diag),
+        "s_diag": np.concatenate(s_diag),
+        "starts": np.concatenate(starts),
+        "steps": tuple(steps),
+        "add_count": plan.add_count,
+        "mul_count": plan.mul_count,
+        "open_axes": plan.open_axes,
+    }
+
+
 def plan_digest(plan) -> str:
     h = hashlib.sha256()
-    for field in dataclasses.fields(plan):
-        value = getattr(plan, field.name)
+    for name, value in joined_fields(plan).items():
         if isinstance(value, np.ndarray):
-            h.update(f"{field.name} {value.dtype.str} {value.shape}".encode())
+            h.update(f"{name} {value.dtype.str} {value.shape}".encode())
             h.update(value.tobytes())
         else:
-            h.update(f"{field.name} {value!r}".encode())
+            h.update(f"{name} {value!r}".encode())
     return h.hexdigest()[:16]
 
 

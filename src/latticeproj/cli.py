@@ -356,7 +356,9 @@ def bench_points(
     change in host speed during the suite falls on every graph and engine
     alike instead of on one pair's block of trials.  Timing runs are
     sequential on purpose; medians keep stray scheduling noise out of the
-    comparisons.  One row per pair, graphs in the given order, then engines.
+    comparisons.  Every engine's counters depend on the graph alone, so
+    each pair keeps one trial's.  One row per pair, graphs in the given
+    order, then engines.
     """
     runs = [(name, g, engine) for name, g in points for engine in engines]
     specs = {
@@ -364,15 +366,14 @@ def bench_points(
         for name, g in points
     }
     times: list[list[float]] = [[] for _ in runs]
-    reports: list[list] = [[] for _ in runs]
+    reports: list = [None] * len(runs)
     for t in range(trials):
         for k in range(len(runs)):
             i = (t + k) % len(runs)
             name, g, engine = runs[i]
             start = time.perf_counter()
-            report = compute_amplitude(g, specs[name][t], engine)
+            reports[i] = compute_amplitude(g, specs[name][t], engine)
             times[i].append(time.perf_counter() - start)
-            reports[i].append(report)
     return [
         {
             "graph": name,
@@ -382,9 +383,9 @@ def bench_points(
             "median_s": repr(statistics.median(times[i])),
             "mean_s": repr(statistics.fmean(times[i])),
             "stddev_s": repr(statistics.pstdev(times[i])),
-            "mul_count": int(statistics.median(r.mul_count for r in reports[i])),
-            "add_count": int(statistics.median(r.add_count for r in reports[i])),
-            "max_live_terms": int(statistics.median(r.max_live_terms for r in reports[i])),
+            "mul_count": reports[i].mul_count,
+            "add_count": reports[i].add_count,
+            "max_live_terms": reports[i].max_live_terms,
         }
         for i, (name, g, engine) in enumerate(runs)
     ]

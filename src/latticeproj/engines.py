@@ -10,9 +10,9 @@ as ``project`` is; two or more run the row's array core (see ``Pass``) on
 chunks of the stacked specs within the row's budget in entries (the
 statevector's 2^cap less the vector itself, 2^24 direct-sum terms or sweep
 frontier entries and step values, a 2^16 column boundary).  The sweep counts
-a value per plan entry, though its pass builds them one block of
-``evaluate.BLOCK_ENTRIES`` at a time: an over-count, so a chunk holds less
-than its budget.
+every value of its plan's blocks, though its pass holds one block of at most
+``evaluate.BLOCK_ENTRIES`` values at a time: an over-count, so a chunk holds
+less than its budget.
 ``ENGINE_NAMES``, ``applicable_engines``, ``compute_amplitude``,
 ``compute_amplitudes`` and the CLI all read this table.  Direct-sum and the
 family rows read ``graph.graph_family``, detected once per distinct graph
@@ -164,8 +164,9 @@ def _sweep_pass(g: ClusterGraph) -> Pass:
     scale = 2.0 ** (-g.n / 2.0)
     # each spec holds its frontier and, counted in full though _contract
     # holds one block of them at a time, its step values, both complex
+    values = sum(len(block[0]) for block in plan.blocks)
     return (
-        (1 << plan.width) + len(plan.c_diag), 1 << SWEEP_WIDTH_CAP,
+        (1 << plan.width) + values, 1 << SWEEP_WIDTH_CAP,
         lambda c, s: scale * _contract(plan, c, s).reshape(len(c)),
     )
 

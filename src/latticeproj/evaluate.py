@@ -19,10 +19,11 @@ Four routes share one contract (the physical amplitude, 2^(-N/2) included):
                          opens and retires at one step is summed on the
                          step's own values and never reaches the frontier,
                          and a single retired frontier axis is summed by
-                         adding its two halves.  The steps' values are
-                         built one block of at most BLOCK_ENTRIES plan
-                         entries at a time, so a step holds the old and new
-                         frontier plus one block, however long the graph.
+                         adding its two halves.  The plan is cut into
+                         blocks of steps of at most BLOCK_ENTRIES values
+                         as it is built, and each block's values are built
+                         at once, so a step holds the old and new frontier
+                         plus one block, however long the graph.
   * line_recursion       the two-scalar recursion for line graphs,
                          O(n) adds and multiplies, counted exactly.
   * cross_chain_recursion  the same line recursion, run over the chain of
@@ -46,20 +47,19 @@ coefficient, multiplied term by term) is kept as the test suite's reference,
 tests/helpers.py::word_sweep.
 
 Every route is pure apart from the sweep storing its plan on the polynomial
-and the plan its cut into blocks on first use, and the column evaluator
-caching its per-shape index layout (each the same whichever call builds
-it); distinct evaluations can run in parallel freely: the bound on numpy's
-ufunc buffers (UFUNC_BUFFER) that _contract and the engines' batch pass
-set sits in an np.errstate, per thread and task, restored on exit or
-raise.
+and the column evaluator caching its per-shape index layout (each the same
+whichever call builds it); distinct evaluations can run in parallel
+freely: the bound on numpy's ufunc buffers (UFUNC_BUFFER) that _contract
+and the engines' batch pass set sits in an np.errstate, per thread and
+task, restored on exit or raise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -135,16 +135,19 @@ class FrontierPlan:
     before its last touch, so each entry of the survivor is multiplied by
     the absorbed factor's entry on the same diagonal indices.
 
-    ``c_diag`` and ``s_diag`` hold the steps' c and s tables in turn.  A
-    step's group is its own factor followed by those absorbed into it, in
-    factor order; its table is read off the bits of its entry indices (one
-    bit per axis, the highest axis the most significant), entry by entry,
-    the group's factors in turn within each entry (see _group_table).
-    ``qubit`` maps every value to its factor's qubit, so the spec's C/S
-    arrays expand onto the tables with one fancy index, and ``starts``
-    opens each entry's run for one multiply.reduceat.  ``steps[i]`` is
-    (entries, shape, local, retire, halves) of the i-th survivor: the index
-    of its reduced entries on the last axis (``[..., start:stop]``), the
+    ``blocks`` cuts the steps, in order, into runs of consecutive steps of
+    at most BLOCK_ENTRIES values (a larger step alone), each block
+    (qubit, c_diag, s_diag, starts, steps) with its entries and values
+    counted from its own first.  ``c_diag`` and ``s_diag`` hold its steps'
+    c and s tables in turn.  A step's group is its own factor followed by
+    those absorbed into it, in factor order; its table is read off the bits
+    of its entry indices (one bit per axis, the highest axis the most
+    significant), entry by entry, the group's factors in turn within each
+    entry (see _group_table).  ``qubit`` maps every value to its factor's
+    qubit, so the spec's C/S arrays expand onto the tables with one fancy
+    index, and ``starts`` opens each entry's run for one multiply.reduceat.
+    Each step is (entries, shape, local, retire, halves): the index of its
+    reduced entries on the last axis (``[..., start:stop]``), the
     broadcast shape they take over all ``width`` axes, and the numpy axes
     it retires, split by kind.  ``local`` are the step-local ones, which the
     incoming frontier lacks (length 1 there): they are summed on the step's
@@ -157,53 +160,14 @@ class FrontierPlan:
     add in another order).  ``open_axes`` are the final axes of the open
     (never retired) slots.  The counters are those of EvalReport, fixed by
     the layout as if every step-local axis reached the frontier; the peak
-    frontier size is at most 2^width.  ``blocked_steps`` cuts the steps into
-    the blocks whose values _contract builds at once; it is cached on the
-    plan beside these fields, not one of them.
+    frontier size is at most 2^width.
     """
 
     width: int
-    qubit: np.ndarray
-    c_diag: np.ndarray
-    s_diag: np.ndarray
-    starts: np.ndarray
-    steps: tuple[
-        tuple[tuple, tuple[int, ...], tuple[int, ...], tuple[int, ...], Optional[tuple]], ...
-    ]
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[tuple, ...]], ...]
     add_count: int
     mul_count: int
     open_axes: tuple[int, ...] = ()
-
-    @cached_property
-    def blocked_steps(self) -> tuple[tuple[Optional[tuple], tuple], ...]:
-        """Each step as (block, step), the steps cut into blocks of at most
-        BLOCK_ENTRIES values (a larger step alone).
-
-        ``block`` is None but on a block's first step, where it is the
-        block's (qubit, c_diag, s_diag, starts): its views of the plan's
-        arrays and each entry's run start within them.  ``step`` is the
-        step of ``steps`` with its entries counted from its block's first.
-        Worked out on first use and kept; not a field, so the plan's fields
-        and digest are those of the whole plan.
-        """
-        bounds = self.starts.tolist() + [len(self.qubit)]
-        cuts: list[tuple[int, list]] = []
-        for step in self.steps:
-            entries = step[0][-1]
-            if not cuts or bounds[entries.stop] - bounds[cuts[-1][0]] > BLOCK_ENTRIES:
-                cuts.append((entries.start, []))
-            cuts[-1][1].append(step)
-        blocked = []
-        for first, steps in cuts:
-            stop = steps[-1][0][-1].stop
-            rows = slice(bounds[first], bounds[stop])
-            block = (self.qubit[rows], self.c_diag[rows], self.s_diag[rows],
-                     self.starts[first:stop] - bounds[first])
-            for (_, entries), *rest in steps:
-                index = (..., slice(entries.start - first, entries.stop - first))
-                blocked.append((block, (index, *rest)))
-                block = None
-        return tuple(blocked)
 
 
 def _group_table(
@@ -305,13 +269,12 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
     for pos, survivor in enumerate(root):
         if survivor != pos:
             groups[survivor].append(pos)
-    # one table per distinct group; rows holds each value's factor position
+    # one table per distinct group; each block's rows hold its values'
+    # factor positions
     tables: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = {}
-    parts = []
-    rows: list[int] = []
-    steps = []
+    cuts: list[tuple[list, list[int], list]] = []
     live: set[int] = set()
-    add = mul = stop = 0
+    add = mul = 0
     for pos, members in enumerate(groups):
         if root[pos] != pos:
             continue
@@ -319,8 +282,12 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
         table = tables.get(group)
         if table is None:
             table = tables[group] = _group_table(group, width)
-        parts.append(table)
         size = 1 << len(group[0])
+        if not cuts or len(cuts[-1][1]) + size * len(members) > BLOCK_ENTRIES:
+            cuts.append(([], [], []))
+            stop = 0
+        parts, rows, steps = cuts[-1]
+        parts.append(table)
         rows.extend(members * size)
 
         # the frontier holds the axes multiplied in and not yet summed; a
@@ -340,15 +307,22 @@ def _build_plan(poly: FactorizedPolynomial, open_slots: Sequence[int] = ()) -> F
         add += frontier - (frontier >> len(retired))
         stop += size
 
-    factor_at = np.array(rows)
+    qubit = np.array([f.qubit for f in poly.factors])
+    survivor = np.array(root)
+    blocks = []
+    for parts, rows, steps in cuts:
+        factor_at = np.array(rows)
+        blocks.append((
+            qubit[factor_at],
+            np.concatenate([c for c, _, _ in parts]),
+            np.concatenate([s for _, s, _ in parts]),
+            # each entry's run opens with its survivor's value
+            np.flatnonzero(survivor[factor_at] == factor_at),
+            tuple(steps),
+        ))
     return FrontierPlan(
         width=width,
-        qubit=np.array([f.qubit for f in poly.factors])[factor_at],
-        c_diag=np.concatenate([c for c, _, _ in parts]),
-        s_diag=np.concatenate([s for _, s, _ in parts]),
-        # each entry's run opens with its survivor's value
-        starts=np.flatnonzero(np.array(root)[factor_at] == factor_at),
-        steps=tuple(steps),
+        blocks=tuple(blocks),
         add_count=add,
         mul_count=mul + 1,
         open_axes=tuple(-1 - axis_of[slot] for slot in open_slots),
@@ -369,10 +343,11 @@ def frontier_plan(poly: FactorizedPolynomial) -> FrontierPlan:
     return poly.plan
 
 
-# Most plan entries (values of qubit, c_diag and s_diag) whose values
-# _contract builds at once: 8 KiB of complex values per projection.  The
-# sweep then holds the frontier and one block's values, not every step's,
-# so its memory does not grow with the graph at a fixed frontier width.
+# Most values (entries of qubit, c_diag and s_diag) of a plan block of more
+# than one step; _contract builds a block's values at once: 8 KiB of complex
+# values per projection.  The sweep then holds the frontier and one block's
+# values, not every step's, so its memory does not grow with the graph at a
+# fixed frontier width.
 BLOCK_ENTRIES = 512
 
 # Entries per operand of numpy's ufunc buffers in _contract and an engine's
@@ -400,34 +375,33 @@ def _contract(plan: FrontierPlan, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     c and s are (n,) arrays, or (T, n) for T projections at once.  The T
     frontiers then share a leading axis, which every factor and retirement
     passes over, as their axes count from the end; one projection runs with
-    no leading axis.  The values are built one block of steps at a time
-    (see FrontierPlan.blocked_steps), the last block's freed first, so the
-    call holds the frontier and one block's values: at most BLOCK_ENTRIES
-    per projection, or one step's.  A block's values are built in one
-    complex buffer: s's share, with c's added into it in place, then
-    reduced by one multiply.reduceat; each value is the one a single build
-    over all steps gives, bit for bit.  numpy's ufunc buffers hold
+    no leading axis.  The loop runs the plan's blocks in turn and each
+    block's steps within it.  A block's values are built at once, the last
+    block's freed first, so the call holds the frontier and one block's
+    values: at most BLOCK_ENTRIES per projection, or one step's.  They are
+    built in one complex buffer: s's share, with c's added into it in
+    place, then reduced by one multiply.reduceat; each value is the one a
+    single build over all steps gives, bit for bit.  numpy's ufunc buffers hold
     UFUNC_BUFFER entries per operand, set in an errstate scoped to the call.
     """
     with np.errstate():
         np.setbufsize(UFUNC_BUFFER)
         lead = c.shape[:-1]
         frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
-        for block, (index, shape, local, retire, halves) in plan.blocked_steps:
-            if block is not None:
-                values = step = None  # the last block's, freed before these are built
-                qubit, c_diag, s_diag, starts = block
-                values = _scaled_take(s, qubit, s_diag)
-                values += _scaled_take(c, qubit, c_diag)
-                values = np.multiply.reduceat(values, starts, axis=-1)
-            step = values[index].reshape(lead + shape)
-            if local:
-                step = np.add.reduce(step, axis=local, keepdims=True)
-            frontier = frontier * step
-            if halves:
-                frontier = frontier[halves[0]] + frontier[halves[1]]
-            elif retire:
-                frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
+        for qubit, c_diag, s_diag, starts, steps in plan.blocks:
+            values = step = None  # the last block's, freed before these are built
+            values = _scaled_take(s, qubit, s_diag)
+            values += _scaled_take(c, qubit, c_diag)
+            values = np.multiply.reduceat(values, starts, axis=-1)
+            for index, shape, local, retire, halves in steps:
+                step = values[index].reshape(lead + shape)
+                if local:
+                    step = np.add.reduce(step, axis=local, keepdims=True)
+                frontier = frontier * step
+                if halves:
+                    frontier = frontier[halves[0]] + frontier[halves[1]]
+                elif retire:
+                    frontier = np.add.reduce(frontier, axis=retire, keepdims=True)
     return frontier
 
 

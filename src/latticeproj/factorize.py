@@ -70,8 +70,10 @@ class ProjectionSpec:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "ProjectionSpec":
-        """Angles drawn uniformly from [0, 2*pi), independently per qubit."""
-        return cls(rng.uniform(0.0, 2.0 * np.pi, n), rng.uniform(0.0, 2.0 * np.pi, n))
+        """Angles drawn uniformly from [0, 2*pi), independently per qubit: n
+        thetas, then n phis, in one draw (the bits of two draws of n)."""
+        angles = rng.uniform(0.0, 2.0 * np.pi, 2 * n)
+        return cls(angles[:n], angles[n:])
 
     def __repr__(self) -> str:
         return f"ProjectionSpec(n={self.n})"

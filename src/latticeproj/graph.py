@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import os
 import stat
 from contextlib import contextmanager
@@ -55,7 +56,13 @@ def _norm_edge(a: int, b: int) -> Edge:
 
 @dataclass(frozen=True)
 class ClusterGraph:
-    """Qubit count plus the set of CZ edges (unordered, no self-loops)."""
+    """Qubit count plus the set of CZ edges (unordered, no self-loops).
+
+    Direct construction checks nothing: an edge outside range(n) or a
+    self-loop is stored as given, and the family detectors and engines
+    then fail on it with errors other than LatticeProjError.
+    build_from_edges is the checked entry.
+    """
 
     n: int
     edges: frozenset[Edge]
@@ -113,7 +120,12 @@ def _int_pair(pair: Sequence[int]) -> Edge:
 def _edges_graph(n: int, pairs: Iterable[Edge]) -> ClusterGraph:
     """The graph of ``n`` qubits and the int pairs ``pairs``, each checked in
     turn for a self-loop, then its range, then a repeat.  build_from_edges
-    and parse_graph_text both build through here."""
+    and parse_graph_text both build through here.  ``n`` must be an integer
+    (a numpy integer is stored as int)."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidSize(f"qubit count {n!r} is not an integer") from None
     if n < 1:
         raise InvalidSize(f"graph needs at least one qubit, got n={n}")
     edges: set[Edge] = set()

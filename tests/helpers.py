@@ -22,9 +22,12 @@ a single frontier axis by adding its halves and build their values one
 block at a time, where the loop builds them all at once.
 """
 
+import importlib.util
+from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,14 +414,29 @@ def word_sweep(poly):
     )
 
 
-def cut_plan(plan, entries):
-    """``plan`` with its steps cut into blocks of at most ``entries`` values
-    (see FrontierPlan.blocked_steps).  A plan keeps the cut it makes on
-    first use, so pass a freshly built one."""
+def cut_plan(poly, entries, open_slots=()):
+    """The plan of ``poly`` (``open_slots`` left open), its steps cut into
+    blocks of at most ``entries`` values."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluate, "BLOCK_ENTRIES", entries)
-        assert len(plan.blocked_steps) == len(plan.steps)
-    return plan
+        return evaluate._build_plan(poly, open_slots)
+
+
+@lru_cache(maxsize=None)
+def plan_digest_script():
+    """scripts/plan_digest.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "plan_digest.py"
+    spec = importlib.util.spec_from_file_location("plan_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def flat_plan(plan):
+    """The plan's blocks joined into one (qubit, c_diag, s_diag, starts,
+    steps), as scripts/plan_digest.py joins them for its digests."""
+    fields = plan_digest_script().joined_fields(plan)
+    return tuple(fields[name] for name in ("qubit", "c_diag", "s_diag", "starts", "steps"))
 
 
 def reference_contract(plan, c, s):
@@ -428,19 +446,20 @@ def reference_contract(plan, c, s):
     Each step is one broadcast multiply of its whole values into the
     frontier, then one add.reduce over its step-local and retired axes
     together.  The values are built as _contract builds them, under the
-    same bound on numpy's ufunc buffers.
+    same bound on numpy's ufunc buffers, but for every block at once.
     """
+    qubit, c_diag, s_diag, starts, steps = flat_plan(plan)
     with np.errstate():
         np.setbufsize(evaluate.UFUNC_BUFFER)
-        values = s.take(plan.qubit, -1)
-        values *= plan.s_diag
-        part = c.take(plan.qubit, -1)
-        part *= plan.c_diag
+        values = s.take(qubit, -1)
+        values *= s_diag
+        part = c.take(qubit, -1)
+        part *= c_diag
         values += part
-        values = np.multiply.reduceat(values, plan.starts, axis=-1)
+        values = np.multiply.reduceat(values, starts, axis=-1)
         lead = c.shape[:-1]
         frontier = np.ones(lead + (1,) * plan.width, dtype=complex)
-        for index, shape, local, retire, _ in plan.steps:
+        for index, shape, local, retire, _ in steps:
             frontier = frontier * values[index].reshape(lead + shape)
             if local + retire:
                 frontier = np.add.reduce(frontier, axis=local + retire, keepdims=True)

@@ -179,7 +179,7 @@ def test_lowered_cap_splits_the_batch_into_chunks(monkeypatch, engine):
     need = {
         "direct-sum": len(engines.graph_family(g).bipartition.controls),
         # the sweep counts its step values beside the frontier: 240 entries here
-        "sweep": ((1 << plan.width) + len(plan.c_diag) - 1).bit_length(),
+        "sweep": ((1 << plan.width) + sum(len(b[0]) for b in plan.blocks) - 1).bit_length(),
         "column": 2,
     }[engine]
     cap, kernel = CAPS[engine]

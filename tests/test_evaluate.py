@@ -1,14 +1,12 @@
 """The four evaluation routes against closed forms and the dense oracle."""
 
 import gc
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latticeproj import evaluate, graph
+from latticeproj import evaluate, graph, mbqc
 from latticeproj.engines import (
     ENGINE_NAMES,
     ENGINES,
@@ -57,7 +55,15 @@ from latticeproj.graph import (
 )
 from latticeproj.oracle import build_statevector, project_statevector
 
-from helpers import cut_plan, named_orders, random_spec, reference_contract, word_sweep
+from helpers import (
+    cut_plan,
+    flat_plan,
+    named_orders,
+    plan_digest_script,
+    random_spec,
+    reference_contract,
+    word_sweep,
+)
 
 
 def sweep_amp(g, spec, owners=None):
@@ -201,10 +207,11 @@ def replayed_counters(plan):
     step-local axis is counted as if it reached the frontier: the replay
     multiplies the whole step in, then sums its step-local and retired axes
     together."""
+    qubit, _, _, starts, steps = flat_plan(plan)
     frontier = np.ones((1,) * plan.width)
-    mul = len(plan.qubit) - len(plan.starts) + 1
+    mul = len(qubit) - len(starts) + 1
     add = 0
-    for _, shape, local, retire, _ in plan.steps:
+    for _, shape, local, retire, _ in steps:
         frontier = frontier * np.ones(shape)
         mul += frontier.size
         if local + retire:
@@ -218,17 +225,17 @@ def check_absorption(poly):
     """The plan's steps are the factors that retire a slot or that no later
     factor covers (touches all their slots); every other factor rides on a
     step that covers it."""
-    plan = frontier_plan(poly)
+    qubit, _, _, starts, steps = flat_plan(frontier_plan(poly))
     slots = [f.touched_slots() for f in poly.factors]
     retiring = {last for _, last in poly.activity.values()}
     survivors = [
         pos for pos, own in enumerate(slots)
         if pos in retiring or not any(own <= later for later in slots[pos + 1:])
     ]
-    assert len(plan.steps) == len(survivors)
+    assert len(steps) == len(survivors)
     # each survivor entry's run lists the survivor's qubit, then those it absorbed
     slots_of = {f.qubit: own for f, own in zip(poly.factors, slots)}
-    runs = np.split(plan.qubit, plan.starts[1:])
+    runs = np.split(qubit, starts[1:])
     assert {run[0] for run in runs} == {poly.factors[pos].qubit for pos in survivors}
     assert set(np.concatenate(runs).tolist()) == set(slots_of)
     for survivor, *absorbed in runs:
@@ -274,19 +281,16 @@ def test_contract_matches_the_one_kind_loop_bitwise(g):
 
 
 def check_blocks(plan, entries):
-    """The plan's blocks tile its values and steps in order, and each holds
-    at most ``entries`` values unless it is a single step."""
-    blocks = []
-    for block, (index, *rest) in plan.blocked_steps:
-        if block is not None:
-            blocks.append((block, []))
-        assert index[-1].stop <= len(blocks[-1][0][3])
-        blocks[-1][1].append(tuple(rest))
-    assert [step for _, steps in blocks for step in steps] == [
-        tuple(rest) for _, *rest in plan.steps]
-    runs = [block[0] for block, _ in blocks]
-    assert np.concatenate(runs).tobytes() == plan.qubit.tobytes()
-    assert all(len(run) <= entries or len(steps) == 1 for run, (_, steps) in zip(runs, blocks))
+    """Each block's steps tile its entries in order, its runs tile its
+    values, and it holds at most ``entries`` values unless it is a single
+    step."""
+    for qubit, c_diag, s_diag, starts, steps in plan.blocks:
+        assert len(qubit) == len(c_diag) == len(s_diag)
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < len(qubit)
+        bounds = [index[-1] for index, *_ in steps]
+        assert [b.start for b in bounds] == [0] + [b.stop for b in bounds[:-1]]
+        assert bounds[-1].stop == len(starts)
+        assert len(qubit) <= entries or len(steps) == 1
 
 
 @pytest.mark.parametrize("entries", [1, 17, 512, 2**20])
@@ -300,9 +304,9 @@ def test_blocks_change_no_bits(entries):
         specs = [random_spec(g.n, 80 + t) for t in range(31)]
         every_owner = build_polynomial(g, specs[0], range(g.n))
         open_slots = tuple(sorted({0, g.n - 1}))
-        plan = cut_plan(_build_plan(sweep_polynomial(g, specs[0])), entries)
-        owned = cut_plan(_build_plan(every_owner, open_slots), entries)
-        whole = cut_plan(_build_plan(every_owner, open_slots), 2**20)
+        plan = cut_plan(sweep_polynomial(g, specs[0]), entries)
+        owned = cut_plan(every_owner, entries, open_slots)
+        whole = cut_plan(every_owner, 2**20, open_slots)
         check_blocks(plan, entries)
         check_blocks(owned, entries)
         for c, s in [(specs[0].c, specs[0].s),
@@ -451,18 +455,24 @@ cphase-chain:5 open-slots d2a57c8aac6d06fc
 """
 
 
-def _plan_digest_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "plan_digest.py"
-    spec = importlib.util.spec_from_file_location("plan_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_plans_match_recorded_digests():
     # every array, step, counter and open axis of each plan is byte for byte
     # the recorded one
-    lines = list(_plan_digest_script().digest_lines(small=True))
+    lines = list(plan_digest_script().digest_lines(small=True))
+    assert lines == RECORDED_DIGESTS.splitlines()
+
+
+@pytest.mark.parametrize("entries", [1, 2**20])
+def test_plan_digests_do_not_depend_on_the_cut(entries, monkeypatch):
+    # the blocks joined back are the recorded plans whatever the cut: the
+    # same values, runs and steps in the same order.  digest_lines builds
+    # every graph's plan afresh; the patterns' plans are cached apart
+    monkeypatch.setattr(evaluate, "BLOCK_ENTRIES", entries)
+    mbqc._pattern_plan.cache_clear()
+    try:
+        lines = list(plan_digest_script().digest_lines(small=True))
+    finally:
+        mbqc._pattern_plan.cache_clear()
     assert lines == RECORDED_DIGESTS.splitlines()
 
 

@@ -139,6 +139,16 @@ def test_non_integer_edges_read_as_before():
         parse_graph_text("3\n0 0\nx y\n")
 
 
+def test_qubit_count_must_be_an_integer():
+    # a float count, integral or not, used to build a graph that the engine
+    # table then failed on with a TypeError
+    for n in (2.5, 3.0):
+        with pytest.raises(InvalidSize, match="is not an integer"):
+            build_from_edges(n, [(0, 1)])
+    g = build_from_edges(np.int64(3), [(0, 1), (1, 2)])
+    assert g == build_line(3) and type(g.n) is int
+
+
 def test_numpy_and_integral_float_endpoints_become_ints():
     g = build_from_edges(3, [(np.int64(0), 2.0), (np.int32(2), np.float64(1.0))])
     assert g.edges == frozenset({(0, 2), (1, 2)})

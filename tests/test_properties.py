@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from latticeproj.errors import OddCycle
 from latticeproj.evaluate import (
-    _build_plan,
     _contract,
     column_evaluate,
     cross_chain_recursion,
@@ -128,8 +127,8 @@ def test_blocks_change_no_bits_in_random_orders(case, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
         specs = [spec] + [ProjectionSpec.random(g.n, rng) for _ in range(2)]
         c, s = np.stack([p.c for p in specs]), np.stack([p.s for p in specs])
-    plan = cut_plan(_build_plan(poly, tuple(open_slots)), entries)
-    whole = cut_plan(_build_plan(poly, tuple(open_slots)), 2 ** 20)
+    plan = cut_plan(poly, entries, tuple(open_slots))
+    whole = cut_plan(poly, 2 ** 20, tuple(open_slots))
     assert _contract(plan, c, s).tobytes() == _contract(whole, c, s).tobytes()
 
 
