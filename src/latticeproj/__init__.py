@@ -54,7 +54,6 @@ from .graph import (
     build_from_edges,
     build_lattice,
     build_line,
-    detect_cross_chain,
     detect_lattice,
     detect_line,
     fixture_path,

@@ -117,14 +117,6 @@ class TensorWord:
         word._hash = hash(entries)
         return word
 
-    def letter_at(self, slot: int) -> Letter:
-        for s, letter in self.entries:
-            if s == slot:
-                return letter
-            if s > slot:
-                break
-        return Letter.I
-
     def split_slot(self, slot: int) -> tuple[Letter, "TensorWord"]:
         """Return (letter at slot, the word with that slot removed)."""
         for i, (s, letter) in enumerate(self.entries):

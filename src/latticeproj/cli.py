@@ -409,7 +409,7 @@ def bench_line_scaling(trials: int = 25, seed: int = 0) -> list[dict]:
 SUITES: dict[str, Callable[[int, int], list[dict]]] = {
     "fig10": bench_fig10,
     "line-scaling": bench_line_scaling,
-    "lattice-width": lambda trials, seed: lattice_width_profile(2, range(2, 7), seed),
+    "lattice-width": lambda trials, seed: lattice_width_profile(2, range(2, 7)),
 }
 
 

@@ -698,26 +698,28 @@ def _column_sum(m: int, n: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 # profiling
 
 
-def lattice_width_profile(
-    height: int, widths: Sequence[int], seed: int = 0
-) -> list[dict]:
-    """Live-term growth table for lattices of a fixed height and varying width."""
+def lattice_width_profile(height: int, widths: Sequence[int]) -> list[dict]:
+    """Live-term growth table for lattices of a fixed height and varying width.
+
+    Each row is read off the row-major polynomial's FrontierPlan, which the
+    lattice fixes alone: no projection is drawn or contracted.  max_live_terms
+    is the plan's 2^width bound, not the measured frontier peak.
+    """
     rows = []
     for width in widths:
         g = build_lattice(height, width)
-        rng = np.random.default_rng([seed, height, width])
-        spec = ProjectionSpec.random(g.n, rng)
+        spec = ProjectionSpec.constant(g.n, 0.0, 0.0)
         poly = order_factors(build_polynomial(g, spec), lattice_row_major_order(height, width))
-        report = sweep_evaluate(poly)
+        plan = frontier_plan(poly)
         rows.append(
             {
                 "height": height,
                 "width": width,
                 "qubits": g.n,
                 "max_active_slots": max_active_slots(poly),
-                "max_live_terms": report.max_live_terms,
-                "mul_count": report.mul_count,
-                "add_count": report.add_count,
+                "max_live_terms": 1 << plan.width,
+                "mul_count": plan.mul_count,
+                "add_count": plan.add_count,
             }
         )
     return rows

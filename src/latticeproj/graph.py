@@ -205,12 +205,6 @@ def detect_line(g: ClusterGraph) -> bool:
     return len(g.edges) == g.n - 1 and g.edges == build_line(g.n).edges
 
 
-def detect_cross_chain(g: ClusterGraph) -> Optional[int]:
-    """Return k if g is exactly the canonical k-cross chain, the k x 1 lattice, else None."""
-    shape = detect_lattice(g)
-    return shape[0] if shape is not None and shape[1] == 1 else None
-
-
 def detect_lattice(g: ClusterGraph) -> Optional[tuple[int, int]]:
     """Return (m, n) if g is exactly the canonical m x n cross lattice.
 

@@ -442,8 +442,13 @@ def _action_core(pattern: MeasurementPattern) -> np.ndarray:
     its qubit's open slot.  An input that is also an output labels two axes,
     and the action is diagonal in it, so the frontier fills the diagonal
     view of that pair (a single-operand einsum) and the rest stays zero.
+    Raises TooLarge, before anything is allocated, when the inputs plus the
+    outputs exceed oracle.STATEVEC_CAP: the result is as large as a
+    statevector of that many qubits.
     """
     inputs, outputs = pattern.inputs, pattern.outputs
+    if (size := len(inputs) + len(outputs)) > (cap := oracle.STATEVEC_CAP):
+        raise TooLarge(f"the action is as large as a {size}-qubit statevector, above the cap {cap}")
     opened = inputs + tuple(q for q in outputs if q not in inputs)
     plan = _pattern_plan(pattern.graph, opened)
     n = pattern.graph.n
@@ -502,7 +507,9 @@ def simulate_pattern(
     input is then applied to it.  Returns the unnormalized residual vector
     on the outputs, in the pattern's declared output order.  Raises
     ZeroBranch when the post-selected branch vanishes: when the residual's
-    norm is at most the input's norm times the floor of _column_norms.
+    norm is at most the input's norm times the floor of _column_norms, and
+    TooLarge, before anything is allocated, when the inputs plus the outputs
+    exceed oracle.STATEVEC_CAP.
     """
     k = len(pattern.inputs)
     vec = np.asarray(input_state, dtype=complex).reshape(-1)
@@ -521,7 +528,8 @@ def pattern_action_matrix(pattern: MeasurementPattern) -> np.ndarray:
 
     Raises ZeroBranch when the post-selected branch vanishes on any input
     basis state: when that column's norm is at most the floor of
-    _column_norms.
+    _column_norms.  Raises TooLarge, before anything is allocated, when the
+    inputs plus the outputs exceed oracle.STATEVEC_CAP.
     """
     mat = _action_core(pattern)
     norms, floor, _ = _column_norms(pattern, mat)

@@ -243,8 +243,8 @@ def test_criterion_8_scaling_study():
 
 
 def test_criterion_9_lattice_width_table():
-    table = lattice_width_profile(2, range(2, 7), seed=0)
-    again = lattice_width_profile(2, range(2, 7), seed=0)
+    table = lattice_width_profile(2, range(2, 7))
+    again = lattice_width_profile(2, range(2, 7))
     assert table == again
     assert [row["width"] for row in table] == [2, 3, 4, 5, 6]
     lines = ["width qubits max_active_slots max_live_terms"]

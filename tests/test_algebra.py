@@ -70,8 +70,6 @@ def test_words_normalize_away_identity_entries():
     assert TensorWord([(3, Letter.I)]) == EMPTY_WORD
     w = TensorWord([(2, Letter.Z), (0, Letter.U), (5, Letter.I)])
     assert w.entries == ((0, Letter.U), (2, Letter.Z))
-    assert w.letter_at(5) is Letter.I
-    assert w.letter_at(2) is Letter.Z
 
 
 def test_word_construction_rejects_bad_slots():

@@ -758,11 +758,47 @@ def test_five_cross_profile_bounds():
     assert report.max_live_terms <= 4 ** 5
 
 
-def test_lattice_width_profile_is_deterministic():
-    a = lattice_width_profile(2, (2, 3, 4), seed=5)
-    b = lattice_width_profile(2, (2, 3, 4), seed=5)
-    assert a == b
-    assert [row["width"] for row in a] == [2, 3, 4]
+def test_lattice_width_profile_is_its_plan():
+    # every row is what the sweep reports on the row-major polynomial,
+    # whichever projection it contracts
+    for height in (1, 2, 3):
+        table = lattice_width_profile(height, range(1, 7))
+        assert [row["width"] for row in table] == [1, 2, 3, 4, 5, 6]
+        for row in table:
+            g = build_lattice(height, row["width"])
+            order = lattice_row_major_order(height, row["width"])
+            for seed in (0, 12345):
+                spec = ProjectionSpec.random(g.n, np.random.default_rng(seed))
+                poly = order_factors(build_polynomial(g, spec), order)
+                report = sweep_evaluate(poly)
+                assert row == {
+                    "height": height,
+                    "width": row["width"],
+                    "qubits": g.n,
+                    "max_active_slots": max_active_slots(poly),
+                    "max_live_terms": report.max_live_terms,
+                    "mul_count": report.mul_count,
+                    "add_count": report.add_count,
+                }
+
+
+def test_lattice_width_profile_contracts_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice_width_profile ran a contraction")
+
+    monkeypatch.setattr(evaluate, "_contract", refuse)
+    # criterion 9's table, as the contracting profile gave it
+    columns = ("width", "qubits", "max_active_slots", "max_live_terms", "mul_count", "add_count")
+    expected = [
+        (2, 13, 4, 16, 139, 15),
+        (3, 18, 5, 32, 223, 39),
+        (4, 23, 6, 64, 355, 87),
+        (5, 28, 7, 128, 583, 183),
+        (6, 33, 8, 256, 1003, 375),
+    ]
+    assert lattice_width_profile(2, range(2, 7)) == [
+        {"height": 2, **dict(zip(columns, row))} for row in expected
+    ]
 
 
 # ---------------------------------------------------------------------------

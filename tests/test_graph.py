@@ -29,7 +29,6 @@ from latticeproj.graph import (
     build_from_edges,
     build_lattice,
     build_line,
-    detect_cross_chain,
     detect_lattice,
     detect_line,
     fixture_path,
@@ -166,8 +165,8 @@ def test_fixture_path_is_the_packaged_file_as_a_path():
 def test_family_detection():
     assert detect_line(build_line(6))
     assert not detect_line(build_cross_chain(1))
-    assert detect_cross_chain(build_cross_chain(3)) == 3
-    assert detect_cross_chain(build_line(5)) is None
+    assert detect_lattice(build_cross_chain(3)) == (3, 1)
+    assert detect_lattice(build_line(5)) is None
     assert detect_lattice(build_lattice(2, 3)) == (2, 3)
     assert detect_lattice(build_line(8)) is None
     # a canonical chain is exactly the k x 1 lattice
@@ -205,7 +204,6 @@ def test_detection_compares_edge_counts_before_building(monkeypatch):
         monkeypatch.setattr(graph, name, unreachable)
     g = ClusterGraph(10**9 + 1, frozenset())  # 3k + 2 qubits; the 1 x k lattice size
     assert not detect_line(g)
-    assert detect_cross_chain(g) is None
     assert detect_lattice(g) is None
 
 
@@ -240,10 +238,9 @@ def near_canonical_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(g=near_canonical_graphs())
-def test_detect_cross_chain_is_the_one_column_lattice(g):
+def test_detect_lattice_names_only_the_graph_it_is(g):
     shape = detect_lattice(g)
-    expected = shape[0] if shape is not None and shape[1] == 1 else None
-    assert detect_cross_chain(g) == expected
+    assert shape is None or g == build_lattice(*shape)
 
 
 def test_graph_family_never_builds_a_cross_chain(monkeypatch):

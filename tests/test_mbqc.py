@@ -14,10 +14,11 @@ from latticeproj.errors import (
     LatticeProjError,
     QubitCollision,
     SizeMismatch,
+    TooLarge,
     ZeroBranch,
 )
 from latticeproj.graph import build_from_edges
-from latticeproj import evaluate, mbqc
+from latticeproj import evaluate, mbqc, oracle
 from latticeproj.engines import compute_amplitude, compute_amplitudes
 from latticeproj.mbqc import (
     _pattern_plan,
@@ -319,6 +320,35 @@ def test_compose_ten_wire_cz_chain_at_the_cap():
     bits = (x[:, None] >> (width - 1 - np.arange(width))) & 1
     signs = (-1.0) ** (bits[:, :-1] * bits[:, 1:]).sum(axis=1)
     assert np.array_equal(pattern.semantics, np.diag(signs).astype(complex))
+
+
+def _hadamard_wall(width):
+    return compile_circuit(parse_circuit("".join(f"H {w}\n" for w in range(width))))
+
+
+def test_action_past_the_cap_is_refused_before_allocating():
+    # 11 inputs plus 11 outputs: the action would hold 2^22 entries (64 MiB)
+    # and its contraction peaked at 128 MiB, as the semantics refuses 11 wires
+    pattern = _hadamard_wall(11)
+    state = np.zeros(1 << 11, dtype=complex)
+    state[0] = 1.0
+    for run in (lambda: pattern_action_matrix(pattern), lambda: simulate_pattern(pattern, state)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="22-qubit statevector"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+
+def test_action_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(oracle, "STATEVEC_CAP", 6)
+    with pytest.raises(TooLarge):
+        pattern_action_matrix(_hadamard_wall(4))
+    assert_realizes(_hadamard_wall(3))
 
 
 def _cnot_ladder(width, seed):

@@ -19,8 +19,12 @@ from latticeproj import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 
-# a tracer target the package no longer has: the line recursion replaced it
-KNOWN_MISSING = {"latticeproj.evaluate.line_amplitude"}
+# tracer targets the package no longer has: the line recursion replaced the
+# first, and detect_lattice's (k, 1) shape is the cross chain
+KNOWN_MISSING = {
+    "latticeproj.evaluate.line_amplitude",
+    "latticeproj.graph.detect_cross_chain",
+}
 
 
 def _tracer_targets():
